@@ -38,11 +38,8 @@ from .fields import InitialDataSpec, SimState, build_initial, full_h_norm, norm
 from .grid import (
     Grid,
     SpectralField,
-    dealiased_product,
-    gradient_physical,
     laplacian_symbol,
     padded_field_values,
-    padded_gradient_values,
     project_padded_to_sine,
     to_physical,
     to_spectral,
@@ -101,7 +98,6 @@ __all__ = [
     "assemble_f",
     "build_initial",
     "calibrated_gammas",
-    "dealiased_product",
     "default_probe_states",
     "default_window",
     "empirical_max_ratio",
@@ -110,7 +106,6 @@ __all__ = [
     "fit_decay",
     "full_h_norm",
     "functionals",
-    "gradient_physical",
     "gronwall_verify",
     "identity_residual",
     "interpolation_ratio",
@@ -122,7 +117,6 @@ __all__ = [
     "nonlinear_acceleration",
     "norm",
     "padded_field_values",
-    "padded_gradient_values",
     "parse_config",
     "project_padded_to_sine",
     "random_admissible_gronwall",

@@ -91,7 +91,11 @@ def _apply_seed_override(cfg: RunConfig) -> RunConfig:
     env = os.environ.get("BLACKSTOCK_SEED")
     if env is None:
         return cfg
-    return dataclasses.replace(cfg, seed=int(env))
+    try:
+        seed = int(env)
+    except ValueError:
+        raise ConfigError(f"BLACKSTOCK_SEED must be an integer, got {env!r}") from None
+    return dataclasses.replace(cfg, seed=seed)
 
 
 def _termination_payload(series) -> dict:

@@ -156,8 +156,10 @@ def _parse_integrator(section: dict) -> tuple[StepConfig, float, int]:
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid integrator: {exc}") from exc
     T = float(section.get("T", 20.0))
-    if T <= 0:
-        raise ConfigError("invalid integrator: final time T must be positive")
+    try:
+        step.steps_to(T)
+    except ValueError as exc:
+        raise ConfigError(f"invalid integrator: {exc}") from exc
     sample_every = int(section.get("sample_every", 1))
     if sample_every < 1:
         raise ConfigError("invalid integrator: sample_every must be at least 1")

@@ -17,8 +17,23 @@ field ``alpha`` inside the products and adds a forcing ``ftilde``:
              - 2 k c^2 alpha Delta psi - 2 sigma grad psi . grad alpha + ftilde.
 
 With ``alpha = v`` and ``ftilde = 0`` the linearized operator reproduces the
-nonlinear one identically.  All quadratic terms are formed pointwise on the
-padded grid and projected exactly back onto the retained span.
+nonlinear one identically.
+
+The quadratic terms are computed in gradient-free form.  Pointwise,
+
+    grad psi . grad alpha = (Delta(psi alpha) - psi Delta alpha - alpha Delta psi) / 2,
+
+and ``psi alpha`` vanishes on the boundary, so Green's formula gives
+``P[Delta(psi alpha)] = lambda P[psi alpha]`` exactly for the sine
+projection ``P``.  Hence
+
+    f = P[-(2 k c^2 - sigma) alpha Delta psi + sigma psi Delta alpha]
+        - sigma lambda P[psi alpha],
+
+which needs one stacked evaluation of ``(psi, alpha, Delta psi, Delta alpha)``
+on the padded grid and one stacked exact projection of two products, with no
+gradient evaluations (see :mod:`blackstock.grid` for the dense per-axis
+operators and their ``O(N^(d+1))`` cost).
 """
 
 from __future__ import annotations
@@ -28,12 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import SimState
-from .grid import (
-    SpectralField,
-    padded_field_values,
-    padded_gradient_values,
-    project_padded_to_sine,
-)
+from .grid import Grid, SpectralField, padded_field_values, project_padded_to_sine
 
 __all__ = [
     "MediumParams",
@@ -63,34 +73,37 @@ class MediumParams:
 
 
 def _quadratic_source(
-    psi: SpectralField, alpha: SpectralField, p: MediumParams
-) -> SpectralField:
-    # -2 k c^2 alpha Delta psi - 2 sigma grad psi . grad alpha, projected exactly.
-    grid = psi.grid
+    grid: Grid, psi: np.ndarray, alpha: np.ndarray, p: MediumParams
+) -> np.ndarray:
+    # -2 k c^2 alpha Delta psi - 2 sigma grad psi . grad alpha, projected
+    # exactly, in the gradient-free form of the module docstring.
     if p.k == 0.0 and p.sigma == 0.0:
-        return grid.zeros()
-    values = None
-    if p.k != 0.0:
-        lap_psi = psi.laplacian()
-        values = (
-            -2.0 * p.k * p.c**2
-            * padded_field_values(alpha)
-            * padded_field_values(lap_psi)
-        )
-    if p.sigma != 0.0:
-        grad_psi = padded_gradient_values(psi)
-        grad_alpha = padded_gradient_values(alpha)
-        dot = grad_psi[0] * grad_alpha[0]
-        for gp, ga in zip(grad_psi[1:], grad_alpha[1:]):
-            dot += gp * ga
-        term = -2.0 * p.sigma * dot
-        values = term if values is None else values + term
-    return project_padded_to_sine(grid, values)
+        return np.zeros(grid.modes)
+    lam = grid.laplacian_eigenvalues
+    # Scaling the Laplacian members before evaluation leaves the first
+    # product as a sum of two pointwise products.
+    u, a, lap_u, lap_a = padded_field_values(
+        grid,
+        np.stack([
+            psi,
+            alpha,
+            -(2.0 * p.k * p.c**2 - p.sigma) * lam * psi,
+            p.sigma * lam * alpha,
+        ]),
+    )
+    products = np.empty((2,) + u.shape)
+    np.multiply(a, lap_u, out=products[0])
+    products[0] += u * lap_a
+    np.multiply(u, a, out=products[1])
+    proj = project_padded_to_sine(grid, products)
+    return proj[0] - p.sigma * lam * proj[1]
 
 
 def assemble_f(state: SimState, p: MediumParams) -> SpectralField:
     """Quadratic source ``f = -2 k c^2 psi_t Delta psi - 2 sigma grad psi . grad psi_t``."""
-    return _quadratic_source(state.psi, state.v, p)
+    return SpectralField(
+        state.grid, _quadratic_source(state.grid, state.psi.coeffs, state.v.coeffs, p)
+    )
 
 
 def nonlinear_acceleration(state: SimState, p: MediumParams) -> SpectralField:
@@ -117,7 +130,7 @@ def linearized_acceleration(
         raise ValueError("ftilde lives on a different grid")
     lam = grid.laplacian_eigenvalues
     out = lam * (p.c**2 * state.psi.coeffs + p.b * state.v.coeffs)
-    out = out + _quadratic_source(state.psi, alpha, p).coeffs
+    out = out + _quadratic_source(grid, state.psi.coeffs, alpha.coeffs, p)
     if ftilde is not None:
         out = out + ftilde.coeffs
     return SpectralField(grid, out)

@@ -158,7 +158,7 @@ def _linf(field: SpectralField) -> float:
 
 
 def _lq(field: SpectralField, q: int) -> float:
-    values = padded_field_values(field)
+    values = padded_field_values(field.grid, field.coeffs)
     w = field.grid.padded_quad_weight
     return float((np.sum(np.abs(values) ** q) * w) ** (1.0 / q))
 

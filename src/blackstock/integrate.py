@@ -74,6 +74,15 @@ class StepConfig:
         if self.picard_max_iter < 1:
             raise ValueError("picard_max_iter must be at least 1")
 
+    def steps_to(self, T: float) -> int:
+        """Number of steps that reach ``T``; ``T`` must be a positive whole multiple of ``dt``."""
+        if not (T > 0 and np.isfinite(T)):
+            raise ValueError("final time must be positive and finite")
+        n = round(T / self.dt)
+        if n < 1 or abs(n * self.dt - T) > 1e-9 * T:
+            raise ValueError(f"final time T={T!r} is not a whole multiple of dt={self.dt!r}")
+        return n
+
 
 @dataclass(frozen=True)
 class Termination:
@@ -161,11 +170,17 @@ def _picard_update_norm(grid, dpsi, dv) -> float:
 
 
 def _picard_step(
-    state: SimState, solver: _ModalSolver, cfg: StepConfig, p: MediumParams
+    state: SimState,
+    solver: _ModalSolver,
+    cfg: StepConfig,
+    p: MediumParams,
+    f_old: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
+    # f_old, when given, is the source at ``state``, already computed by the caller.
     grid = state.grid
     psi0, v0 = state.psi.coeffs, state.v.coeffs
-    f_old = assemble_f(state, p).coeffs
+    if f_old is None:
+        f_old = assemble_f(state, p).coeffs
     # Initial iterate: trapezoid step with the source frozen at the step start.
     psi_j, v_j = solver.trapezoid(psi0, v0, f_old)
     for it in range(1, cfg.picard_max_iter + 1):
@@ -224,7 +239,8 @@ def simulate(
 
     Args:
         initial: state at the start time.
-        T: final time (relative to ``initial.time``).
+        T: final time (relative to ``initial.time``), a positive whole
+            multiple of ``cfg.dt`` (``ValueError`` otherwise).
         cfg: scheme and step size.
         p: medium coefficients.
         sample_every: record an EnergySample every this many steps (the
@@ -236,8 +252,7 @@ def simulate(
     Returns:
         The sampled series with its termination status.
     """
-    if T <= 0:
-        raise ValueError("final time must be positive")
+    n_steps = cfg.steps_to(T)
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
     g = gammas or GammaWeights()
@@ -245,7 +260,6 @@ def simulate(
     lam = grid.laplacian_eigenvalues
     cc = p.c**2
     solver = _ModalSolver(initial, p, cfg.dt)
-    n_steps = int(round(T / cfg.dt))
     series = TimeSeries()
 
     psi = initial.psi.coeffs.copy()
@@ -320,7 +334,9 @@ def simulate(
             psi, v = solver.trapezoid(psi, v, fhat)
         else:
             try:
-                psi, v, its = _picard_step(current_state(t0 + n * cfg.dt), solver, cfg, p)
+                psi, v, its = _picard_step(
+                    current_state(t0 + n * cfg.dt), solver, cfg, p, f_curr
+                )
             except PicardFailure as failure:
                 series.termination = Termination("picard_failed", failure.time)
                 series.max_picard_iterations = max(
@@ -340,6 +356,9 @@ def simulate(
             if not np.all(np.isfinite(f_curr)):
                 series.termination = Termination("diverged", t_next)
                 return series
+        else:
+            # Not evaluated at the new state: the next picard step does it.
+            f_curr = None
         if is_sample:
             E = record(t_next, f_curr)
             if not np.isfinite(E) or E > ENERGY_BLOWUP_CUTOFF:

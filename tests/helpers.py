@@ -8,10 +8,26 @@ transform or integrator code paths it checks.
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
+from blackstock import Grid
 from blackstock.energy import EnergySample
 from blackstock.integrate import Termination, TimeSeries
+
+
+#: Largest modes per axis drawn for 1D, 2D and 3D property tests, so that
+#: the direct-summation oracles stay fast.
+PROPERTY_MAX_MODES = (12, 7, 5)
+
+
+@st.composite
+def random_grids(draw):
+    """Grids in 1 to 3 dimensions with random, generally anisotropic boxes."""
+    dim = draw(st.integers(1, 3))
+    modes = tuple(draw(st.integers(4, PROPERTY_MAX_MODES[dim - 1])) for _ in range(dim))
+    extents = tuple(draw(st.floats(0.25, 4.0)) for _ in range(dim))
+    return Grid(extents=extents, modes=modes)
 
 
 def naive_to_physical(extents, coeffs):
@@ -53,6 +69,93 @@ def naive_to_spectral(extents, samples):
         for N in modes:
             scale *= 2.0 / (N + 1)
         out[m_idx] = total * scale
+    return out
+
+
+def naive_padded_values(extents, coeffs):
+    """Direct multi-loop evaluation of a sine series on the padded grid.
+
+    The padded grid has ``y_j = j L / (2 N)``, ``j = 0..2N`` per axis,
+    boundary points included.
+    """
+    coeffs = np.asarray(coeffs)
+    modes = coeffs.shape
+    dim = len(modes)
+    axes_nodes = [np.arange(0, 2 * N + 1) * L / (2 * N) for L, N in zip(extents, modes)]
+    out = np.zeros(tuple(2 * N + 1 for N in modes))
+    for j_idx in np.ndindex(*out.shape):
+        x = [axes_nodes[i][j_idx[i]] for i in range(dim)]
+        total = 0.0
+        for m_idx in np.ndindex(*modes):
+            term = coeffs[m_idx]
+            for i in range(dim):
+                term *= np.sin((m_idx[i] + 1) * np.pi * x[i] / extents[i])
+            total += term
+        out[j_idx] = total
+    return out
+
+
+def quadratic_source_oracle(extents, psi, v, c, k, sigma):
+    """Sine coefficients of ``f = -2 k c^2 v Delta psi - 2 sigma grad psi . grad v``.
+
+    Written in the gradient form: every field, partial derivative and the
+    Laplacian is summed mode by mode at tensor Gauss-Legendre points, and the
+    projection ``prod_i (2/L_i) int f prod_i sin(m_i pi x_i / L_i)`` is taken
+    by the same quadrature.  With ``4 N + 20`` points per axis the rule is
+    converged to rounding for the degree-``3N`` trigonometric integrands.
+    """
+    psi = np.asarray(psi)
+    v = np.asarray(v)
+    modes = psi.shape
+    dim = len(modes)
+    points, weights = [], []
+    for L, N in zip(extents, modes):
+        x, w = np.polynomial.legendre.leggauss(4 * N + 20)
+        points.append((x + 1.0) * L / 2.0)
+        weights.append(w * L / 2.0)
+    grid_shape = tuple(len(x) for x in points)
+
+    def factor(axis, m, derivative):
+        kx = m * np.pi / extents[axis]
+        if derivative:
+            values = kx * np.cos(kx * points[axis])
+        else:
+            values = np.sin(kx * points[axis])
+        shape = [1] * dim
+        shape[axis] = grid_shape[axis]
+        return values.reshape(shape)
+
+    def basis(m_idx, derivative_axis=None):
+        out = np.ones(grid_shape)
+        for i in range(dim):
+            out = out * factor(i, m_idx[i] + 1, i == derivative_axis)
+        return out
+
+    v_vals = np.zeros(grid_shape)
+    lap_psi = np.zeros(grid_shape)
+    grad_psi = [np.zeros(grid_shape) for _ in range(dim)]
+    grad_v = [np.zeros(grid_shape) for _ in range(dim)]
+    for m_idx in np.ndindex(*modes):
+        phi = basis(m_idx)
+        lam = -sum(((m_idx[i] + 1) * np.pi / extents[i]) ** 2 for i in range(dim))
+        v_vals += v[m_idx] * phi
+        lap_psi += psi[m_idx] * lam * phi
+        for i in range(dim):
+            dphi = basis(m_idx, derivative_axis=i)
+            grad_psi[i] += psi[m_idx] * dphi
+            grad_v[i] += v[m_idx] * dphi
+    f = -2.0 * k * c**2 * v_vals * lap_psi
+    for i in range(dim):
+        f -= 2.0 * sigma * grad_psi[i] * grad_v[i]
+
+    quad = np.ones(grid_shape)
+    for i in range(dim):
+        shape = [1] * dim
+        shape[i] = grid_shape[i]
+        quad = quad * (2.0 / extents[i]) * weights[i].reshape(shape)
+    out = np.zeros(modes)
+    for m_idx in np.ndindex(*modes):
+        out[m_idx] = np.sum(f * quad * basis(m_idx))
     return out
 
 

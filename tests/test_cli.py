@@ -87,6 +87,15 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="invalid initial data"):
             load_config(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize("T", [4e-4, 1.0005])
+    def test_final_time_not_a_step_multiple_rejected(self, tmp_path, T):
+        bad = json.loads(json.dumps(MINIMAL))
+        bad["integrator"] = {"T": T, "dt": 1e-3}
+        path = write_config(tmp_path, bad)
+        with pytest.raises(ConfigError, match="whole multiple of dt"):
+            load_config(path)
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "out")]) == 1
+
     def test_3d_default_modes(self):
         cfg = parse_config({"grid": {"dim": 3}})
         assert cfg.grid.modes == (32, 32, 32)
@@ -157,6 +166,13 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["seed"] == 99
 
+    def test_non_integer_seed_env_exits_1(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, short_config())
+        monkeypatch.setenv("BLACKSTOCK_SEED", "abc")
+        code = main(["simulate", "--config", str(path), "--output", str(tmp_path / "o")])
+        assert code == 1
+        assert "BLACKSTOCK_SEED" in capsys.readouterr().err
+
 
 class TestFitCommand:
     def test_fit_emitted_linear_series(self, tmp_path):
@@ -183,7 +199,7 @@ class TestFitCommand:
 
     def test_fit_without_series_is_config_error(self, tmp_path):
         path = write_config(tmp_path, short_config())
-        assert main(["fit", "--config", str(path)]) == 1
+        assert main(["fit", "--config", str(path), "--output", str(tmp_path / "out")]) == 1
 
 
 class TestVerifyInequalitiesCommand:

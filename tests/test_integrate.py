@@ -10,11 +10,13 @@ from blackstock import (
     PicardFailure,
     SimState,
     StepConfig,
+    assemble_f,
     build_initial,
     simulate,
     step_imex,
     step_picard,
 )
+import blackstock.integrate as integrate
 from blackstock.integrate import _ModalSolver, _picard_step
 
 from .helpers import modal_solution
@@ -133,6 +135,33 @@ class TestPicard:
         with pytest.raises(PicardFailure):
             step_picard(state, StepConfig(dt=1e-3, scheme="picard"), NONLIN)
 
+    def test_simulate_reuses_sampled_source(self, g8, monkeypatch):
+        # A step that starts at a sampled state takes f_old from the run loop:
+        # the source is evaluated once per sampled state, and the states match
+        # stepping alone bit for bit.
+        def key(s):
+            return s.psi.coeffs.tobytes() + s.v.coeffs.tobytes()
+
+        evaluated = []
+
+        def counting_assemble_f(s, p):
+            evaluated.append(key(s))
+            return assemble_f(s, p)
+
+        state = single_mode_state(g8, 0.05, 0.05)
+        cfg = StepConfig(dt=1e-2, scheme="picard")
+        expected = state
+        for _ in range(4):
+            expected = step_picard(expected, cfg, NONLIN)
+        monkeypatch.setattr(integrate, "assemble_f", counting_assemble_f)
+        series = simulate(state, 0.04, cfg, NONLIN, sample_every=2, snapshot_every=2)
+        sampled = [state] + [snap for _t, snap in series.snapshots]
+        assert len(sampled) == 3
+        assert [evaluated.count(key(s)) for s in sampled] == [1, 1, 1]
+        final = series.snapshots[-1][1]
+        assert np.array_equal(final.psi.coeffs, expected.psi.coeffs)
+        assert np.array_equal(final.v.coeffs, expected.v.coeffs)
+
     def test_agreement_with_imex2_at_second_order(self, g8):
         # both schemes are O(dt^2); their difference must shrink ~4x per halving
         state = single_mode_state(g8, 0.05, 0.05)
@@ -222,3 +251,14 @@ class TestSimulate:
             simulate(state, -1.0, StepConfig(dt=1e-2), LINEAR)
         with pytest.raises(ValueError):
             simulate(state, 1.0, StepConfig(dt=1e-2), LINEAR, sample_every=0)
+
+    @pytest.mark.parametrize("T", [4e-4, 1.0005])
+    def test_final_time_must_be_step_multiple(self, g8, T):
+        # Rounding T/dt would take no step at all, or stop short of T.
+        with pytest.raises(ValueError, match="whole multiple of dt"):
+            simulate(single_mode_state(g8), T, StepConfig(dt=1e-3), LINEAR)
+
+    def test_final_time_tolerates_rounding(self, g8):
+        series = simulate(single_mode_state(g8), 0.3, StepConfig(dt=0.1), LINEAR)
+        assert series.termination.completed
+        assert series.times[-1] == pytest.approx(0.3, rel=1e-12)
