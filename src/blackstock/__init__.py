@@ -14,7 +14,6 @@ decay / blow-up dichotomy.
 from .config import ConfigError, RunConfig, load_config, parse_config
 from .dynamics import MediumParams, assemble_f, linearized_acceleration, nonlinear_acceleration
 from .energy import (
-    EnergySample,
     GammaWeights,
     calibrated_gammas,
     default_probe_states,
@@ -23,7 +22,6 @@ from .energy import (
     functionals,
     identity_residual,
     lyapunov_L,
-    weighted_norms,
 )
 from .experiments import (
     DecayFit,
@@ -60,11 +58,8 @@ from .integrate import (
     Termination,
     TimeSeries,
     simulate,
-    step_imex,
-    step_picard,
 )
 from .storage import (
-    LoadedSeries,
     load_checkpoint,
     read_series_csv,
     save_checkpoint,
@@ -77,13 +72,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "DecayFit",
-    "EnergySample",
     "GammaWeights",
     "GronwallCheck",
     "GronwallParams",
     "Grid",
     "InitialDataSpec",
-    "LoadedSeries",
     "MediumParams",
     "PicardFailure",
     "RegularityStudy",
@@ -124,12 +117,9 @@ __all__ = [
     "read_series_csv",
     "save_checkpoint",
     "simulate",
-    "step_imex",
-    "step_picard",
     "threshold_bisection",
     "to_physical",
     "to_spectral",
-    "weighted_norms",
     "weighted_regularity_study",
     "write_json",
     "write_series_csv",

@@ -21,7 +21,7 @@ import sys
 from multiprocessing import Pool
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_config, parse_config
+from .config import ConfigError, RunConfig, load_config, parse_config, parse_number
 from .experiments import (
     fit_decay,
     threshold_bisection,
@@ -98,6 +98,11 @@ def _apply_seed_override(cfg: RunConfig) -> RunConfig:
     return dataclasses.replace(cfg, seed=seed)
 
 
+def _window(section: dict, where: str) -> tuple[float, ...] | None:
+    window = section.get("window")
+    return tuple(parse_number(x, where) for x in window) if window else None
+
+
 def _termination_payload(series) -> dict:
     return {
         "kind": series.termination.kind,
@@ -116,14 +121,13 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         gammas=cfg.gammas,
     )
     write_series_csv(out / "series.csv", series)
-    last = series.samples[-1]
     summary = {
         "termination": _termination_payload(series),
-        "final_time": series.times[-1],
-        "final_energy": last.E,
-        "final_lyapunov": last.L,
-        "cumulative_dissipation": last.D_cum,
-        "weighted_grad_accel_integral": last.w_grad_ptt,
+        "final_time": float(series.column("t")[-1]),
+        "final_energy": float(series.column("E")[-1]),
+        "final_lyapunov": float(series.column("L")[-1]),
+        "cumulative_dissipation": float(series.column("D_cum")[-1]),
+        "weighted_grad_accel_integral": float(series.column("w_grad_ptt")[-1]),
         "max_picard_iterations": series.max_picard_iterations,
         "seed": cfg.seed,
     }
@@ -143,9 +147,10 @@ def _run_fit(cfg: RunConfig, config_path: Path, out: Path) -> int:
     csv_path = Path(csv_name)
     if not csv_path.is_absolute():
         csv_path = config_path.parent / csv_path
-    series = read_series_csv(csv_path)
-    window = section.get("window")
-    fit = fit_decay(series, tuple(window) if window else None)
+    if not csv_path.is_file():
+        raise ConfigError(f"fit.series_csv not found: {csv_path}")
+    window = _window(section, "fit.window")
+    fit = fit_decay(read_series_csv(csv_path), window)
     write_json(
         out / "fit.json",
         {
@@ -161,10 +166,9 @@ def _run_fit(cfg: RunConfig, config_path: Path, out: Path) -> int:
 
 def _run_threshold(cfg: RunConfig, out: Path) -> int:
     section = cfg.threshold
-    lo = float(section.get("lo", 0.01))
-    hi = float(section.get("hi", 100.0))
-    iters = int(section.get("iters", 12))
-    window = section.get("window")
+    lo = parse_number(section.get("lo", 0.01), "threshold.lo")
+    hi = parse_number(section.get("hi", 100.0), "threshold.hi")
+    iters = parse_number(section.get("iters", 12), "threshold.iters", integer=True)
     report = threshold_bisection(
         cfg.medium,
         (cfg.psi0, cfg.psi1),
@@ -175,7 +179,7 @@ def _run_threshold(cfg: RunConfig, out: Path) -> int:
         T=cfg.T,
         cfg=cfg.step,
         sample_every=max(cfg.sample_every, 10),
-        window=tuple(window) if window else None,
+        window=_window(section, "threshold.window"),
     )
     write_json(
         out / "threshold.json",
@@ -191,12 +195,15 @@ def _run_threshold(cfg: RunConfig, out: Path) -> int:
 
 def _run_weighted_study(cfg: RunConfig, out: Path) -> int:
     section = cfg.study
-    resolutions = section.get("resolutions", [64, 128, 256])
-    T = float(section.get("T", 4.0))
-    dt = float(section.get("dt", cfg.step.dt))
+    resolutions = [
+        parse_number(N, "study.resolutions", integer=True)
+        for N in section.get("resolutions", [64, 128, 256])
+    ]
+    T = parse_number(section.get("T", 4.0), "study.T")
+    dt = parse_number(section.get("dt", cfg.step.dt), "study.dt")
     scheme = section.get("scheme", "imex1")
-    amplitude = float(section.get("amplitude", 0.01))
-    exponent = float(section.get("exponent", 2.0))
+    amplitude = parse_number(section.get("amplitude", 0.01), "study.amplitude")
+    exponent = parse_number(section.get("exponent", 2.0), "study.exponent")
     study = weighted_regularity_study(
         cfg.medium,
         resolutions,
@@ -222,8 +229,10 @@ def _run_weighted_study(cfg: RunConfig, out: Path) -> int:
 
 def _run_verify_inequalities(cfg: RunConfig, out: Path) -> int:
     section = cfg.inequalities
-    count = int(section.get("samples", 2000))
-    draws = int(section.get("gronwall_draws", 100))
+    count = parse_number(section.get("samples", 2000), "inequalities.samples", integer=True)
+    draws = parse_number(
+        section.get("gronwall_draws", 100), "inequalities.gronwall_draws", integer=True
+    )
     grid = cfg.grid
     seed = cfg.seed
 

@@ -32,7 +32,7 @@ from .fields import InitialDataSpec
 from .grid import Grid
 from .integrate import StepConfig
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_config"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "parse_number", "parse_config"]
 
 DEFAULT_MODES = {1: 64, 2: 64, 3: 32}
 
@@ -74,9 +74,29 @@ def _require(section: dict, key: str, where: str) -> Any:
     return section[key]
 
 
+def parse_number(value: Any, where: str, integer: bool = False) -> float | int:
+    """A finite JSON number, or an integral one when ``integer`` (``2`` or ``2.0``).
+
+    Anything else, including strings and booleans, is a ``ConfigError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if integer:
+        if isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{where} must be an integer, got {value!r}")
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be a finite number, got {value!r}")
+    return number
+
+
 def _parse_grid(section: dict) -> Grid:
     _reject_unknown(section, {"dim", "extents", "modes"}, "grid")
-    dim = int(section.get("dim", 0)) or None
+    dim = parse_number(section.get("dim", 0), "grid.dim", integer=True) or None
     extents = section.get("extents")
     modes = section.get("modes")
     if dim is None:
@@ -93,22 +113,31 @@ def _parse_grid(section: dict) -> Grid:
             raise ConfigError("grid dim must be 1, 2 or 3")
         modes = [DEFAULT_MODES[dim]] * dim
     try:
-        return Grid(extents=tuple(extents), modes=tuple(modes))
+        return Grid(
+            extents=tuple(parse_number(L, "grid.extents") for L in extents),
+            modes=tuple(parse_number(N, "grid.modes", integer=True) for N in modes),
+        )
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
 
-def _parse_medium(section: dict) -> MediumParams:
-    _reject_unknown(section, {"c", "b", "k", "sigma"}, "medium")
+def _parse_coefficients(section: dict, defaults: dict, where: str, build):
+    # A section of named real coefficients, each defaulted, built by ``build``.
+    _reject_unknown(section, set(defaults), where)
+    values = {
+        name: parse_number(section.get(name, default), f"{where}.{name}")
+        for name, default in defaults.items()
+    }
     try:
-        return MediumParams(
-            c=float(section.get("c", 1.0)),
-            b=float(section.get("b", 1.0)),
-            k=float(section.get("k", 0.0)),
-            sigma=float(section.get("sigma", 0.0)),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid medium: {exc}") from exc
+        return build(**values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+def _parse_mode(mode: Any, where: str) -> list[int]:
+    if not isinstance(mode, list):
+        mode = [mode]
+    return [parse_number(m, f"{where}.mode", integer=True) for m in mode]
 
 
 def _parse_initial_one(section: dict, where: str) -> InitialDataSpec:
@@ -120,21 +149,24 @@ def _parse_initial_one(section: dict, where: str) -> InitialDataSpec:
         if kind == "single_mode":
             _reject_unknown(section, {"kind", "mode", "amplitude"}, where)
             return InitialDataSpec.single_mode(
-                _require(section, "mode", where),
-                float(_require(section, "amplitude", where)),
+                _parse_mode(_require(section, "mode", where), where),
+                parse_number(_require(section, "amplitude", where), f"{where}.amplitude"),
             )
         if kind == "multi_mode":
             _reject_unknown(section, {"kind", "terms"}, where)
             terms = [
-                (term["mode"], float(term["amplitude"]))
+                (
+                    _parse_mode(term["mode"], where),
+                    parse_number(term["amplitude"], f"{where}.amplitude"),
+                )
                 for term in _require(section, "terms", where)
             ]
             return InitialDataSpec.multi_mode(terms)
         if kind == "power_law":
             _reject_unknown(section, {"kind", "exponent", "amplitude"}, where)
             return InitialDataSpec.power_law(
-                float(_require(section, "exponent", where)),
-                float(_require(section, "amplitude", where)),
+                parse_number(_require(section, "exponent", where), f"{where}.exponent"),
+                parse_number(_require(section, "amplitude", where), f"{where}.amplitude"),
             )
     except ConfigError:
         raise
@@ -146,36 +178,28 @@ def _parse_initial_one(section: dict, where: str) -> InitialDataSpec:
 def _parse_integrator(section: dict) -> tuple[StepConfig, float, int]:
     allowed = {"scheme", "dt", "T", "sample_every", "picard_tol", "picard_max_iter"}
     _reject_unknown(section, allowed, "integrator")
+
+    def number(key: str, default: float, integer: bool = False):
+        return parse_number(section.get(key, default), f"integrator.{key}", integer)
+
+    T = number("T", 20.0)
+    sample_every = number("sample_every", 1, integer=True)
+    dt = number("dt", 1e-3)
+    picard_tol = number("picard_tol", 1e-10)
+    picard_max_iter = number("picard_max_iter", 50, integer=True)
     try:
         step = StepConfig(
-            dt=float(section.get("dt", 1e-3)),
+            dt=dt,
             scheme=str(section.get("scheme", "imex2")),
-            picard_tol=float(section.get("picard_tol", 1e-10)),
-            picard_max_iter=int(section.get("picard_max_iter", 50)),
+            picard_tol=picard_tol,
+            picard_max_iter=picard_max_iter,
         )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid integrator: {exc}") from exc
-    T = float(section.get("T", 20.0))
-    try:
         step.steps_to(T)
     except ValueError as exc:
         raise ConfigError(f"invalid integrator: {exc}") from exc
-    sample_every = int(section.get("sample_every", 1))
     if sample_every < 1:
         raise ConfigError("invalid integrator: sample_every must be at least 1")
     return step, T, sample_every
-
-
-def _parse_gammas(section: dict) -> GammaWeights:
-    _reject_unknown(section, {"gamma1", "gamma2", "gamma3"}, "gammas")
-    try:
-        return GammaWeights(
-            gamma1=float(section.get("gamma1", 0.1)),
-            gamma2=float(section.get("gamma2", 0.01)),
-            gamma3=float(section.get("gamma3", 0.05)),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid gammas: {exc}") from exc
 
 
 _TOP_LEVEL_KEYS = {
@@ -200,7 +224,9 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("configuration root must be a JSON object")
     _reject_unknown(raw, _TOP_LEVEL_KEYS, "configuration")
     grid = _parse_grid(raw.get("grid", {}))
-    medium = _parse_medium(raw.get("medium", {}))
+    medium = _parse_coefficients(
+        raw.get("medium", {}), {"c": 1.0, "b": 1.0, "k": 0.0, "sigma": 0.0}, "medium", MediumParams
+    )
     initial = raw.get("initial", {})
     _reject_unknown(initial, {"psi0", "psi1"}, "initial")
     psi0 = (
@@ -214,8 +240,13 @@ def parse_config(raw: dict) -> RunConfig:
         else InitialDataSpec.zero()
     )
     step, T, sample_every = _parse_integrator(raw.get("integrator", {}))
-    gammas = _parse_gammas(raw.get("gammas", {}))
-    seed = int(raw.get("seed", 0))
+    gammas = _parse_coefficients(
+        raw.get("gammas", {}),
+        {"gamma1": 0.1, "gamma2": 0.01, "gamma3": 0.05},
+        "gammas",
+        GammaWeights,
+    )
+    seed = parse_number(raw.get("seed", 0), "seed", integer=True)
     output_dir = raw.get("output_dir")
     # Mode indices must exist on the grid; realize once to surface errors now.
     try:

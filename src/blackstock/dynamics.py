@@ -48,6 +48,7 @@ from .grid import Grid, SpectralField, padded_field_values, project_padded_to_si
 __all__ = [
     "MediumParams",
     "nonlinear_acceleration",
+    "quadratic_source",
     "assemble_f",
     "linearized_acceleration",
 ]
@@ -72,11 +73,14 @@ class MediumParams:
             raise ValueError("sound diffusivity must be positive")
 
 
-def _quadratic_source(
+def quadratic_source(
     grid: Grid, psi: np.ndarray, alpha: np.ndarray, p: MediumParams
 ) -> np.ndarray:
-    # -2 k c^2 alpha Delta psi - 2 sigma grad psi . grad alpha, projected
-    # exactly, in the gradient-free form of the module docstring.
+    """Coefficients of ``-2 k c^2 alpha Delta psi - 2 sigma grad psi . grad alpha``.
+
+    Projected exactly, in the gradient-free form of the module docstring;
+    ``alpha = v`` gives the source ``f`` of the nonlinear equation.
+    """
     if p.k == 0.0 and p.sigma == 0.0:
         return np.zeros(grid.modes)
     lam = grid.laplacian_eigenvalues
@@ -102,16 +106,13 @@ def _quadratic_source(
 def assemble_f(state: SimState, p: MediumParams) -> SpectralField:
     """Quadratic source ``f = -2 k c^2 psi_t Delta psi - 2 sigma grad psi . grad psi_t``."""
     return SpectralField(
-        state.grid, _quadratic_source(state.grid, state.psi.coeffs, state.v.coeffs, p)
+        state.grid, quadratic_source(state.grid, state.psi.coeffs, state.v.coeffs, p)
     )
 
 
 def nonlinear_acceleration(state: SimState, p: MediumParams) -> SpectralField:
     """Full Blackstock acceleration ``psi_tt = c^2 Delta psi + b Delta v + f``."""
-    lam = state.grid.laplacian_eigenvalues
-    linear = lam * (p.c**2 * state.psi.coeffs + p.b * state.v.coeffs)
-    f = assemble_f(state, p)
-    return SpectralField(state.grid, linear + f.coeffs)
+    return linearized_acceleration(state, state.v, None, p)
 
 
 def linearized_acceleration(
@@ -130,7 +131,7 @@ def linearized_acceleration(
         raise ValueError("ftilde lives on a different grid")
     lam = grid.laplacian_eigenvalues
     out = lam * (p.c**2 * state.psi.coeffs + p.b * state.v.coeffs)
-    out = out + _quadratic_source(grid, state.psi.coeffs, alpha.coeffs, p)
+    out = out + quadratic_source(grid, state.psi.coeffs, alpha.coeffs, p)
     if ftilde is not None:
         out = out + ftilde.coeffs
     return SpectralField(grid, out)

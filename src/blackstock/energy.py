@@ -23,12 +23,21 @@ and the time-weighted quantities ``sqrt(t) ||psi_tt||``, ``sqrt(t) ||Delta v||``
 and the accumulated ``int_0^t s ||grad psi_tt||^2 ds`` are tracked along each
 run; ``psi_tt`` is always the evaluated acceleration operator, never a finite
 difference of the series.
+
+Every quantity above is diagonal in the sine basis, so it is a fixed linear
+combination of a few entries of one Gram table: the coefficient products
+``psi psi``, ``psi v``, ``v v``, ``psi_tt psi_tt`` and ``f v``, each summed
+against the weights ``1``, ``-lambda`` and ``lambda^2`` (``Grid.gram_weights``)
+and scaled by the basis mass.  ``instantaneous_diagnostics`` forms the table
+in one matrix product and maps it to every named value of
+``DIAGNOSTIC_COLUMNS``; ``functionals``, ``energy_E`` and ``lyapunov_L`` read
+from the same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -37,8 +46,9 @@ from .fields import SimState
 from .grid import Grid, SpectralField
 
 __all__ = [
+    "DIAGNOSTIC_COLUMNS",
+    "SERIES_COLUMNS",
     "GammaWeights",
-    "EnergySample",
     "energy_E",
     "functionals",
     "lyapunov_L",
@@ -46,9 +56,23 @@ __all__ = [
     "default_probe_states",
     "calibrated_gammas",
     "identity_residual",
-    "weighted_norms",
     "instantaneous_diagnostics",
 ]
+
+#: The values ``instantaneous_diagnostics`` returns, in order.
+#: ``grad_v_sq`` (= ``||grad v||^2``) and ``f_dot_v`` (= ``int f v``) are the
+#: instantaneous ingredients of the first energy identity, kept so residuals
+#: can be formed from a series; ``d_integrand`` and ``wgp_integrand`` are the
+#: integrands of ``D`` and of ``int s ||grad psi_tt||^2 ds``.
+DIAGNOSTIC_COLUMNS = (
+    "t", "E", "E1", "E2", "F1", "F2", "F3", "L", "grad_v_sq", "f_dot_v",
+    "w_ptt", "w_lap_vt", "d_integrand", "wgp_integrand",
+)
+
+#: Columns of a run's series: the diagnostics, then the running trapezoid
+#: integrals of ``d_integrand`` (``D_cum``) and of ``wgp_integrand``
+#: (``w_grad_ptt``) over the sample times.
+SERIES_COLUMNS = DIAGNOSTIC_COLUMNS + ("D_cum", "w_grad_ptt")
 
 
 @dataclass(frozen=True)
@@ -71,68 +95,79 @@ class GammaWeights:
             raise ValueError("gamma weights must be nonnegative")
 
 
-@dataclass(frozen=True)
-class EnergySample:
-    """One time point of the diagnostic record.
+def instantaneous_diagnostics(
+    grid: Grid,
+    t: float,
+    psi: np.ndarray,
+    v: np.ndarray,
+    f: np.ndarray | None,
+    accel: np.ndarray | None,
+    p: MediumParams,
+    g: GammaWeights,
+) -> np.ndarray:
+    """The diagnostics at time ``t``, in the order of ``DIAGNOSTIC_COLUMNS``.
 
-    ``grad_v_sq`` (= ``||grad v||^2``) and ``f_dot_v`` (= ``int f v``) are the
-    instantaneous ingredients of the first energy identity and are kept so
-    residuals can be formed from a stored series.
+    ``psi``, ``v``, the source ``f`` and the evaluated acceleration ``accel``
+    are coefficient arrays; ``None`` for ``f`` or ``accel`` reads as zero.
     """
+    pairs = ((psi, psi), (psi, v), (v, v), (accel, accel), (f, v))
+    products = np.zeros((len(pairs), psi.size))
+    for row, (x, y) in zip(products, pairs):
+        if x is not None:
+            np.multiply(x.reshape(-1), y.reshape(-1), out=row)
+    (
+        (_, pp1, pp2),
+        (pv0, pv1, _),
+        (vv0, vv1, vv2),
+        (aa0, aa1, _),
+        (fv0, _, _),
+    ) = ((products @ grid.gram_weights) * grid.coeff_weight).tolist()
+    cc = p.c**2
+    E1 = 0.5 * vv0 + 0.5 * cc * pp1
+    E2 = cc / (2.0 * p.b) * pp2
+    F1 = pv0 + 0.5 * p.b * pp1
+    F2 = pv1 + 0.5 * p.b * pp2
+    F3 = cc * pv1 + 0.5 * p.b * vv1
+    sqrt_t = np.sqrt(t)
+    return np.array((
+        t,
+        E1 + E2 + vv1,
+        E1,
+        E2,
+        F1,
+        F2,
+        F3,
+        E1 + g.gamma1 * E2 + g.gamma2 * (F1 + F2) + g.gamma3 * F3,
+        vv1,
+        fv0,
+        sqrt_t * np.sqrt(aa0),
+        sqrt_t * np.sqrt(vv2),
+        vv1 + vv2 + pp1 + pp2 + aa0,
+        t * aa1,
+    ))
 
-    t: float
-    E: float
-    E1: float
-    E2: float
-    F1: float
-    F2: float
-    F3: float
-    L: float
-    D_cum: float
-    w_ptt: float
-    w_lap_vt: float
-    w_grad_ptt: float
-    grad_v_sq: float
-    f_dot_v: float
 
-    #: Column order of the series CSV written by the command-line runner.
-    CSV_COLUMNS = ("t", "E", "E1", "E2", "F1", "F2", "F3", "L", "D_cum", "w_ptt", "w_lap_vt")
-
-
-def _inner(a: SpectralField, b: SpectralField, weight: np.ndarray | float = 1.0) -> float:
-    nu = a.grid.coeff_weight
-    return float(np.sum(weight * a.coeffs * b.coeffs) * nu)
+def _state_diagnostics(state: SimState, p: MediumParams, g: GammaWeights) -> dict[str, float]:
+    row = instantaneous_diagnostics(
+        state.grid, state.time, state.psi.coeffs, state.v.coeffs, None, None, p, g
+    )
+    return dict(zip(DIAGNOSTIC_COLUMNS, row.tolist()))
 
 
 def functionals(state: SimState, p: MediumParams) -> tuple[float, float, float, float, float]:
     """The tuple ``(E1, E2, F1, F2, F3)``."""
-    grid = state.grid
-    lam = grid.laplacian_eigenvalues
-    psi, v = state.psi, state.v
-    l2v_sq = _inner(v, v)
-    h1p_sq = _inner(psi, psi, -lam)
-    h2p_sq = _inner(psi, psi, lam * lam)
-    h1v_sq = _inner(v, v, -lam)
-    cc = p.c**2
-    E1 = 0.5 * l2v_sq + 0.5 * cc * h1p_sq
-    E2 = cc / (2.0 * p.b) * h2p_sq
-    F1 = _inner(psi, v) + 0.5 * p.b * h1p_sq
-    F2 = _inner(psi, v, -lam) + 0.5 * p.b * h2p_sq
-    F3 = cc * _inner(psi, v, -lam) + 0.5 * p.b * h1v_sq
-    return E1, E2, F1, F2, F3
+    d = _state_diagnostics(state, p, GammaWeights())
+    return d["E1"], d["E2"], d["F1"], d["F2"], d["F3"]
 
 
 def energy_E(state: SimState, p: MediumParams) -> float:
     """Total energy ``E = E1 + E2 + ||grad v||^2``."""
-    lam = state.grid.laplacian_eigenvalues
-    E1, E2, *_ = functionals(state, p)
-    return E1 + E2 + _inner(state.v, state.v, -lam)
+    return _state_diagnostics(state, p, GammaWeights())["E"]
 
 
 def lyapunov_L(state: SimState, p: MediumParams, g: GammaWeights) -> float:
     """Weighted combination ``E1 + g1 E2 + g2 (F1 + F2) + g3 F3``."""
-    E1, E2, F1, F2, F3 = functionals(state, p)
-    return E1 + g.gamma1 * E2 + g.gamma2 * (F1 + F2) + g.gamma3 * F3
+    return _state_diagnostics(state, p, g)["L"]
 
 
 def equivalence_constants(
@@ -147,10 +182,10 @@ def equivalence_constants(
         raise ValueError("probe state list is empty")
     ratios = []
     for state in probe_states:
-        E = energy_E(state, p)
-        if E <= 0:
+        d = _state_diagnostics(state, p, g)
+        if d["E"] <= 0:
             raise ValueError("probe states must be nonzero")
-        ratios.append(lyapunov_L(state, p, g) / E)
+        ratios.append(d["L"] / d["E"])
     return float(min(ratios)), float(max(ratios))
 
 
@@ -199,65 +234,6 @@ def calibrated_gammas(
     return replace(g, admissible=False)
 
 
-def weighted_norms(state: SimState, accel: SpectralField) -> tuple[float, float]:
-    """Time-weighted norms ``(sqrt(t) ||psi_tt||, sqrt(t) ||Delta v||)``.
-
-    ``accel`` must be the evaluated acceleration of ``state``.
-    """
-    from .fields import norm
-
-    w = np.sqrt(state.time)
-    return w * norm(accel, "L2"), w * norm(state.v, "H2lap")
-
-
-def instantaneous_diagnostics(
-    state: SimState,
-    p: MediumParams,
-    g: GammaWeights,
-    f: SpectralField,
-    accel: SpectralField,
-) -> dict[str, float]:
-    """Pointwise-in-time diagnostic values feeding one EnergySample.
-
-    ``d_integrand`` is the integrand of the cumulative dissipation,
-    ``wgp_integrand`` the integrand ``t ||grad psi_tt||^2``; both are
-    accumulated by the caller with a trapezoid rule over sample times.
-    """
-    grid = state.grid
-    lam = grid.laplacian_eigenvalues
-    psi, v = state.psi, state.v
-    E1, E2, F1, F2, F3 = functionals(state, p)
-    grad_v_sq = _inner(v, v, -lam)
-    E = E1 + E2 + grad_v_sq
-    L = E1 + g.gamma1 * E2 + g.gamma2 * (F1 + F2) + g.gamma3 * F3
-    acc_sq = _inner(accel, accel)
-    d_integrand = (
-        grad_v_sq
-        + _inner(v, v, lam * lam)
-        + _inner(psi, psi, -lam)
-        + _inner(psi, psi, lam * lam)
-        + acc_sq
-    )
-    w_ptt = np.sqrt(state.time) * np.sqrt(acc_sq)
-    w_lap_vt = np.sqrt(state.time) * np.sqrt(_inner(v, v, lam * lam))
-    wgp_integrand = state.time * _inner(accel, accel, -lam)
-    return {
-        "E": E,
-        "E1": E1,
-        "E2": E2,
-        "F1": F1,
-        "F2": F2,
-        "F3": F3,
-        "L": L,
-        "grad_v_sq": grad_v_sq,
-        "f_dot_v": _inner(f, v),
-        "d_integrand": d_integrand,
-        "w_ptt": w_ptt,
-        "w_lap_vt": w_lap_vt,
-        "wgp_integrand": wgp_integrand,
-    }
-
-
 def identity_residual(series, p: MediumParams) -> np.ndarray:
     """Per-interval residuals of ``d/dt E1 + b ||grad v||^2 = int f v``.
 
@@ -266,15 +242,13 @@ def identity_residual(series, p: MediumParams) -> np.ndarray:
     residual of an exact solution vanishes at second order in the sample
     spacing.  Requires at least 3 samples at uniform spacing.
     """
-    samples: Iterable[EnergySample] = series.samples
-    samples = list(samples)
-    if len(samples) < 3:
+    t = series.column("t")
+    if len(t) < 3:
         raise ValueError("need at least 3 samples to form identity residuals")
-    t = np.array([s.t for s in samples])
     dt = np.diff(t)
     if np.max(np.abs(dt - dt[0])) > 1e-9 * dt[0]:
         raise ValueError("identity residual requires uniform sample spacing")
-    E1 = np.array([s.E1 for s in samples])
-    G = np.array([s.grad_v_sq for s in samples])
-    S = np.array([s.f_dot_v for s in samples])
+    E1 = series.column("E1")
+    G = series.column("grad_v_sq")
+    S = series.column("f_dot_v")
     return np.diff(E1) / dt + p.b * 0.5 * (G[1:] + G[:-1]) - 0.5 * (S[1:] + S[:-1])

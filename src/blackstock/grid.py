@@ -154,6 +154,12 @@ class Grid:
         return lam
 
     @cached_property
+    def gram_weights(self) -> np.ndarray:
+        """Contiguous ``(prod(modes), 3)`` matrix with columns ``1, -lambda, lambda^2``."""
+        lam = self.laplacian_eigenvalues.reshape(-1)
+        return np.ascontiguousarray(np.stack([np.ones_like(lam), -lam, lam * lam], axis=1))
+
+    @cached_property
     def padded_sizes(self) -> tuple[int, ...]:
         """Per-axis padded grid parameter ``K_i = 2 N_i`` for exact products."""
         return tuple(2 * N for N in self.modes)

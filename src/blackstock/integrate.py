@@ -20,12 +20,24 @@ Schemes
     Fully implicit trapezoidal step of the nonlinear system, computed as the
     fixed point of repeated frozen-coefficient linear solves (the coefficient
     is the previous iterate's ``psi_t``).  Converges only while the data is
-    small enough for the map to contract; otherwise :class:`PicardFailure`
-    is raised.
+    small enough for the map to contract; otherwise the run ends with the
+    ``picard_failed`` termination.
 
 For ``f = 0`` both implicit treatments are unconditionally stable, and the
 per-mode energy ``|v_m|^2 / 2 + (c^2/2) |lambda_m| |psi_m|^2`` is nonincreasing
 for every step size.
+
+The run loop
+------------
+``simulate`` is the only stepper.  It carries the state as raw coefficient
+arrays and calls :func:`blackstock.dynamics.quadratic_source` directly: once
+per step for the IMEX schemes, and for ``picard`` only at sampled states (the
+fixed-point iteration evaluates the rest).  ``SimState`` objects are built
+only for snapshots.  Each sample is one row of a ``TimeSeries`` array
+preallocated from the step count and ``sample_every`` and filled by
+:func:`blackstock.energy.instantaneous_diagnostics`; the two running
+integrals ``D_cum`` and ``w_grad_ptt`` are summed over the rows when the run
+ends.
 """
 
 from __future__ import annotations
@@ -34,18 +46,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import MediumParams, assemble_f
-from .energy import EnergySample, GammaWeights, instantaneous_diagnostics
+from .dynamics import MediumParams, quadratic_source
+from .energy import SERIES_COLUMNS, GammaWeights, instantaneous_diagnostics
 from .fields import SimState
-from .grid import SpectralField
+from .grid import Grid, SpectralField
 
 __all__ = [
     "StepConfig",
     "Termination",
     "TimeSeries",
     "PicardFailure",
-    "step_imex",
-    "step_picard",
     "simulate",
 ]
 
@@ -53,6 +63,11 @@ __all__ = [
 ENERGY_BLOWUP_CUTOFF = 1e12
 
 _SCHEMES = ("imex1", "imex2", "picard")
+
+_COL_T, _COL_E, _COL_D_INTEGRAND, _COL_WGP_INTEGRAND, _COL_D_CUM, _COL_W_GRAD_PTT = (
+    SERIES_COLUMNS.index(name)
+    for name in ("t", "E", "d_integrand", "wgp_integrand", "D_cum", "w_grad_ptt")
+)
 
 
 @dataclass(frozen=True)
@@ -98,16 +113,23 @@ class Termination:
 
 @dataclass
 class TimeSeries:
-    """Sampled diagnostics of one run."""
+    """Sampled diagnostics, one row of ``data`` per sample and one column per name.
 
-    times: list[float] = field(default_factory=list)
-    samples: list[EnergySample] = field(default_factory=list)
+    A run's series has the columns ``SERIES_COLUMNS``; a series read back
+    from CSV has the file's columns.
+    """
+
+    columns: tuple[str, ...]
+    data: np.ndarray
     snapshots: list[tuple[float, SimState]] = field(default_factory=list)
     termination: Termination = Termination("completed")
     max_picard_iterations: int = 0
 
     def column(self, name: str) -> np.ndarray:
-        return np.array([getattr(s, name) for s in self.samples])
+        """View of one column; ``KeyError`` when the series does not have it."""
+        if name not in self.columns:
+            raise KeyError(f"column {name!r} not present in series")
+        return self.data[:, self.columns.index(name)]
 
 
 class PicardFailure(RuntimeError):
@@ -125,8 +147,8 @@ class PicardFailure(RuntimeError):
 class _ModalSolver:
     """Per-mode linear solves for the diagonal 2x2 systems of one grid."""
 
-    def __init__(self, state: SimState, p: MediumParams, dt: float):
-        lam = state.grid.laplacian_eigenvalues
+    def __init__(self, grid: Grid, p: MediumParams, dt: float):
+        lam = grid.laplacian_eigenvalues
         self.lam = lam
         self.cc = p.c**2
         self.b = p.b
@@ -170,60 +192,37 @@ def _picard_update_norm(grid, dpsi, dv) -> float:
 
 
 def _picard_step(
-    state: SimState,
+    grid: Grid,
+    psi0: np.ndarray,
+    v0: np.ndarray,
+    t: float,
+    f_old: np.ndarray | None,
     solver: _ModalSolver,
     cfg: StepConfig,
     p: MediumParams,
-    f_old: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    # f_old, when given, is the source at ``state``, already computed by the caller.
-    grid = state.grid
-    psi0, v0 = state.psi.coeffs, state.v.coeffs
+    # One picard step from (psi0, v0) at time t.  f_old, when given, is the
+    # source at that state, already computed by the caller.
     if f_old is None:
-        f_old = assemble_f(state, p).coeffs
+        f_old = quadratic_source(grid, psi0, v0, p)
     # Initial iterate: trapezoid step with the source frozen at the step start.
     psi_j, v_j = solver.trapezoid(psi0, v0, f_old)
     for it in range(1, cfg.picard_max_iter + 1):
         if not (np.all(np.isfinite(psi_j)) and np.all(np.isfinite(v_j))):
-            raise PicardFailure(state.time + cfg.dt, it)
-        iterate = SimState(
-            psi=SpectralField(grid, psi_j), v=SpectralField(grid, v_j), time=state.time + cfg.dt
-        )
+            raise PicardFailure(t + cfg.dt, it)
         with np.errstate(over="ignore", invalid="ignore"):
-            fhat = 0.5 * (f_old + assemble_f(iterate, p).coeffs)
+            fhat = 0.5 * (f_old + quadratic_source(grid, psi_j, v_j, p))
             psi_n, v_n = solver.trapezoid(psi0, v0, fhat)
         update = _picard_update_norm(grid, psi_n - psi_j, v_n - v_j)
         scale = _picard_update_norm(grid, psi_n, v_n)
         psi_j, v_j = psi_n, v_n
         if update <= cfg.picard_tol * max(scale, 1e-300):
             return psi_j, v_j, it
-    raise PicardFailure(state.time + cfg.dt, cfg.picard_max_iter)
+    raise PicardFailure(t + cfg.dt, cfg.picard_max_iter)
 
 
-def step_imex(state: SimState, cfg: StepConfig, p: MediumParams) -> SimState:
-    """One IMEX step from ``state`` (history-free; simulate adds the AB2 memory)."""
-    solver = _ModalSolver(state, p, cfg.dt)
-    f = assemble_f(state, p).coeffs
-    if cfg.scheme == "imex1":
-        psi, v = solver.backward_euler(state.psi.coeffs, state.v.coeffs, f)
-    elif cfg.scheme == "imex2":
-        psi, v = solver.trapezoid(state.psi.coeffs, state.v.coeffs, f)
-    else:
-        raise ValueError("step_imex handles imex1 and imex2 only")
-    grid = state.grid
-    return SimState(
-        psi=SpectralField(grid, psi), v=SpectralField(grid, v), time=state.time + cfg.dt
-    )
-
-
-def step_picard(state: SimState, cfg: StepConfig, p: MediumParams) -> SimState:
-    """One fully implicit trapezoidal step via the frozen-coefficient iteration."""
-    solver = _ModalSolver(state, p, cfg.dt)
-    psi, v, _its = _picard_step(state, solver, cfg, p)
-    grid = state.grid
-    return SimState(
-        psi=SpectralField(grid, psi), v=SpectralField(grid, v), time=state.time + cfg.dt
-    )
+def _state(grid: Grid, psi: np.ndarray, v: np.ndarray, t: float) -> SimState:
+    return SimState(psi=SpectralField(grid, psi), v=SpectralField(grid, v), time=t)
 
 
 def simulate(
@@ -243,7 +242,7 @@ def simulate(
             multiple of ``cfg.dt`` (``ValueError`` otherwise).
         cfg: scheme and step size.
         p: medium coefficients.
-        sample_every: record an EnergySample every this many steps (the
+        sample_every: record a row of diagnostics every this many steps (the
             initial and final states are always sampled).
         gammas: Lyapunov weights used in the sampled ``L`` column.
         snapshot_every: optionally store full states every this many steps;
@@ -259,57 +258,27 @@ def simulate(
     grid = initial.grid
     lam = grid.laplacian_eigenvalues
     cc = p.c**2
-    solver = _ModalSolver(initial, p, cfg.dt)
-    series = TimeSeries()
+    solver = _ModalSolver(grid, p, cfg.dt)
+    data = np.empty((1 + -(-n_steps // sample_every), len(SERIES_COLUMNS)))
+    n_rows = 0
+    snapshots: list[tuple[float, SimState]] = []
+    termination = Termination("completed")
+    max_its = 0
 
     psi = initial.psi.coeffs.copy()
     v = initial.v.coeffs.copy()
     t0 = initial.time
-    d_cum = 0.0
-    wgp_cum = 0.0
-    prev_d_integrand = None
-    prev_wgp_integrand = None
-    prev_t = t0
 
-    def current_state(t: float) -> SimState:
-        return SimState(psi=SpectralField(grid, psi), v=SpectralField(grid, v), time=t)
-
-    def record(t: float, f_coeffs: np.ndarray) -> float:
-        nonlocal d_cum, wgp_cum, prev_d_integrand, prev_wgp_integrand, prev_t
-        state = current_state(t)
-        f_field = SpectralField(grid, f_coeffs)
+    def record(t: float, f: np.ndarray) -> float:
+        nonlocal n_rows
         with np.errstate(over="ignore", invalid="ignore"):
-            accel = SpectralField(grid, lam * (cc * psi + p.b * v) + f_coeffs)
-            diag = instantaneous_diagnostics(state, p, g, f_field, accel)
-        if prev_d_integrand is not None:
-            h = t - prev_t
-            d_cum += 0.5 * h * (prev_d_integrand + diag["d_integrand"])
-            wgp_cum += 0.5 * h * (prev_wgp_integrand + diag["wgp_integrand"])
-        prev_d_integrand = diag["d_integrand"]
-        prev_wgp_integrand = diag["wgp_integrand"]
-        prev_t = t
-        series.times.append(t)
-        series.samples.append(
-            EnergySample(
-                t=t,
-                E=diag["E"],
-                E1=diag["E1"],
-                E2=diag["E2"],
-                F1=diag["F1"],
-                F2=diag["F2"],
-                F3=diag["F3"],
-                L=diag["L"],
-                D_cum=d_cum,
-                w_ptt=diag["w_ptt"],
-                w_lap_vt=diag["w_lap_vt"],
-                w_grad_ptt=wgp_cum,
-                grad_v_sq=diag["grad_v_sq"],
-                f_dot_v=diag["f_dot_v"],
-            )
-        )
-        return diag["E"]
+            accel = lam * (cc * psi + p.b * v) + f
+            row = instantaneous_diagnostics(grid, t, psi, v, f, accel, p, g)
+        data[n_rows, : len(row)] = row
+        n_rows += 1
+        return row[_COL_E]
 
-    f_curr = assemble_f(current_state(t0), p).coeffs
+    f_curr = quadratic_source(grid, psi, v, p)
     record(t0, f_curr)
     f_prev = f_curr
 
@@ -321,11 +290,8 @@ def simulate(
             if n == 0:
                 # Predictor-corrector startup keeps the global order at two.
                 psi_p, v_p = solver.trapezoid(psi, v, f_curr)
-                pred = SimState(
-                    psi=SpectralField(grid, psi_p), v=SpectralField(grid, v_p), time=t_next
-                )
                 with np.errstate(over="ignore", invalid="ignore"):
-                    f_pred = assemble_f(pred, p).coeffs
+                    f_pred = quadratic_source(grid, psi_p, v_p, p)
                 fhat = 0.5 * (f_curr + f_pred)
                 if not np.all(np.isfinite(fhat)):
                     fhat = f_curr
@@ -335,40 +301,46 @@ def simulate(
         else:
             try:
                 psi, v, its = _picard_step(
-                    current_state(t0 + n * cfg.dt), solver, cfg, p, f_curr
+                    grid, psi, v, t0 + n * cfg.dt, f_curr, solver, cfg, p
                 )
             except PicardFailure as failure:
-                series.termination = Termination("picard_failed", failure.time)
-                series.max_picard_iterations = max(
-                    series.max_picard_iterations, failure.iterations
-                )
-                return series
-            series.max_picard_iterations = max(series.max_picard_iterations, its)
+                termination = Termination("picard_failed", failure.time)
+                max_its = max(max_its, failure.iterations)
+                break
+            max_its = max(max_its, its)
 
         if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(v))):
-            series.termination = Termination("diverged", t_next)
-            return series
+            termination = Termination("diverged", t_next)
+            break
 
         is_sample = ((n + 1) % sample_every == 0) or (n + 1 == n_steps)
         if is_sample or cfg.scheme != "picard":
             with np.errstate(over="ignore", invalid="ignore"):
-                f_prev, f_curr = f_curr, assemble_f(current_state(t_next), p).coeffs
+                f_prev, f_curr = f_curr, quadratic_source(grid, psi, v, p)
             if not np.all(np.isfinite(f_curr)):
-                series.termination = Termination("diverged", t_next)
-                return series
+                termination = Termination("diverged", t_next)
+                break
         else:
             # Not evaluated at the new state: the next picard step does it.
             f_curr = None
         if is_sample:
             E = record(t_next, f_curr)
             if not np.isfinite(E) or E > ENERGY_BLOWUP_CUTOFF:
-                series.termination = Termination("diverged", t_next)
-                return series
+                termination = Termination("diverged", t_next)
+                break
         if snapshot_every is not None and (n + 1) % snapshot_every == 0:
-            series.snapshots.append((t_next, current_state(t_next)))
-
-    final_t = t0 + n_steps * cfg.dt
-    if not series.snapshots or series.snapshots[-1][0] != final_t:
-        series.snapshots.append((final_t, current_state(final_t)))
-    series.termination = Termination("completed")
-    return series
+            snapshots.append((t_next, _state(grid, psi, v, t_next)))
+    else:
+        final_t = t0 + n_steps * cfg.dt
+        if not snapshots or snapshots[-1][0] != final_t:
+            snapshots.append((final_t, _state(grid, psi, v, final_t)))
+    data = data[:n_rows]
+    t = data[:, _COL_T]
+    integrals = ((_COL_D_CUM, _COL_D_INTEGRAND), (_COL_W_GRAD_PTT, _COL_WGP_INTEGRAND))
+    for integral, integrand in integrals:
+        y = data[:, integrand]
+        # Trapezoid rule over the sample times; cumsum adds sequentially, so
+        # the roundings are those of accumulating sample by sample.
+        with np.errstate(over="ignore", invalid="ignore"):
+            data[:, integral] = np.cumsum(np.append(0.0, 0.5 * np.diff(t) * (y[1:] + y[:-1])))
+    return TimeSeries(SERIES_COLUMNS, data, snapshots, termination, max_its)

@@ -12,21 +12,20 @@ coefficient arrays of ``psi`` and ``v`` as little-endian 64-bit floats.
 from __future__ import annotations
 
 import json
+import os
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .energy import EnergySample
 from .fields import SimState
 from .grid import Grid, SpectralField
-from .integrate import Termination, TimeSeries
+from .integrate import TimeSeries
 
 __all__ = [
+    "CSV_COLUMNS",
     "write_series_csv",
     "read_series_csv",
-    "LoadedSeries",
     "write_json",
     "save_checkpoint",
     "load_checkpoint",
@@ -34,39 +33,45 @@ __all__ = [
 
 CHECKPOINT_MAGIC = b"BLKSTCK1"
 
+#: Column order of the series CSV.
+CSV_COLUMNS = ("t", "E", "E1", "E2", "F1", "F2", "F3", "L", "D_cum", "w_ptt", "w_lap_vt")
+
+
+def _write_atomically(path: str | Path, data: str | bytes) -> None:
+    # Write to a temporary file next to ``path`` and move it into place only
+    # once all of ``data`` is written, so ``path`` never holds a partial output.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
 
 def write_series_csv(path: str | Path, series: TimeSeries) -> None:
-    columns = EnergySample.CSV_COLUMNS
-    lines = [",".join(columns)]
-    for sample in series.samples:
-        lines.append(",".join(f"{getattr(sample, c):.17g}" for c in columns))
-    Path(path).write_text("\n".join(lines) + "\n")
+    table = np.column_stack([series.column(c) for c in CSV_COLUMNS])
+    lines = [",".join(CSV_COLUMNS)]
+    lines.extend(",".join(f"{x:.17g}" for x in row.tolist()) for row in table)
+    _write_atomically(path, "\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class LoadedSeries:
-    """Columns read back from a series CSV; duck-typed for the decay fit."""
-
-    data: dict
-    termination: Termination = Termination("completed")
-
-    def column(self, name: str) -> np.ndarray:
-        if name not in self.data:
-            raise KeyError(f"column {name!r} not present in loaded series")
-        return self.data[name]
-
-
-def read_series_csv(path: str | Path) -> LoadedSeries:
+def read_series_csv(path: str | Path) -> TimeSeries:
+    """The columns of a series CSV; ``ValueError`` for an empty or malformed file."""
     text = Path(path).read_text().strip().splitlines()
-    header = text[0].split(",")
-    rows = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
+    if len(text) < 2:
+        raise ValueError(f"empty series CSV {path}")
+    header = tuple(text[0].split(","))
+    rows = np.array([[float(x) for x in line.split(",")] for line in text[1:]])
     if rows.ndim != 2 or rows.shape[1] != len(header):
         raise ValueError(f"malformed series CSV {path}")
-    return LoadedSeries(data={name: rows[:, i] for i, name in enumerate(header)})
+    return TimeSeries(header, rows)
 
 
 def write_json(path: str | Path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_atomically(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def save_checkpoint(path: str | Path, state: SimState) -> None:
@@ -80,12 +85,22 @@ def save_checkpoint(path: str | Path, state: SimState) -> None:
         "dtype": "<f8",
     }
     header_bytes = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(np.ascontiguousarray(state.psi.coeffs, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.v.coeffs, dtype="<f8").tobytes())
+    _write_atomically(path, b"".join((
+        CHECKPOINT_MAGIC,
+        struct.pack("<I", len(header_bytes)),
+        header_bytes,
+        np.ascontiguousarray(state.psi.coeffs, dtype="<f8").tobytes(),
+        np.ascontiguousarray(state.v.coeffs, dtype="<f8").tobytes(),
+    )))
+
+
+def _read_exactly(fh, size: int, what: str, path) -> bytes:
+    data = fh.read(size)
+    if len(data) != size:
+        raise ValueError(
+            f"truncated checkpoint {path}: expected {size} bytes of {what}, found {len(data)}"
+        )
+    return data
 
 
 def load_checkpoint(path: str | Path) -> SimState:
@@ -93,14 +108,14 @@ def load_checkpoint(path: str | Path) -> SimState:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode())
+        (header_len,) = struct.unpack("<I", _read_exactly(fh, 4, "header length", path))
+        header = json.loads(_read_exactly(fh, header_len, "header", path).decode())
         if header.get("version") != 1:
             raise ValueError(f"unsupported checkpoint version {header.get('version')}")
         grid = Grid(extents=tuple(header["extents"]), modes=tuple(header["modes"]))
         count = int(np.prod(grid.modes))
-        psi = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(grid.modes)
-        v = np.frombuffer(fh.read(8 * count), dtype="<f8").reshape(grid.modes)
+        payload = _read_exactly(fh, 16 * count, "coefficients", path)
+    psi, v = np.frombuffer(payload, dtype="<f8").reshape((2,) + grid.modes)
     return SimState(
         psi=SpectralField(grid, psi.copy()),
         v=SpectralField(grid, v.copy()),

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from blackstock import Grid
-from blackstock.energy import EnergySample
-from blackstock.integrate import Termination, TimeSeries
+from blackstock.integrate import TimeSeries
 
 
 #: Largest modes per axis drawn for 1D, 2D and 3D property tests, so that
@@ -222,26 +221,5 @@ def gronwall_closed_form(g, t):
 
 
 def series_from_energy(t, E):
-    """Minimal TimeSeries carrying only times and the E column (for fit tests)."""
-    series = TimeSeries(termination=Termination("completed"))
-    for ti, Ei in zip(t, E):
-        series.times.append(float(ti))
-        series.samples.append(
-            EnergySample(
-                t=float(ti),
-                E=float(Ei),
-                E1=0.0,
-                E2=0.0,
-                F1=0.0,
-                F2=0.0,
-                F3=0.0,
-                L=0.0,
-                D_cum=0.0,
-                w_ptt=0.0,
-                w_lap_vt=0.0,
-                w_grad_ptt=0.0,
-                grad_v_sq=0.0,
-                f_dot_v=0.0,
-            )
-        )
-    return series
+    """Minimal TimeSeries carrying only the t and E columns (for fit tests)."""
+    return TimeSeries(("t", "E"), np.column_stack([t, E]).astype(float))

@@ -1,15 +1,22 @@
 """Configuration loading, CLI subcommands, persistence and determinism."""
 
+import errno
 import json
+import os
+import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blackstock import (
     ConfigError,
     Grid,
     InitialDataSpec,
     MediumParams,
+    SimState,
     StepConfig,
     build_initial,
     load_checkpoint,
@@ -18,8 +25,15 @@ from blackstock import (
     read_series_csv,
     save_checkpoint,
     simulate,
+    write_json,
+    write_series_csv,
 )
+import blackstock.storage as storage
 from blackstock.cli import main
+from blackstock.integrate import TimeSeries
+from blackstock.storage import CSV_COLUMNS
+
+from .helpers import random_grids
 
 
 MINIMAL = {
@@ -96,6 +110,41 @@ class TestConfigLoading:
             load_config(path)
         assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "out")]) == 1
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("seed", "abc"),
+            ("seed", 2.5),
+            ("grid.dim", "three"),
+            ("grid.modes", [16.5]),
+            ("medium.c", True),
+            ("medium.k", float("inf")),
+            ("initial.psi0.mode", [1.5]),
+            ("integrator.T", "long"),
+            ("integrator.dt", None),
+            ("integrator.dt", float("nan")),
+            ("integrator.sample_every", 2.5),
+            ("integrator.picard_tol", "tiny"),
+            ("integrator.picard_max_iter", 2.7),
+        ],
+    )
+    def test_numeric_fields_rejected(self, path, value):
+        bad = json.loads(json.dumps(MINIMAL))
+        *parents, leaf = path.split(".")
+        node = bad
+        for part in parents:
+            node = node.setdefault(part, {})
+        node[leaf] = value
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            parse_config(bad)
+
+    def test_integral_floats_accepted(self):
+        cfg = dict(MINIMAL, seed=7.0)
+        cfg["integrator"] = {"T": 20.0, "dt": 1e-3, "sample_every": 2.0, "picard_max_iter": 3.0}
+        parsed = parse_config(cfg)
+        assert (parsed.seed, parsed.sample_every, parsed.step.picard_max_iter) == (7, 2, 3)
+        assert all(type(n) is int for n in (parsed.seed, parsed.sample_every))
+
     def test_3d_default_modes(self):
         cfg = parse_config({"grid": {"dim": 3}})
         assert cfg.grid.modes == (32, 32, 32)
@@ -150,6 +199,24 @@ class TestSimulateCommand:
         path = write_config(tmp_path, {"medium": {"b": -1.0}})
         assert main(["simulate", "--config", str(path)]) == 1
 
+    @pytest.mark.parametrize(
+        "subcommand,overrides",
+        [
+            ("simulate", {"seed": "abc"}),
+            ("simulate", {"integrator": {"T": 0.5, "dt": 1e-3, "sample_every": 2.5}}),
+            ("threshold", {"threshold": {"iters": 2.5}}),
+            ("threshold", {"threshold": {"window": ["early", 6.0]}}),
+            ("fit", {"fit": {"series_csv": "absent.csv"}}),
+            # run.json is the config itself: the file exists, the window fails.
+            ("fit", {"fit": {"series_csv": "run.json", "window": [5.0, None]}}),
+            ("verify-inequalities", {"inequalities": {"samples": "many"}}),
+            ("verify-inequalities", {"inequalities": {"gronwall_draws": 1.5}}),
+        ],
+    )
+    def test_non_numeric_or_fractional_config_exits_1(self, tmp_path, subcommand, overrides):
+        path = write_config(tmp_path, short_config(**overrides))
+        assert main([subcommand, "--config", str(path), "--output", str(tmp_path / "o")]) == 1
+
     def test_determinism_bit_identical(self, tmp_path):
         path = write_config(tmp_path, short_config(seed=12))
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -200,6 +267,17 @@ class TestFitCommand:
     def test_fit_without_series_is_config_error(self, tmp_path):
         path = write_config(tmp_path, short_config())
         assert main(["fit", "--config", str(path), "--output", str(tmp_path / "out")]) == 1
+
+
+    @pytest.mark.parametrize("content", ["", "t,E\n"])
+    def test_empty_series_csv_exits_3(self, tmp_path, capsys, content):
+        csv = tmp_path / "series.csv"
+        csv.write_text(content)
+        with pytest.raises(ValueError, match="empty series CSV"):
+            read_series_csv(csv)
+        path = write_config(tmp_path, short_config(fit={"series_csv": str(csv)}))
+        assert main(["fit", "--config", str(path), "--output", str(tmp_path / "out")]) == 3
+        assert "empty series CSV" in capsys.readouterr().err
 
 
 class TestVerifyInequalitiesCommand:
@@ -310,3 +388,71 @@ class TestCheckpoints:
             np.max(np.abs(resumed_final.v.coeffs - full_final.v.coeffs)),
         )
         assert err <= 1e-12
+
+    def test_truncated_checkpoint_names_byte_counts(self, tmp_path):
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(path, self.make_state())
+        path.write_bytes(path.read_bytes()[:-6])
+        with pytest.raises(ValueError, match="expected 256 bytes of coefficients, found 250"):
+            load_checkpoint(path)
+
+    @given(grid=random_grids(), seed=st.integers(0, 2**32 - 1), time=st.floats(0.0, 1e6))
+    def test_roundtrip_random_grids(self, grid, seed, time):
+        psi, v = np.random.default_rng(seed).standard_normal((2,) + grid.modes)
+        state = SimState(psi=grid.field(psi), v=grid.field(v), time=time)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "state.ckpt")
+            save_checkpoint(path, state)
+            loaded = load_checkpoint(path)
+        assert loaded.time == time
+        assert (loaded.grid.extents, loaded.grid.modes) == (grid.extents, grid.modes)
+        assert loaded.psi.coeffs.tobytes() == psi.tobytes()
+        assert loaded.v.coeffs.tobytes() == v.tobytes()
+
+
+def _csv_output(path, k):
+    write_series_csv(path, TimeSeries(CSV_COLUMNS, np.full((3, len(CSV_COLUMNS)), float(k))))
+
+
+def _json_output(path, k):
+    write_json(path, {"k": k, "rows": list(range(100))})
+
+
+def _checkpoint_output(path, k):
+    grid = Grid(extents=(np.pi,), modes=(16,))
+    save_checkpoint(path, SimState(psi=grid.field(np.full(16, float(k))), v=grid.zeros()))
+
+
+@pytest.mark.parametrize("write", [_csv_output, _json_output, _checkpoint_output])
+def test_failed_write_keeps_previous_output(tmp_path, monkeypatch, write):
+    # The writer dies after writing half of its first chunk; the previous
+    # output must survive unchanged and no temporary file may remain.
+    path = tmp_path / "output"
+    write(path, 1)
+    before = path.read_bytes()
+
+    def half_writing_open(file, mode="r"):
+        fh = open(file, mode)
+
+        class HalfWriter:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                fh.close()
+
+            def write(self, data):
+                fh.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        return HalfWriter()
+
+    monkeypatch.setattr(storage, "open", half_writing_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write(path, 2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["output"]
+    write(path, 2)
+    assert path.read_bytes() != before
+    assert os.listdir(tmp_path) == ["output"]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from blackstock import (
@@ -137,7 +137,6 @@ class TestAssembleF:
             f = assemble_f(state, p).coeffs
             assert np.allclose(acc, linear + f, atol=1e-11)
 
-    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(
         grid=random_grids(),
         seed=st.integers(0, 2**32 - 1),

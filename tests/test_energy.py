@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blackstock import (
     GammaWeights,
@@ -19,11 +21,13 @@ from blackstock import (
     identity_residual,
     lyapunov_L,
     nonlinear_acceleration,
+    norm,
     simulate,
-    weighted_norms,
+    to_physical,
 )
+from blackstock.energy import DIAGNOSTIC_COLUMNS, instantaneous_diagnostics
 
-from .helpers import modal_solution
+from .helpers import modal_solution, random_grids
 
 
 @pytest.fixture
@@ -102,6 +106,71 @@ class TestLyapunov:
             GammaWeights(gamma1=-0.1)
 
 
+class TestDiagnosticsTable:
+    @given(
+        grid=random_grids(),
+        seed=st.integers(0, 2**32 - 1),
+        t=st.floats(0.0, 10.0),
+        c=st.floats(0.2, 3.0),
+        b=st.floats(0.2, 3.0),
+        gammas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_matches_norm_and_quadrature_oracles(self, grid, seed, t, c, b, gammas):
+        # Every column against the module docstring's formulas: fields.norm
+        # for the L2, H1 and H2 terms, node quadrature (exact for products of
+        # retained modes) for the cross terms; int grad psi . grad v is
+        # -int Delta psi v by Green's formula.
+        rng = np.random.default_rng(seed)
+        psi, v, f, accel = (grid.field(a) for a in rng.standard_normal((4,) + grid.modes))
+        p = MediumParams(c=c, b=b)
+        g = GammaWeights(*gammas)
+        row = instantaneous_diagnostics(
+            grid, t, psi.coeffs, v.coeffs, f.coeffs, accel.coeffs, p, g
+        )
+        got = dict(zip(DIAGNOSTIC_COLUMNS, row.tolist()))
+
+        def quad(x, y):
+            return float(np.sum(to_physical(x) * to_physical(y)) * grid.quad_weight)
+
+        l2v, h1v, h2v = (norm(v, kind) ** 2 for kind in ("L2", "H1semi", "H2lap"))
+        h1p, h2p = (norm(psi, kind) ** 2 for kind in ("H1semi", "H2lap"))
+        l2a, h1a = (norm(accel, kind) ** 2 for kind in ("L2", "H1semi"))
+        psi_v = quad(psi, v)
+        grad_psi_grad_v = -quad(grid.field(grid.laplacian_eigenvalues * psi.coeffs), v)
+        cc = c * c
+        E1 = 0.5 * l2v + 0.5 * cc * h1p
+        E2 = cc / (2 * b) * h2p
+        F = (
+            psi_v + 0.5 * b * h1p,
+            grad_psi_grad_v + 0.5 * b * h2p,
+            cc * grad_psi_grad_v + 0.5 * b * h1v,
+        )
+        oracle = {
+            "t": t, "E": E1 + E2 + h1v, "E1": E1, "E2": E2, "F1": F[0], "F2": F[1], "F3": F[2],
+            "L": E1 + g.gamma1 * E2 + g.gamma2 * (F[0] + F[1]) + g.gamma3 * F[2],
+            "grad_v_sq": h1v, "f_dot_v": quad(f, v),
+            "w_ptt": np.sqrt(t * l2a), "w_lap_vt": np.sqrt(t * h2v),
+            "d_integrand": h1v + h2v + h1p + h2p + l2a, "wgp_integrand": t * h1a,
+        }
+        # Rounding is relative to the magnitude of each value's terms, which
+        # cancel in the cross terms.
+        F_mag = (abs(psi_v) + 0.5 * b * h1p, abs(grad_psi_grad_v) + 0.5 * b * h2p,
+                 cc * abs(grad_psi_grad_v) + 0.5 * b * h1v)
+        scale = dict(oracle, F1=F_mag[0], F2=F_mag[1], F3=F_mag[2],
+                     L=E1 + g.gamma1 * E2 + g.gamma2 * (F_mag[0] + F_mag[1]) + g.gamma3 * F_mag[2],
+                     f_dot_v=norm(f, "L2") * norm(v, "L2"))
+        for name in DIAGNOSTIC_COLUMNS:
+            assert abs(got[name] - oracle[name]) <= 1e-12 * scale[name], name
+
+    def test_missing_source_and_acceleration_read_as_zero(self, unit):
+        row = instantaneous_diagnostics(
+            unit.grid, 1.0, unit.psi.coeffs, unit.v.coeffs, None, None, P11, GammaWeights()
+        )
+        got = dict(zip(DIAGNOSTIC_COLUMNS, row.tolist()))
+        assert got["f_dot_v"] == got["w_ptt"] == got["wgp_integrand"] == 0.0
+        assert got["E"] == energy_E(unit, P11)
+
+
 class TestEquivalenceScan:
     def test_default_weights_admissible(self, g64):
         c1, c2 = equivalence_constants(NONLIN, GammaWeights(), default_probe_states(g64))
@@ -174,18 +243,28 @@ class TestIdentityResidual:
             identity_residual(series, NONLIN)
 
 
+def time_weighted_norms(state, accel):
+    """``(sqrt(t) ||psi_tt||, sqrt(t) ||Delta v||)`` read from the diagnostics table."""
+    row = instantaneous_diagnostics(
+        state.grid, state.time, state.psi.coeffs, state.v.coeffs, None, accel.coeffs,
+        P11, GammaWeights(),
+    )
+    d = dict(zip(DIAGNOSTIC_COLUMNS, row.tolist()))
+    return d["w_ptt"], d["w_lap_vt"]
+
+
 class TestWeightedNorms:
     def test_zero_time_weight(self, g64):
         state = SimState(psi=g64.basis_field((1,)), v=g64.basis_field((2,)), time=0.0)
         accel = nonlinear_acceleration(state, NONLIN)
-        assert weighted_norms(state, accel) == (0.0, 0.0)
+        assert time_weighted_norms(state, accel) == (0.0, 0.0)
 
     def test_homogeneity(self, g64):
         state = SimState(psi=g64.basis_field((1,)), v=g64.basis_field((2,)), time=2.0)
         accel = nonlinear_acceleration(state, P11)
-        w1, w2 = weighted_norms(state, accel)
+        w1, w2 = time_weighted_norms(state, accel)
         scaled = SimState(psi=3.0 * state.psi, v=3.0 * state.v, time=2.0)
-        s1, s2 = weighted_norms(scaled, nonlinear_acceleration(scaled, P11))
+        s1, s2 = time_weighted_norms(scaled, nonlinear_acceleration(scaled, P11))
         assert (s1, s2) == (pytest.approx(3 * w1, rel=1e-12), pytest.approx(3 * w2, rel=1e-12))
 
     def test_linear_run_matches_modal_derivative(self):
@@ -195,10 +274,9 @@ class TestWeightedNorms:
             InitialDataSpec.single_mode((1,), 1.0), InitialDataSpec.zero(), grid
         )
         series = simulate(state, 1.0, StepConfig(dt=1e-3), P11, sample_every=1000)
-        sample = series.samples[-1]
         w, wp = modal_solution(-1.0, 1.0, 1.0, 1.0, 0.0, 1.0)
         wpp = -w - wp
         nu = np.sqrt(np.pi / 2)
-        assert sample.w_lap_vt == pytest.approx(abs(wp) * nu, rel=1e-5)
-        assert sample.w_ptt == pytest.approx(abs(wpp) * nu, rel=1e-4)
+        assert series.column("w_lap_vt")[-1] == pytest.approx(abs(wp) * nu, rel=1e-5)
+        assert series.column("w_ptt")[-1] == pytest.approx(abs(wpp) * nu, rel=1e-4)
         assert abs(wp) * nu == pytest.approx(0.66865211, abs=1e-7)

@@ -1,7 +1,9 @@
-"""IMEX and Picard steppers: accuracy, stability and divergence handling."""
+"""The run loop: accuracy, stability, picard iteration and divergence handling."""
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blackstock import (
     Grid,
@@ -10,13 +12,11 @@ from blackstock import (
     PicardFailure,
     SimState,
     StepConfig,
-    assemble_f,
     build_initial,
     simulate,
-    step_imex,
-    step_picard,
 )
 import blackstock.integrate as integrate
+from blackstock.dynamics import quadratic_source
 from blackstock.integrate import _ModalSolver, _picard_step
 
 from .helpers import modal_solution
@@ -49,35 +49,48 @@ class TestStepConfig:
             StepConfig(dt=0.1, picard_tol=-1.0)
 
 
+def one_step(state, cfg, p):
+    """The state one step of ``cfg`` after ``state``, through the run loop."""
+    return simulate(state, cfg.dt, cfg, p).snapshots[-1][1]
+
+
 class TestSingleSteps:
     @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
     def test_zero_state_fixed_point(self, g8, scheme):
         state = SimState(psi=g8.zeros(), v=g8.zeros())
         cfg = StepConfig(dt=0.5, scheme=scheme)
-        out = step_imex(state, cfg, NONLIN)
+        out = one_step(state, cfg, NONLIN)
         assert np.all(out.psi.coeffs == 0.0) and np.all(out.v.coeffs == 0.0)
         assert out.time == 0.5
 
     def test_zero_state_fixed_point_picard(self, g8):
         state = SimState(psi=g8.zeros(), v=g8.zeros())
-        out = step_picard(state, StepConfig(dt=0.5, scheme="picard"), NONLIN)
+        out = one_step(state, StepConfig(dt=0.5, scheme="picard"), NONLIN)
         assert np.all(out.psi.coeffs == 0.0) and np.all(out.v.coeffs == 0.0)
 
     @pytest.mark.parametrize("dt", [0.01, 0.1, 1.0, 10.0])
     @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
-    def test_linear_stability_per_mode_energy(self, g8, dt, scheme):
-        # modal energy |v|^2/2 + (c^2/2)|lam||psi|^2 nonincreasing for any dt
-        lam = g8.laplacian_eigenvalues
-        rng = np.random.default_rng(9)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.floats(0.1, 10.0),
+        b=st.floats(0.1, 10.0),
+        decades=st.floats(-2.0, 2.0),
+    )
+    def test_linear_stability_per_mode_energy(self, dt, scheme, seed, c, b, decades):
+        # modal energy |v|^2/2 + (c^2/2)|lam||psi|^2 nonincreasing for any dt:
+        # each case steps within two decades of its dt, 1e-4 to 1e3 in all.
+        grid = Grid(extents=(np.pi,), modes=(8,))
+        lam = grid.laplacian_eigenvalues
+        rng = np.random.default_rng(seed)
         state = SimState(
-            psi=g8.field(rng.standard_normal(g8.modes)),
-            v=g8.field(rng.standard_normal(g8.modes)),
+            psi=grid.field(rng.standard_normal(grid.modes)),
+            v=grid.field(rng.standard_normal(grid.modes)),
         )
-        cfg = StepConfig(dt=dt, scheme=scheme)
-        before = 0.5 * state.v.coeffs**2 + 0.5 * (-lam) * state.psi.coeffs**2
-        out = step_imex(state, cfg, LINEAR)
-        after = 0.5 * out.v.coeffs**2 + 0.5 * (-lam) * out.psi.coeffs**2
-        assert np.all(after <= before + 1e-14)
+        p = MediumParams(c=c, b=b)
+        before = 0.5 * state.v.coeffs**2 + 0.5 * c**2 * (-lam) * state.psi.coeffs**2
+        out = one_step(state, StepConfig(dt=dt * 10.0**decades, scheme=scheme), p)
+        after = 0.5 * out.v.coeffs**2 + 0.5 * c**2 * (-lam) * out.psi.coeffs**2
+        assert np.all(after <= before * (1 + 1e-13))
 
 
 class TestModalAccuracy:
@@ -110,8 +123,9 @@ class TestPicard:
     def test_linear_problem_converges_in_one_iteration(self, g8):
         state = single_mode_state(g8, 0.5, 0.5)
         cfg = StepConfig(dt=1e-2, scheme="picard")
-        solver = _ModalSolver(state, LINEAR, cfg.dt)
-        _psi, _v, iterations = _picard_step(state, solver, cfg, LINEAR)
+        solver = _ModalSolver(g8, LINEAR, cfg.dt)
+        psi, v = state.psi.coeffs, state.v.coeffs
+        _psi, _v, iterations = _picard_step(g8, psi, v, 0.0, None, solver, cfg, LINEAR)
         assert iterations == 1
 
     def test_small_data_iteration_count(self, g8):
@@ -132,8 +146,10 @@ class TestPicard:
     def test_step_picard_raises_directly(self):
         g = Grid(extents=(np.pi,), modes=(64,))
         state = single_mode_state(g, 50.0, 50.0)
+        cfg = StepConfig(dt=1e-3, scheme="picard")
+        solver = _ModalSolver(g, NONLIN, cfg.dt)
         with pytest.raises(PicardFailure):
-            step_picard(state, StepConfig(dt=1e-3, scheme="picard"), NONLIN)
+            _picard_step(g, state.psi.coeffs, state.v.coeffs, 0.0, None, solver, cfg, NONLIN)
 
     def test_simulate_reuses_sampled_source(self, g8, monkeypatch):
         # A step that starts at a sampled state takes f_old from the run loop:
@@ -144,16 +160,16 @@ class TestPicard:
 
         evaluated = []
 
-        def counting_assemble_f(s, p):
-            evaluated.append(key(s))
-            return assemble_f(s, p)
+        def counting_source(grid, psi, alpha, p):
+            evaluated.append(psi.tobytes() + alpha.tobytes())
+            return quadratic_source(grid, psi, alpha, p)
 
         state = single_mode_state(g8, 0.05, 0.05)
         cfg = StepConfig(dt=1e-2, scheme="picard")
         expected = state
         for _ in range(4):
-            expected = step_picard(expected, cfg, NONLIN)
-        monkeypatch.setattr(integrate, "assemble_f", counting_assemble_f)
+            expected = one_step(expected, cfg, NONLIN)
+        monkeypatch.setattr(integrate, "quadratic_source", counting_source)
         series = simulate(state, 0.04, cfg, NONLIN, sample_every=2, snapshot_every=2)
         sampled = [state] + [snap for _t, snap in series.snapshots]
         assert len(sampled) == 3
@@ -182,15 +198,21 @@ class TestSimulate:
         state = SimState(psi=g8.zeros(), v=g8.zeros())
         series = simulate(state, 1.0, StepConfig(dt=1e-2), NONLIN)
         assert series.termination.completed
-        assert all(s.E == 0.0 for s in series.samples)
+        assert np.all(series.column("E") == 0.0)
 
     def test_times_strictly_increasing_and_aligned(self, g8):
         state = single_mode_state(g8, 0.01, 0.01)
         series = simulate(state, 0.1, StepConfig(dt=1e-3), NONLIN, sample_every=7)
-        t = np.array(series.times)
+        t = series.column("t")
         assert np.all(np.diff(t) > 0)
-        assert len(series.times) == len(series.samples)
+        assert len(t) == 1 + 15  # initial state, 14 full strides of 7, final state
         assert t[0] == 0.0 and t[-1] == pytest.approx(0.1, abs=1e-12)
+
+    def test_column_views_and_unknown_column(self, g8):
+        series = simulate(single_mode_state(g8), 0.1, StepConfig(dt=1e-2), LINEAR)
+        assert np.shares_memory(series.column("E"), series.data)
+        with pytest.raises(KeyError, match="no_such_column"):
+            series.column("no_such_column")
 
     def test_linear_energy_series_matches_modal_closed_form(self, g8):
         state = single_mode_state(g8)
@@ -261,4 +283,4 @@ class TestSimulate:
     def test_final_time_tolerates_rounding(self, g8):
         series = simulate(single_mode_state(g8), 0.3, StepConfig(dt=0.1), LINEAR)
         assert series.termination.completed
-        assert series.times[-1] == pytest.approx(0.3, rel=1e-12)
+        assert series.column("t")[-1] == pytest.approx(0.3, rel=1e-12)
