@@ -21,7 +21,14 @@ import sys
 from multiprocessing import Pool
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_config, parse_config, parse_number
+from .config import (
+    ConfigError,
+    RunConfig,
+    load_config,
+    parse_config,
+    parse_number,
+    parse_numbers,
+)
 from .experiments import (
     fit_decay,
     threshold_bisection,
@@ -100,7 +107,7 @@ def _apply_seed_override(cfg: RunConfig) -> RunConfig:
 
 def _window(section: dict, where: str) -> tuple[float, ...] | None:
     window = section.get("window")
-    return tuple(parse_number(x, where) for x in window) if window else None
+    return parse_numbers(window, where, length=2) if window is not None else None
 
 
 def _termination_payload(series) -> dict:
@@ -195,10 +202,11 @@ def _run_threshold(cfg: RunConfig, out: Path) -> int:
 
 def _run_weighted_study(cfg: RunConfig, out: Path) -> int:
     section = cfg.study
-    resolutions = [
-        parse_number(N, "study.resolutions", integer=True)
-        for N in section.get("resolutions", [64, 128, 256])
-    ]
+    resolutions = list(
+        parse_numbers(
+            section.get("resolutions", [64, 128, 256]), "study.resolutions", integer=True
+        )
+    )
     T = parse_number(section.get("T", 4.0), "study.T")
     dt = parse_number(section.get("dt", cfg.step.dt), "study.dt")
     scheme = section.get("scheme", "imex1")
@@ -276,6 +284,9 @@ def _expand_sweep(cfg_raw: dict) -> list[dict]:
     if not params:
         raise ConfigError("sweep requires sweep.parameters")
     keys = sorted(params)
+    for key in keys:
+        if not isinstance(params[key], list) or not params[key]:
+            raise ConfigError(f"sweep.parameters.{key} must be a non-empty list")
     combos = list(itertools.product(*(params[k] for k in keys)))
     variants = []
     for combo in combos:

@@ -32,7 +32,14 @@ from .fields import InitialDataSpec
 from .grid import Grid
 from .integrate import StepConfig
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_number", "parse_config"]
+__all__ = [
+    "ConfigError",
+    "RunConfig",
+    "load_config",
+    "parse_number",
+    "parse_numbers",
+    "parse_config",
+]
 
 DEFAULT_MODES = {1: 64, 2: 64, 3: 32}
 
@@ -94,11 +101,25 @@ def parse_number(value: Any, where: str, integer: bool = False) -> float | int:
     return number
 
 
+def parse_numbers(
+    value: Any, where: str, integer: bool = False, length: int | None = None
+) -> tuple:
+    """A JSON list of numbers as ``parse_number`` reads them, of ``length`` if given."""
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        shape = "a list" if length is None else f"a list of {length} numbers"
+        raise ConfigError(f"{where} must be {shape}, got {value!r}")
+    return tuple(parse_number(x, where, integer) for x in value)
+
+
 def _parse_grid(section: dict) -> Grid:
     _reject_unknown(section, {"dim", "extents", "modes"}, "grid")
     dim = parse_number(section.get("dim", 0), "grid.dim", integer=True) or None
     extents = section.get("extents")
     modes = section.get("modes")
+    if extents is not None:
+        extents = parse_numbers(extents, "grid.extents")
+    if modes is not None:
+        modes = parse_numbers(modes, "grid.modes", integer=True)
     if dim is None:
         if extents is not None:
             dim = len(extents)
@@ -113,10 +134,7 @@ def _parse_grid(section: dict) -> Grid:
             raise ConfigError("grid dim must be 1, 2 or 3")
         modes = [DEFAULT_MODES[dim]] * dim
     try:
-        return Grid(
-            extents=tuple(parse_number(L, "grid.extents") for L in extents),
-            modes=tuple(parse_number(N, "grid.modes", integer=True) for N in modes),
-        )
+        return Grid(extents=tuple(extents), modes=tuple(modes))
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid grid: {exc}") from exc
 

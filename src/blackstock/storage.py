@@ -38,13 +38,16 @@ CSV_COLUMNS = ("t", "E", "E1", "E2", "F1", "F2", "F3", "L", "D_cum", "w_ptt", "w
 
 
 def _write_atomically(path: str | Path, data: str | bytes) -> None:
-    # Write to a temporary file next to ``path`` and move it into place only
-    # once all of ``data`` is written, so ``path`` never holds a partial output.
+    # Write to a temporary file next to ``path``, flush it to disk and only
+    # then move it into place, so ``path`` never holds a partial output, also
+    # after a crash on a filesystem that may reorder the rename before the data.
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

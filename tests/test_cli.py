@@ -117,6 +117,8 @@ class TestConfigLoading:
             ("seed", 2.5),
             ("grid.dim", "three"),
             ("grid.modes", [16.5]),
+            ("grid.modes", 16),
+            ("grid.extents", 3.0),
             ("medium.c", True),
             ("medium.k", float("inf")),
             ("initial.psi0.mode", [1.5]),
@@ -209,6 +211,9 @@ class TestSimulateCommand:
             ("fit", {"fit": {"series_csv": "absent.csv"}}),
             # run.json is the config itself: the file exists, the window fails.
             ("fit", {"fit": {"series_csv": "run.json", "window": [5.0, None]}}),
+            ("threshold", {"threshold": {"window": 5}}),
+            ("fit", {"fit": {"series_csv": "run.json", "window": [5.0]}}),
+            ("weighted-study", {"study": {"resolutions": 64}}),
             ("verify-inequalities", {"inequalities": {"samples": "many"}}),
             ("verify-inequalities", {"inequalities": {"gronwall_draws": 1.5}}),
         ],
@@ -338,6 +343,12 @@ class TestSweepCommand:
         for label in labels:
             assert (out / label / "series.csv").exists()
 
+    @pytest.mark.parametrize("values", [1.0, []])
+    def test_parameter_values_must_be_a_non_empty_list(self, tmp_path, values):
+        path = write_config(tmp_path, short_config(sweep={"parameters": {"medium.k": values}}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(path), "--output", str(out), "--jobs", "1"]) == 1
+
 
 class TestCheckpoints:
     GRID = Grid(extents=(np.pi,), modes=(16,))
@@ -456,3 +467,26 @@ def test_failed_write_keeps_previous_output(tmp_path, monkeypatch, write):
     write(path, 2)
     assert path.read_bytes() != before
     assert os.listdir(tmp_path) == ["output"]
+
+
+@pytest.mark.parametrize("write", [_csv_output, _json_output, _checkpoint_output])
+def test_write_reaches_disk_before_rename(tmp_path, monkeypatch, write):
+    # The temporary file is fsynced before os.replace, so a crash cannot leave
+    # a renamed but empty or partial output on a delayed-allocation filesystem.
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", os.stat(src).st_size))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(storage.os, "fsync", fsync)
+    monkeypatch.setattr(storage.os, "replace", replace)
+    path = tmp_path / "output"
+    write(path, 1)
+    size = path.stat().st_size
+    assert events == [("fsync", size), ("replace", size)]

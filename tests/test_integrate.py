@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from blackstock import (
@@ -76,9 +76,12 @@ class TestSingleSteps:
         b=st.floats(0.1, 10.0),
         decades=st.floats(-2.0, 2.0),
     )
+    @example(seed=9, c=1.0, b=1.0, decades=0.0)
     def test_linear_stability_per_mode_energy(self, dt, scheme, seed, c, b, decades):
         # modal energy |v|^2/2 + (c^2/2)|lam||psi|^2 nonincreasing for any dt:
         # each case steps within two decades of its dt, 1e-4 to 1e3 in all.
+        # With f = 0 a step removes about b|lam|dt v^2 of each mode's energy,
+        # far above rounding, so a few ulps of slack suffice.
         grid = Grid(extents=(np.pi,), modes=(8,))
         lam = grid.laplacian_eigenvalues
         rng = np.random.default_rng(seed)
@@ -90,7 +93,9 @@ class TestSingleSteps:
         before = 0.5 * state.v.coeffs**2 + 0.5 * c**2 * (-lam) * state.psi.coeffs**2
         out = one_step(state, StepConfig(dt=dt * 10.0**decades, scheme=scheme), p)
         after = 0.5 * out.v.coeffs**2 + 0.5 * c**2 * (-lam) * out.psi.coeffs**2
-        assert np.all(after <= before * (1 + 1e-13))
+        assert np.all(after <= before * (1 + 8 * np.finfo(float).eps))
+        if (seed, c, b, decades) == (9, 1.0, 1.0, 0.0):
+            assert np.all(after <= before + 1e-14)
 
 
 class TestModalAccuracy:
