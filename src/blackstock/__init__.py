@@ -53,11 +53,11 @@ from .inequalities import (
     random_trig_fields,
 )
 from .integrate import (
-    PicardFailure,
     StepConfig,
     Termination,
     TimeSeries,
     simulate,
+    simulate_batch,
 )
 from .storage import (
     load_checkpoint,
@@ -78,7 +78,6 @@ __all__ = [
     "Grid",
     "InitialDataSpec",
     "MediumParams",
-    "PicardFailure",
     "RegularityStudy",
     "RunConfig",
     "SimState",
@@ -117,6 +116,7 @@ __all__ = [
     "read_series_csv",
     "save_checkpoint",
     "simulate",
+    "simulate_batch",
     "threshold_bisection",
     "to_physical",
     "to_spectral",

@@ -176,6 +176,12 @@ def _run_threshold(cfg: RunConfig, out: Path) -> int:
     lo = parse_number(section.get("lo", 0.01), "threshold.lo")
     hi = parse_number(section.get("hi", 100.0), "threshold.hi")
     iters = parse_number(section.get("iters", 12), "threshold.iters", integer=True)
+    if iters < 0:
+        raise ConfigError(f"threshold.iters must be nonnegative, got {iters}")
+    # A decay fit needs no sample more often than every tenth step, and the
+    # search makes many runs: sampling is raised to at least every tenth
+    # step, and threshold.json records the value used.
+    sample_every = max(cfg.sample_every, 10)
     report = threshold_bisection(
         cfg.medium,
         (cfg.psi0, cfg.psi1),
@@ -185,7 +191,7 @@ def _run_threshold(cfg: RunConfig, out: Path) -> int:
         grid=cfg.grid,
         T=cfg.T,
         cfg=cfg.step,
-        sample_every=max(cfg.sample_every, 10),
+        sample_every=sample_every,
         window=_window(section, "threshold.window"),
     )
     write_json(
@@ -194,6 +200,8 @@ def _run_threshold(cfg: RunConfig, out: Path) -> int:
             "amplitude_lo": report.amplitude_lo,
             "amplitude_hi": report.amplitude_hi,
             "delta_star": report.delta_star,
+            "sample_every": sample_every,
+            "round_widths": list(report.round_widths),
             "runs": [{"amplitude": a, "classification": c} for a, c in report.runs],
         },
     )
@@ -315,6 +323,8 @@ def _sweep_worker(job: tuple[str, dict, str]) -> tuple[str, int]:
 
 
 def _run_sweep(cfg_raw: dict, out: Path, jobs: int | None) -> int:
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     variants = _expand_sweep(cfg_raw)
     jobs = jobs or os.cpu_count() or 1
     work = [(v["label"], v["config"], str(out)) for v in variants]

@@ -79,28 +79,41 @@ def quadratic_source(
     """Coefficients of ``-2 k c^2 alpha Delta psi - 2 sigma grad psi . grad alpha``.
 
     Projected exactly, in the gradient-free form of the module docstring;
-    ``alpha = v`` gives the source ``f`` of the nonlinear equation.
+    ``alpha = v`` gives the source ``f`` of the nonlinear equation.  Leading
+    axes of ``psi`` and ``alpha`` are members evaluated together.
     """
     if p.k == 0.0 and p.sigma == 0.0:
-        return np.zeros(grid.modes)
+        return np.zeros(np.shape(psi))
     lam = grid.laplacian_eigenvalues
-    # Scaling the Laplacian members before evaluation leaves the first
-    # product as a sum of two pointwise products.
-    u, a, lap_u, lap_a = padded_field_values(
-        grid,
-        np.stack([
-            psi,
-            alpha,
-            -(2.0 * p.k * p.c**2 - p.sigma) * lam * psi,
-            p.sigma * lam * alpha,
-        ]),
+    # Nested calls, so that each stage's input is freed as soon as the next
+    # stage has used it (a batch's stages are large).
+    proj = project_padded_to_sine(
+        grid, _products(padded_field_values(grid, _fields(psi, alpha, lam, p)))
     )
+    return proj[0] - p.sigma * lam * proj[1]
+
+
+def _fields(psi, alpha, lam, p: MediumParams) -> np.ndarray:
+    # The stack (psi, alpha, scaled Delta psi, scaled Delta alpha).  Scaling
+    # the Laplacian members before evaluation leaves the first product as a
+    # sum of two pointwise products.
+    fields = np.empty((4,) + np.shape(psi))
+    fields[0] = psi
+    fields[1] = alpha
+    np.multiply(-(2.0 * p.k * p.c**2 - p.sigma) * lam, psi, out=fields[2])
+    np.multiply(p.sigma * lam, alpha, out=fields[3])
+    return fields
+
+
+def _products(values: np.ndarray) -> np.ndarray:
+    # The two pointwise products of the padded values; ``values`` is a fresh
+    # array, so u lap_a is formed in place.
+    u, a, lap_u, lap_a = values
     products = np.empty((2,) + u.shape)
     np.multiply(a, lap_u, out=products[0])
-    products[0] += u * lap_a
+    products[0] += np.multiply(u, lap_a, out=lap_a)
     np.multiply(u, a, out=products[1])
-    proj = project_padded_to_sine(grid, products)
-    return proj[0] - p.sigma * lam * proj[1]
+    return products
 
 
 def assemble_f(state: SimState, p: MediumParams) -> SpectralField:

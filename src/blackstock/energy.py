@@ -29,13 +29,21 @@ combination of a few entries of one Gram table: the coefficient products
 ``psi psi``, ``psi v``, ``v v``, ``psi_tt psi_tt`` and ``f v``, each summed
 against the weights ``1``, ``-lambda`` and ``lambda^2`` (``Grid.gram_weights``)
 and scaled by the basis mass.  ``instantaneous_diagnostics`` forms the table
-in one matrix product and maps it to every named value of
-``DIAGNOSTIC_COLUMNS``; ``functionals``, ``energy_E`` and ``lyapunov_L`` read
-from the same table.
+in one matrix product and maps it in a second one, by a coefficient matrix
+built once per medium and Lyapunov weights, to every value of
+``DIAGNOSTIC_COLUMNS`` except ``t`` and the three time-weighted ones, which
+are formed from single table entries.  A table with an overflowed entry is
+mapped column by column instead, so that only the values that read the
+entry become infinite (a product would turn ``0 * inf`` into NaN in every
+value).  Leading axes of the state are members of a batch and carry
+through.  ``functionals``, ``energy_E`` and
+``lyapunov_L`` read from the same table.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -74,6 +82,15 @@ DIAGNOSTIC_COLUMNS = (
 #: (``w_grad_ptt``) over the sample times.
 SERIES_COLUMNS = DIAGNOSTIC_COLUMNS + ("D_cum", "w_grad_ptt")
 
+# Diagnostics that are not linear in the Gram table, and the flattened table
+# entries they read (row pair psi psi, psi v, v v, accel accel, f v; column
+# weight 1, -lambda, lambda^2).  ``w_ptt`` and ``w_lap_vt`` are adjacent and
+# read the adjacent entries ``aa0``, ``vv2`` in reverse order.
+_T, _W_PTT, _W_LAP_VT, _WGP_INTEGRAND = (
+    DIAGNOSTIC_COLUMNS.index(name) for name in ("t", "w_ptt", "w_lap_vt", "wgp_integrand")
+)
+_VV2, _AA0 = 8, 9
+
 
 @dataclass(frozen=True)
 class GammaWeights:
@@ -95,6 +112,32 @@ class GammaWeights:
             raise ValueError("gamma weights must be nonnegative")
 
 
+@functools.lru_cache(maxsize=16)
+def _combination(p: MediumParams, g: GammaWeights) -> np.ndarray:
+    # (15, len(DIAGNOSTIC_COLUMNS)) matrix taking a flattened Gram table to
+    # the diagnostics in column order.  The wgp_integrand column holds aa1,
+    # which the caller scales by t; the columns t, w_ptt and w_lap_vt are
+    # zero here and formed separately.  Built once per (p, g).
+    (
+        pp0, pp1, pp2, pv0, pv1, pv2, vv0, vv1, vv2, aa0, aa1, aa2, fv0, fv1, fv2
+    ) = np.eye(15)
+    zero = np.zeros(15)
+    cc = p.c**2
+    E1 = 0.5 * vv0 + 0.5 * cc * pp1
+    E2 = cc / (2.0 * p.b) * pp2
+    F1 = pv0 + 0.5 * p.b * pp1
+    F2 = pv1 + 0.5 * p.b * pp2
+    F3 = cc * pv1 + 0.5 * p.b * vv1
+    L = E1 + g.gamma1 * E2 + g.gamma2 * (F1 + F2) + g.gamma3 * F3
+    d_integrand = vv1 + vv2 + pp1 + pp2 + aa0
+    combination = np.stack(
+        (zero, E1 + E2 + vv1, E1, E2, F1, F2, F3, L, vv1, fv0, zero, zero, d_integrand, aa1),
+        axis=1,
+    )
+    combination.flags.writeable = False  # shared by every caller of the cache
+    return combination
+
+
 def instantaneous_diagnostics(
     grid: Grid,
     t: float,
@@ -108,43 +151,31 @@ def instantaneous_diagnostics(
     """The diagnostics at time ``t``, in the order of ``DIAGNOSTIC_COLUMNS``.
 
     ``psi``, ``v``, the source ``f`` and the evaluated acceleration ``accel``
-    are coefficient arrays; ``None`` for ``f`` or ``accel`` reads as zero.
+    are coefficient arrays of shape ``(..., *grid.modes)``; ``None`` for ``f``
+    or ``accel`` reads as zero.  Leading axes are members evaluated together:
+    the result has shape ``(..., len(DIAGNOSTIC_COLUMNS))``.
     """
+    lead = psi.shape[: psi.ndim - grid.dim]
+    size = lead + (math.prod(grid.modes),)
     pairs = ((psi, psi), (psi, v), (v, v), (accel, accel), (f, v))
-    products = np.zeros((len(pairs), psi.size))
-    for row, (x, y) in zip(products, pairs):
+    products = np.zeros(lead + (len(pairs), size[-1]))
+    for k, (x, y) in enumerate(pairs):
         if x is not None:
-            np.multiply(x.reshape(-1), y.reshape(-1), out=row)
-    (
-        (_, pp1, pp2),
-        (pv0, pv1, _),
-        (vv0, vv1, vv2),
-        (aa0, aa1, _),
-        (fv0, _, _),
-    ) = ((products @ grid.gram_weights) * grid.coeff_weight).tolist()
-    cc = p.c**2
-    E1 = 0.5 * vv0 + 0.5 * cc * pp1
-    E2 = cc / (2.0 * p.b) * pp2
-    F1 = pv0 + 0.5 * p.b * pp1
-    F2 = pv1 + 0.5 * p.b * pp2
-    F3 = cc * pv1 + 0.5 * p.b * vv1
-    sqrt_t = np.sqrt(t)
-    return np.array((
-        t,
-        E1 + E2 + vv1,
-        E1,
-        E2,
-        F1,
-        F2,
-        F3,
-        E1 + g.gamma1 * E2 + g.gamma2 * (F1 + F2) + g.gamma3 * F3,
-        vv1,
-        fv0,
-        sqrt_t * np.sqrt(aa0),
-        sqrt_t * np.sqrt(vv2),
-        vv1 + vv2 + pp1 + pp2 + aa0,
-        t * aa1,
-    ))
+            np.multiply(x.reshape(size), y.reshape(size), out=products[..., k, :])
+    gram = (products @ grid.gram_weights).reshape(lead + (15,)) * grid.coeff_weight
+    combination = _combination(p, g)
+    if np.isfinite(gram).all():
+        out = gram @ combination
+    else:
+        # An overflowed entry times a zero coefficient would be NaN: each
+        # value sums only the entries it reads, so it stays finite or inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = gram[..., :, None] * combination
+        out = np.where(combination != 0.0, terms, 0.0).sum(axis=-2)
+    out[..., _T] = t
+    out[..., _WGP_INTEGRAND] *= t
+    out[..., _W_PTT : _W_LAP_VT + 1] = math.sqrt(t) * np.sqrt(gram[..., _AA0 : _VV2 - 1 : -1])
+    return out
 
 
 def _state_diagnostics(state: SimState, p: MediumParams, g: GammaWeights) -> dict[str, float]:

@@ -12,7 +12,22 @@ envelope: the energy of the fundamental on the pi box with ``c = b = 1`` has
 ``threshold_bisection`` brackets the amplitude ``delta*`` separating decaying
 from diverging runs for a given medium and initial-data shape; blow-up is
 operationalized by the simulator's divergence classifier, so ``delta*`` is an
-empirical, scheme-level quantity reported with its bracket.
+empirical, scheme-level quantity reported with its bracket.  The search is a
+k-section: each round runs the ``2^b - 1`` dyadic interior points of the
+bracket as one batch through :func:`blackstock.integrate.simulate_batch`,
+where a diverging member leaves the batch at once and only the decaying ones
+run to the end.  The search assumes, as any bracket does, that the
+classification is monotone in the amplitude; then its bracket is exactly
+that of bisection, which visits the same dyadic points.
+
+What a round saves depends on the share of its points that lie below
+``delta*``, because those run to the end: a round costs about one step
+overhead plus one member's work per decaying point, where bisection pays
+both for every decaying probe.  ``b`` is therefore capped by a cost model
+(``_round_halvings``): the widest round that, when every point decays (the
+worst case of both searches), costs no more per step than the bisection
+steps it replaces.  That allows 6 halvings at N=64 in 1D, 3 at N=128 and
+plain bisection on a 32^2 or 32^3 grid.
 
 ``weighted_regularity_study`` probes the parabolic smoothing of rough initial
 velocity: for data whose ``||Delta psi_1||`` diverges under refinement, the
@@ -22,6 +37,7 @@ time-weighted supremum ``sup_t sqrt(t) ||Delta psi_t||`` stays put.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +45,7 @@ import numpy as np
 from .dynamics import MediumParams
 from .fields import InitialDataSpec, build_initial, norm
 from .grid import Grid
-from .integrate import StepConfig, TimeSeries, simulate
+from .integrate import StepConfig, TimeSeries, simulate, simulate_batch
 
 __all__ = [
     "DecayFit",
@@ -125,19 +141,49 @@ def fit_decay(series: TimeSeries, window: tuple[float, float] | None = None) -> 
     )
 
 
+#: Cost model of one batched step, in units of ``prod(2 n + 1) * sum(n)`` over
+#: the grid's mode counts ``n`` (the size of the dense per-axis passes of the
+#: source) per live member: the fixed overhead of a step equals the work of
+#: this many units.  Fitted to imex2 per-step times of 1-32 member batches on
+#: 1D N=32..256, 2D 16^2, 32^2 and 3D 8^3 grids (2-core Xeon VM, one BLAS
+#: thread), where the fits ranged from 5e4 to 3e5 units.
+_STEP_OVERHEAD_WORK = 100_000
+
+
+def _round_halvings(grid: Grid, iters: int) -> int:
+    """The widest k-section round on ``grid``, in halvings, at most ``iters``.
+
+    A round of ``b`` halvings steps ``2^b - 1`` members at ``o + (2^b - 1) w``
+    per step (overhead ``o``, member work ``w``); when every member decays it
+    runs them all to the end, as the ``b`` bisection steps it replaces would
+    at ``b (o + w)``.  The round is the widest with
+    ``2^b - 1 - b <= (b - 1) o / w``.
+    """
+    ratio = _STEP_OVERHEAD_WORK / (math.prod(2 * n + 1 for n in grid.modes) * sum(grid.modes))
+    b = min(iters, 1)
+    while b < iters and 2 ** (b + 1) - 2 - b <= b * ratio:
+        b += 1
+    return b
+
+
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Bisection bracket of the empirical small-data threshold."""
+    """Bracket of the empirical small-data threshold.
+
+    ``runs`` lists every probed amplitude with its classification, in probe
+    order; ``round_widths`` the number of halvings each k-section round made.
+    """
 
     params: MediumParams
     amplitude_lo: float
     amplitude_hi: float
     delta_star: float
     runs: tuple[tuple[float, str], ...] = field(default_factory=tuple)
+    round_widths: tuple[int, ...] = ()
 
 
-def _classify_amplitude(
-    amplitude: float,
+def _classify_amplitudes(
+    amplitudes: list[float],
     specs: tuple[InitialDataSpec, InitialDataSpec],
     grid: Grid,
     p: MediumParams,
@@ -145,14 +191,17 @@ def _classify_amplitude(
     cfg: StepConfig,
     sample_every: int,
     window: tuple[float, float] | None,
-) -> str:
-    spec0 = _scaled_spec(specs[0], amplitude)
-    spec1 = _scaled_spec(specs[1], amplitude)
-    state = build_initial(spec0, spec1, grid)
-    series = simulate(state, T, cfg, p, sample_every=sample_every)
-    if series.termination.kind != "completed":
-        return "diverges"
-    return fit_decay(series, window).classification
+) -> list[str]:
+    """Classify the runs from the shape specs scaled by each amplitude, as one batch."""
+    states = [
+        build_initial(_scaled_spec(specs[0], a), _scaled_spec(specs[1], a), grid)
+        for a in amplitudes
+    ]
+    return [
+        fit_decay(series, window).classification if series.termination.completed
+        else "diverges"
+        for series in simulate_batch(states, T, cfg, p, sample_every=sample_every)
+    ]
 
 
 def _scaled_spec(spec: InitialDataSpec, multiplier: float) -> InitialDataSpec:
@@ -160,6 +209,16 @@ def _scaled_spec(spec: InitialDataSpec, multiplier: float) -> InitialDataSpec:
     return InitialDataSpec(
         kind=spec.kind, modes=spec.modes, amplitudes=amps, exponent=spec.exponent
     )
+
+
+def _dyadic_points(lo: float, hi: float, halvings: int) -> list[float]:
+    # lo + j (hi - lo) / 2^halvings for j = 0 .. 2^halvings, by repeated
+    # midpoints: the very floats that bisection from (lo, hi) visits.
+    points = [lo, hi]
+    for _ in range(halvings):
+        mids = [0.5 * (a + b) for a, b in zip(points, points[1:])]
+        points = [x for pair in zip(points, mids) for x in pair] + [hi]
+    return points
 
 
 def threshold_bisection(
@@ -175,42 +234,66 @@ def threshold_bisection(
     sample_every: int = 10,
     window: tuple[float, float] | None = None,
 ) -> ThresholdReport:
-    """Bisect the amplitude multiplier between decay and divergence.
+    """Narrow the amplitude multiplier between decay and divergence by ``2^iters``.
 
     The shape specs carry unit-scale amplitudes; each probe scales them by
     the trial multiplier and runs a full simulation plus decay fit.  The
     endpoints must straddle the dichotomy or the bracketing precondition
     fails (for a linear medium every amplitude decays, and the error says so).
+
+    The search is a k-section: each round classifies the ``2^b - 1`` dyadic
+    interior points of the bracket as one batch and keeps the first
+    non-decaying point and its lower neighbour.  ``b`` is the number of
+    halvings left, capped by ``_round_halvings``.  ``hi`` is classified
+    first and alone, so that unbracketed endpoints cost two runs; the first
+    round carries ``lo``.  When the classification is monotone in the
+    amplitude, which the bracket assumes anyway, the result is exactly the
+    bracket of ``iters`` bisections.
     """
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
+    if iters < 0:
+        raise ValueError(f"iters must be nonnegative, got {iters}")
     cfg = cfg or StepConfig(dt=1e-3, scheme="imex2")
+    max_halvings = _round_halvings(grid, iters)
     runs: list[tuple[float, str]] = []
+    widths: list[int] = []
 
-    def classify(amplitude: float) -> str:
-        c = _classify_amplitude(amplitude, specs, grid, p, T, cfg, sample_every, window)
-        runs.append((amplitude, c))
-        return c
+    def classify(amplitudes: list[float]) -> list[str]:
+        classes = _classify_amplitudes(
+            amplitudes, specs, grid, p, T, cfg, sample_every, window
+        )
+        runs.extend(zip(amplitudes, classes))
+        return classes
 
-    c_lo = classify(lo)
-    c_hi = classify(hi)
+    # A diverging hi leaves its run within a few steps; one that does not
+    # diverge ends the search before any interior point is run.
+    [c_hi] = classify([hi])
+    b = min(iters, max_halvings)
+    points = _dyadic_points(lo, hi, b)
+    c_lo, *classes = classify([lo] + (points[1:-1] if c_hi == "diverges" else []))
     if not (c_lo == "decays" and c_hi == "diverges"):
         raise ValueError(
             "unbracketed endpoints: "
             f"classification(lo={lo}) = {c_lo}, classification(hi={hi}) = {c_hi}"
         )
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if classify(mid) == "decays":
-            lo = mid
-        else:
-            hi = mid
+    while b > 0:
+        widths.append(b)
+        # The new bracket: the first point that does not decay (hi when all
+        # do) and its lower neighbour.
+        j = next((i for i, c in enumerate(classes, 1) if c != "decays"), len(points) - 1)
+        lo, hi = points[j - 1], points[j]
+        iters -= b
+        b = min(iters, max_halvings)
+        points = _dyadic_points(lo, hi, b)
+        classes = classify(points[1:-1]) if b > 0 else []
     return ThresholdReport(
         params=p,
         amplitude_lo=lo,
         amplitude_hi=hi,
         delta_star=0.5 * (lo + hi),
         runs=tuple(runs),
+        round_widths=tuple(widths),
     )
 
 

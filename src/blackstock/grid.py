@@ -296,10 +296,9 @@ def _apply_per_axis(mats: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
     # the new one first, so after d passes the spatial axes are back in order
     # (stack axes last) and no pass needs a transposed copy.
     d = len(mats)
-    lead = x.ndim - d
     for M in reversed(mats):
         x = (M @ x.reshape(-1, x.shape[-1]).T).reshape((M.shape[0],) + x.shape[:-1])
-    return np.moveaxis(x, tuple(range(d, d + lead)), tuple(range(lead)))
+    return x.transpose(tuple(range(d, x.ndim)) + tuple(range(d)))
 
 
 def padded_field_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:

@@ -29,20 +29,45 @@ for every step size.
 
 The run loop
 ------------
-``simulate`` is the only stepper.  It carries the state as raw coefficient
-arrays and calls :func:`blackstock.dynamics.quadratic_source` directly: once
-per step for the IMEX schemes, and for ``picard`` only at sampled states (the
-fixed-point iteration evaluates the rest).  ``SimState`` objects are built
-only for snapshots.  Each sample is one row of a ``TimeSeries`` array
-preallocated from the step count and ``sample_every`` and filled by
-:func:`blackstock.energy.instantaneous_diagnostics`; the two running
-integrals ``D_cum`` and ``w_grad_ptt`` are summed over the rows when the run
-ends.
+``simulate_batch`` is the only stepper; ``simulate`` is its one-member case.
+It integrates a batch of initial states that share a grid, a start time and
+the step configuration, and returns one ``TimeSeries`` per member.
+
+*Member axis.*  The live state is raw coefficient arrays with a leading
+member axis, ``psi[member, *modes]``.  The modal solves broadcast over it, and
+:func:`blackstock.dynamics.quadratic_source` and
+:func:`blackstock.energy.instantaneous_diagnostics` take it as a stack, so a
+step costs a fixed number of array operations whatever the batch size (the
+source is evaluated on slices of at most ``_SOURCE_SLICE_COEFFICIENTS``
+coefficients, which bounds a large batch's temporaries).  The source is
+evaluated once per step for the IMEX schemes, and for ``picard`` only at
+sampled states (the fixed-point iteration evaluates the rest).  Under
+``picard`` a member that has converged is frozen and takes no further
+iterations.  ``SimState`` objects are built only for snapshots.
+
+*Per-member termination.*  Each member ends on its own, with its own
+``Termination``: a non-finite state, a non-finite source or an energy above
+``ENERGY_BLOWUP_CUTOFF`` is ``diverged``, an iteration that does not converge
+is ``picard_failed``.  Each finiteness check is one test of the whole batch;
+only when it fails are the members looked at one by one.  An ended member is
+removed from the live arrays, so later steps cost only the survivors.
+
+*Rows and compaction.*  Each sample is one row per live member, filled by
+``instantaneous_diagnostics``.  The rows are time-major,
+``data[row, live member, column]``, in one buffer.  A single run reserves
+all its rows.  A batch's buffer holds the rest of the run when it is small
+enough (``_ROW_BUFFER_VALUES``) and otherwise doubles when full; no
+full-length buffer is reserved for members that may end early.
+When members leave, their rows are copied out and the survivors' rows are
+compacted within the same buffer.  The two running integrals ``D_cum`` and
+``w_grad_ptt`` are summed over a member's rows when it ends.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -55,12 +80,25 @@ __all__ = [
     "StepConfig",
     "Termination",
     "TimeSeries",
-    "PicardFailure",
     "simulate",
+    "simulate_batch",
 ]
 
 #: Runs whose energy exceeds this value are classified as diverged.
 ENERGY_BLOWUP_CUTOFF = 1e12
+
+#: Size, in values, up to which a batch's row buffer holds the rest of the run
+#: at once; beyond it the buffer grows by doubling.  It stays below the 4 MiB
+#: from which numpy asks for huge pages, so a partly filled buffer costs only
+#: the rows written.  A single run, which has no member to retire early,
+#: reserves all its rows instead.
+_ROW_BUFFER_VALUES = 500_000
+
+#: A batch evaluates its quadratic source on slices of at most this many state
+#: coefficients (32 members at N=64, one member from 2048 coefficients on).
+#: The evaluation's temporaries are several times the state, so a large first
+#: k-section round would otherwise hold them for all its members at once.
+_SOURCE_SLICE_COEFFICIENTS = 2**11
 
 _SCHEMES = ("imex1", "imex2", "picard")
 
@@ -132,20 +170,11 @@ class TimeSeries:
         return self.data[:, self.columns.index(name)]
 
 
-class PicardFailure(RuntimeError):
-    """The frozen-coefficient iteration left its contraction regime."""
-
-    def __init__(self, time: float, iterations: int):
-        super().__init__(
-            f"picard iteration failed to converge at t={time:.6g} "
-            f"after {iterations} iterations"
-        )
-        self.time = time
-        self.iterations = iterations
-
-
 class _ModalSolver:
-    """Per-mode linear solves for the diagonal 2x2 systems of one grid."""
+    """Per-mode linear solves for the diagonal 2x2 systems of one grid.
+
+    States carry any leading member axes; the mode tensors broadcast over them.
+    """
 
     def __init__(self, grid: Grid, p: MediumParams, dt: float):
         lam = grid.laplacian_eigenvalues
@@ -153,6 +182,8 @@ class _ModalSolver:
         self.cc = p.c**2
         self.b = p.b
         self.dt = dt
+        self._cc_lam = self.cc * lam
+        self._b_lam = self.b * lam
         # (I - theta dt A) with A = [[0, 1], [cc lam, b lam]]
         self._cn = self._factor(0.5)
         self._be = self._factor(1.0)
@@ -164,11 +195,11 @@ class _ModalSolver:
         a21 = -theta * dt * self.cc * self.lam
         a22 = 1.0 - theta * dt * self.b * self.lam
         det = a11 * a22 - a12 * a21
-        return a11, a12, a21, a22, det
+        return a12, a21, a22, det
 
     def _solve(self, factor, r1, r2):
-        a11, a12, a21, a22, det = factor
-        return (a22 * r1 - a12 * r2) / det, (a11 * r2 - a21 * r1) / det
+        a12, a21, a22, det = factor
+        return (a22 * r1 - a12 * r2) / det, (r2 - a21 * r1) / det
 
     def backward_euler(self, psi, v, f):
         # (I - dt A) U+ = U- + dt f e_v
@@ -178,16 +209,29 @@ class _ModalSolver:
         # (I - dt/2 A) U+ = (I + dt/2 A) U- + dt fhat e_v
         dt = self.dt
         r1 = psi + 0.5 * dt * v
-        r2 = v + 0.5 * dt * (self.cc * self.lam * psi + self.b * self.lam * v) + dt * fhat
+        r2 = v + 0.5 * dt * (self._cc_lam * psi + self._b_lam * v) + dt * fhat
         return self._solve(self._cn, r1, r2)
 
 
-def _picard_update_norm(grid, dpsi, dv) -> float:
-    # Discrete H1 x L2 product norm of an update, mirroring the contraction norm.
+def _finite_members(*arrays: np.ndarray) -> np.ndarray:
+    # Per member (leading axis): every entry of every array is finite.
+    n = arrays[0].shape[0]
+    return np.logical_and.reduce([np.isfinite(a.reshape(n, -1)).all(axis=1) for a in arrays])
+
+
+def _all_finite(*arrays: np.ndarray) -> bool:
+    return all(np.isfinite(a).all() for a in arrays)
+
+
+def _picard_update_norm(grid, dpsi, dv) -> np.ndarray:
+    # Discrete H1 x L2 product norm of each member's update, mirroring the
+    # contraction norm.
+    n = dpsi.shape[0]
     lam = grid.laplacian_eigenvalues
     nu = grid.coeff_weight
-    return float(
-        np.sqrt(np.sum((1.0 - lam) * dpsi * dpsi) * nu + np.sum(dv * dv) * nu)
+    return np.sqrt(
+        np.sum(((1.0 - lam) * dpsi * dpsi).reshape(n, -1), axis=1) * nu
+        + np.sum((dv * dv).reshape(n, -1), axis=1) * nu
     )
 
 
@@ -195,34 +239,78 @@ def _picard_step(
     grid: Grid,
     psi0: np.ndarray,
     v0: np.ndarray,
-    t: float,
-    f_old: np.ndarray | None,
+    f_old: np.ndarray,
     solver: _ModalSolver,
     cfg: StepConfig,
     p: MediumParams,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    # One picard step from (psi0, v0) at time t.  f_old, when given, is the
-    # source at that state, already computed by the caller.
-    if f_old is None:
-        f_old = quadratic_source(grid, psi0, v0, p)
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One picard step of every member of ``(psi0, v0)``, whose source is ``f_old``.
+
+    Returns the new states, each member's iteration count and a mask of the
+    members that converged.  The others failed: an iterate was not finite
+    (counted at that iteration) or the budget ran out.  A converged member is
+    frozen and takes no further iterations.
+    """
     # Initial iterate: trapezoid step with the source frozen at the step start.
-    psi_j, v_j = solver.trapezoid(psi0, v0, f_old)
+    psi, v = solver.trapezoid(psi0, v0, f_old)
+    its = np.full(len(psi), cfg.picard_max_iter)
+    converged = np.zeros(len(psi), dtype=bool)
+    # The members still iterating: indices, iterates and step-start data.
+    live = (np.arange(len(psi)), psi, v, psi0, v0, f_old)
     for it in range(1, cfg.picard_max_iter + 1):
-        if not (np.all(np.isfinite(psi_j)) and np.all(np.isfinite(v_j))):
-            raise PicardFailure(t + cfg.dt, it)
+        idx, psi_j, v_j, a0, b0, f0 = live
+        if not _all_finite(psi_j, v_j):
+            finite = _finite_members(psi_j, v_j)
+            its[idx[~finite]] = it
+            if not finite.any():
+                break
+            live = tuple(a[finite] for a in live)
+            idx, psi_j, v_j, a0, b0, f0 = live
         with np.errstate(over="ignore", invalid="ignore"):
-            fhat = 0.5 * (f_old + quadratic_source(grid, psi_j, v_j, p))
-            psi_n, v_n = solver.trapezoid(psi0, v0, fhat)
-        update = _picard_update_norm(grid, psi_n - psi_j, v_n - v_j)
-        scale = _picard_update_norm(grid, psi_n, v_n)
-        psi_j, v_j = psi_n, v_n
-        if update <= cfg.picard_tol * max(scale, 1e-300):
-            return psi_j, v_j, it
-    raise PicardFailure(t + cfg.dt, cfg.picard_max_iter)
+            fhat = 0.5 * (f0 + _source(grid, psi_j, v_j, p))
+            psi_n, v_n = solver.trapezoid(a0, b0, fhat)
+            update = _picard_update_norm(grid, psi_n - psi_j, v_n - v_j)
+            scale = _picard_update_norm(grid, psi_n, v_n)
+        done = update <= cfg.picard_tol * np.maximum(scale, 1e-300)
+        live = (idx, psi_n, v_n, a0, b0, f0)
+        if done.any():
+            psi[idx[done]] = psi_n[done]
+            v[idx[done]] = v_n[done]
+            its[idx[done]] = it
+            converged[idx[done]] = True
+            if done.all():
+                break
+            live = tuple(a[~done] for a in live)
+    return psi, v, its, converged
+
+
+def _source(grid: Grid, psi: np.ndarray, alpha: np.ndarray, p: MediumParams) -> np.ndarray:
+    # quadratic_source of every member, evaluated a slice of members at a time.
+    size = max(1, _SOURCE_SLICE_COEFFICIENTS // math.prod(grid.modes))
+    if len(psi) <= size:
+        return quadratic_source(grid, psi, alpha, p)
+    f = np.empty(psi.shape)
+    for i in range(0, len(psi), size):
+        f[i : i + size] = quadratic_source(grid, psi[i : i + size], alpha[i : i + size], p)
+    return f
 
 
 def _state(grid: Grid, psi: np.ndarray, v: np.ndarray, t: float) -> SimState:
-    return SimState(psi=SpectralField(grid, psi), v=SpectralField(grid, v), time=t)
+    return SimState(psi=SpectralField(grid, psi.copy()), v=SpectralField(grid, v.copy()), time=t)
+
+
+def _series(data: np.ndarray, termination, snapshots, max_its: int) -> TimeSeries:
+    # One member's series on its sampled rows, with the running integrals
+    # filled in.
+    t = data[:, _COL_T]
+    integrals = ((_COL_D_CUM, _COL_D_INTEGRAND), (_COL_W_GRAD_PTT, _COL_WGP_INTEGRAND))
+    for integral, integrand in integrals:
+        y = data[:, integrand]
+        # Trapezoid rule over the sample times; cumsum adds sequentially, so
+        # the roundings are those of accumulating sample by sample.
+        with np.errstate(over="ignore", invalid="ignore"):
+            data[:, integral] = np.cumsum(np.append(0.0, 0.5 * np.diff(t) * (y[1:] + y[:-1])))
+    return TimeSeries(SERIES_COLUMNS, data, snapshots, termination, int(max_its))
 
 
 def simulate(
@@ -251,34 +339,106 @@ def simulate(
     Returns:
         The sampled series with its termination status.
     """
+    return simulate_batch([initial], T, cfg, p, sample_every, gammas, snapshot_every)[0]
+
+
+def simulate_batch(
+    initials: Sequence[SimState],
+    T: float,
+    cfg: StepConfig,
+    p: MediumParams,
+    sample_every: int = 1,
+    gammas: GammaWeights | None = None,
+    snapshot_every: int | None = None,
+) -> list[TimeSeries]:
+    """Integrate each of ``initials`` as :func:`simulate` would, in one loop.
+
+    The initial states must share one grid and start time (``ValueError``
+    otherwise); the other arguments are those of :func:`simulate` and apply
+    to every member.  Returns one series per member, in order, each with its
+    own termination.  A member's series agrees with its own ``simulate`` run
+    up to rounding (the batched matrix products round differently).
+    """
     n_steps = cfg.steps_to(T)
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
+    if not initials:
+        raise ValueError("need at least one initial state")
+    grid, t0 = initials[0].grid, initials[0].time
+    for state in initials:
+        if state.grid != grid or state.time != t0:
+            raise ValueError("batch members must share one grid and start time")
     g = gammas or GammaWeights()
-    grid = initial.grid
     lam = grid.laplacian_eigenvalues
     cc = p.c**2
     solver = _ModalSolver(grid, p, cfg.dt)
-    data = np.empty((1 + -(-n_steps // sample_every), len(SERIES_COLUMNS)))
+    picard = cfg.scheme == "picard"
+    n_members = len(initials)
+    results: list[TimeSeries | None] = [None] * n_members
+    snapshots: list[list[tuple[float, SimState]]] = [[] for _ in initials]
+    max_its = np.zeros(n_members, dtype=int)
+
+    # Live state: one entry per surviving member along the leading axis.
+    # ``members`` maps it to the member's position in ``initials``.
+    members = np.arange(n_members)
+    psi = np.stack([s.psi.coeffs for s in initials])
+    v = np.stack([s.v.coeffs for s in initials])
+    n_rows_max = 1 + -(-n_steps // sample_every)
     n_rows = 0
-    snapshots: list[tuple[float, SimState]] = []
-    termination = Termination("completed")
-    max_its = 0
+    n_cols = len(SERIES_COLUMNS)
+    # Sampled rows are time-major, ``data[row, live member, column]``, a view
+    # of the flat ``buffer``.  A single run reserves all its rows.  A batch's
+    # buffer holds the rest of the run if that fits _ROW_BUFFER_VALUES, else
+    # it doubles when full; when members leave, the rows of the others are
+    # compacted within it, so that it then holds more rows per member.
+    if n_members == 1:
+        capacity = n_rows_max
+    else:
+        capacity = min(n_rows_max, max(1, _ROW_BUFFER_VALUES // (n_members * n_cols)))
+    buffer = np.empty(capacity * n_members * n_cols)
 
-    psi = initial.psi.coeffs.copy()
-    v = initial.v.coeffs.copy()
-    t0 = initial.time
+    def rows_view() -> np.ndarray:
+        n_live = members.size
+        capacity = min(n_rows_max, buffer.size // (n_live * n_cols))
+        return buffer[: capacity * n_live * n_cols].reshape(capacity, n_live, n_cols)
 
-    def record(t: float, f: np.ndarray) -> float:
-        nonlocal n_rows
+    data = rows_view()
+
+    def record(t: float, f: np.ndarray) -> np.ndarray:
+        nonlocal n_rows, data, buffer
         with np.errstate(over="ignore", invalid="ignore"):
             accel = lam * (cc * psi + p.b * v) + f
-            row = instantaneous_diagnostics(grid, t, psi, v, f, accel, p, g)
-        data[n_rows, : len(row)] = row
+            rows = instantaneous_diagnostics(grid, t, psi, v, f, accel, p, g)
+        if n_rows == len(data):
+            kept = data
+            buffer = np.empty(min(n_rows_max, 2 * n_rows) * members.size * n_cols)
+            data = rows_view()
+            data[:n_rows] = kept
+        data[n_rows, :, : rows.shape[1]] = rows
         n_rows += 1
-        return row[_COL_E]
+        return rows[:, _COL_E]
 
-    f_curr = quadratic_source(grid, psi, v, p)
+    def retire(leaving: np.ndarray, kind: str, t: float) -> bool:
+        # End the runs of the live members in the mask ``leaving`` and drop
+        # them from the live arrays; False when no member is left.
+        nonlocal members, psi, v, f_curr, f_prev, data
+        for j in np.flatnonzero(leaving):
+            m = members[j]
+            # A copy: the buffer is about to be reused.
+            results[m] = _series(
+                data[:n_rows, j].copy(), Termination(kind, t), snapshots[m], max_its[m]
+            )
+        keep = ~leaving
+        members, psi, v = members[keep], psi[keep], v[keep]
+        f_curr = None if f_curr is None else f_curr[keep]
+        f_prev = None if f_prev is None else f_prev[keep]
+        if members.size:
+            kept = data[:n_rows, keep]
+            data = rows_view()
+            data[:n_rows] = kept
+        return members.size > 0
+
+    f_curr = _source(grid, psi, v, p)
     record(t0, f_curr)
     f_prev = f_curr
 
@@ -291,56 +451,54 @@ def simulate(
                 # Predictor-corrector startup keeps the global order at two.
                 psi_p, v_p = solver.trapezoid(psi, v, f_curr)
                 with np.errstate(over="ignore", invalid="ignore"):
-                    f_pred = quadratic_source(grid, psi_p, v_p, p)
+                    f_pred = _source(grid, psi_p, v_p, p)
                 fhat = 0.5 * (f_curr + f_pred)
-                if not np.all(np.isfinite(fhat)):
-                    fhat = f_curr
+                if not _all_finite(fhat):
+                    bad = ~_finite_members(fhat)
+                    fhat[bad] = f_curr[bad]
             else:
                 fhat = 1.5 * f_curr - 0.5 * f_prev
             psi, v = solver.trapezoid(psi, v, fhat)
         else:
-            try:
-                psi, v, its = _picard_step(
-                    grid, psi, v, t0 + n * cfg.dt, f_curr, solver, cfg, p
-                )
-            except PicardFailure as failure:
-                termination = Termination("picard_failed", failure.time)
-                max_its = max(max_its, failure.iterations)
+            if f_curr is None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    f_curr = _source(grid, psi, v, p)
+            psi, v, its, converged = _picard_step(grid, psi, v, f_curr, solver, cfg, p)
+            max_its[members] = np.maximum(max_its[members], its)
+            if not converged.all() and not retire(~converged, "picard_failed", t_next):
                 break
-            max_its = max(max_its, its)
 
-        if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(v))):
-            termination = Termination("diverged", t_next)
+        if not _all_finite(psi, v) and not retire(
+            ~_finite_members(psi, v), "diverged", t_next
+        ):
             break
 
         is_sample = ((n + 1) % sample_every == 0) or (n + 1 == n_steps)
-        if is_sample or cfg.scheme != "picard":
+        if is_sample or not picard:
             with np.errstate(over="ignore", invalid="ignore"):
-                f_prev, f_curr = f_curr, quadratic_source(grid, psi, v, p)
-            if not np.all(np.isfinite(f_curr)):
-                termination = Termination("diverged", t_next)
+                f_prev, f_curr = f_curr, _source(grid, psi, v, p)
+            if not _all_finite(f_curr) and not retire(
+                ~_finite_members(f_curr), "diverged", t_next
+            ):
                 break
         else:
             # Not evaluated at the new state: the next picard step does it.
             f_curr = None
         if is_sample:
             E = record(t_next, f_curr)
-            if not np.isfinite(E) or E > ENERGY_BLOWUP_CUTOFF:
-                termination = Termination("diverged", t_next)
+            # Also true for a NaN energy.
+            blown = ~(E <= ENERGY_BLOWUP_CUTOFF)
+            if blown.any() and not retire(blown, "diverged", t_next):
                 break
         if snapshot_every is not None and (n + 1) % snapshot_every == 0:
-            snapshots.append((t_next, _state(grid, psi, v, t_next)))
+            for j, m in enumerate(members):
+                snapshots[m].append((t_next, _state(grid, psi[j], v[j], t_next)))
     else:
         final_t = t0 + n_steps * cfg.dt
-        if not snapshots or snapshots[-1][0] != final_t:
-            snapshots.append((final_t, _state(grid, psi, v, final_t)))
-    data = data[:n_rows]
-    t = data[:, _COL_T]
-    integrals = ((_COL_D_CUM, _COL_D_INTEGRAND), (_COL_W_GRAD_PTT, _COL_WGP_INTEGRAND))
-    for integral, integrand in integrals:
-        y = data[:, integrand]
-        # Trapezoid rule over the sample times; cumsum adds sequentially, so
-        # the roundings are those of accumulating sample by sample.
-        with np.errstate(over="ignore", invalid="ignore"):
-            data[:, integral] = np.cumsum(np.append(0.0, 0.5 * np.diff(t) * (y[1:] + y[:-1])))
-    return TimeSeries(SERIES_COLUMNS, data, snapshots, termination, max_its)
+        for j, m in enumerate(members):
+            if not snapshots[m] or snapshots[m][-1][0] != final_t:
+                snapshots[m].append((final_t, _state(grid, psi[j], v[j], final_t)))
+            results[m] = _series(
+                data[:n_rows, j], Termination("completed"), snapshots[m], max_its[m]
+            )
+    return results

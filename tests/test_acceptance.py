@@ -38,7 +38,7 @@ from blackstock import (
     weighted_regularity_study,
 )
 from blackstock.cli import main
-from blackstock.experiments import _classify_amplitude
+from blackstock.experiments import _classify_amplitudes
 
 from .helpers import modal_solution
 
@@ -231,17 +231,12 @@ class TestCriterion6SmallDataDichotomy:
             "6", change <= 0.10, f"delta* changes {100 * change:.2f}% <= 10% under refinement"
         )
         grid = Grid(extents=(1.0,), modes=(64,))
-        sides_ok = True
-        for frac in (0.3, 0.4, 0.5):
-            c = _classify_amplitude(
-                frac * deltas[64], self.SPECS, grid, NONLIN, 20.0, self.CFG, 10, None
-            )
-            sides_ok &= c == "decays"
-        for mult in (2.0, 3.0, 4.0):
-            c = _classify_amplitude(
-                mult * deltas[64], self.SPECS, grid, NONLIN, 20.0, self.CFG, 10, None
-            )
-            sides_ok &= c == "diverges"
+        below, above = (0.3, 0.4, 0.5), (2.0, 3.0, 4.0)
+        classes = _classify_amplitudes(
+            [m * deltas[64] for m in below + above],
+            self.SPECS, grid, NONLIN, 20.0, self.CFG, 10, None,
+        )
+        sides_ok = classes == ["decays"] * len(below) + ["diverges"] * len(above)
         ok_sides = report(
             "6", sides_ok, "all runs decay below delta*/2 and diverge above 2 delta*"
         )

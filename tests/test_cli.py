@@ -315,6 +315,39 @@ class TestThresholdCommand:
         path = write_config(tmp_path, cfg)
         assert main(["threshold", "--config", str(path), "--output", str(tmp_path / "t")]) == 3
 
+    THRESHOLD = dict(
+        grid={"extents": [1.0], "modes": [16]},
+        integrator={"T": 8.0, "dt": 2e-3},
+        initial={
+            "psi0": {"kind": "single_mode", "mode": [1], "amplitude": 1.0},
+            "psi1": {"kind": "single_mode", "mode": [1], "amplitude": 1.0},
+        },
+    )
+
+    def test_report_records_sampling_and_rounds(self, tmp_path):
+        cfg = short_config(
+            threshold={"lo": 0.01, "hi": 100.0, "iters": 3, "window": [2.0, 6.0]},
+            **self.THRESHOLD,
+        )
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "t"
+        assert main(["threshold", "--config", str(path), "--output", str(out)]) == 0
+        report = json.loads((out / "threshold.json").read_text())
+        # sample_every defaults to 1 and is raised to 10 for threshold runs.
+        assert report["sample_every"] == 10
+        assert report["round_widths"] == [3]
+        amplitudes = [run["amplitude"] for run in report["runs"]]
+        assert amplitudes[:2] == [100.0, 0.01] and len(amplitudes) == 2 + 7
+        assert report["amplitude_lo"] in amplitudes and report["amplitude_hi"] in amplitudes
+
+    def test_negative_iters_exits_1(self, tmp_path, capsys):
+        cfg = short_config(threshold={"iters": -3}, **self.THRESHOLD)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "t"
+        assert main(["threshold", "--config", str(path), "--output", str(out)]) == 1
+        assert "threshold.iters" in capsys.readouterr().err
+        assert not (out / "threshold.json").exists()
+
 
 class TestWeightedStudyCommand:
     def test_study_report(self, tmp_path):
@@ -342,6 +375,14 @@ class TestSweepCommand:
         assert labels == {"k=0.0", "k=1.0"}
         for label in labels:
             assert (out / label / "series.csv").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
+        path = write_config(tmp_path, short_config(sweep={"parameters": {"medium.k": [0.0]}}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(path), "--output", str(out), "--jobs", jobs]) == 1
+        assert "--jobs" in capsys.readouterr().err
+        assert not (out / "sweep.json").exists()
 
     @pytest.mark.parametrize("values", [1.0, []])
     def test_parameter_values_must_be_a_non_empty_list(self, tmp_path, values):

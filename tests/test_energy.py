@@ -170,6 +170,27 @@ class TestDiagnosticsTable:
         assert got["f_dot_v"] == got["w_ptt"] == got["wgp_integrand"] == 0.0
         assert got["E"] == energy_E(unit, P11)
 
+    def test_overflowed_acceleration_reaches_only_its_columns(self, g64):
+        # A blowing-up member's last row: accel^2 overflows while psi and v
+        # stay finite.  Only the values that read ||psi_tt|| become inf;
+        # the others equal those of the same state without an acceleration,
+        # and a finite member of the same batch keeps its finite row.
+        rng = np.random.default_rng(5)
+        psi, v, f = rng.standard_normal((3, 2) + g64.modes)
+        accel = np.stack([np.full(g64.modes, 1e200), rng.standard_normal(g64.modes)])
+        g = GammaWeights()
+        with np.errstate(over="ignore"):
+            rows = instantaneous_diagnostics(g64, 2.0, psi, v, f, accel, NONLIN, g)
+        plain = instantaneous_diagnostics(g64, 2.0, psi, v, f, None, NONLIN, g)
+        solo = instantaneous_diagnostics(g64, 2.0, psi[1], v[1], f[1], accel[1], NONLIN, g)
+        reads_accel = ("w_ptt", "d_integrand", "wgp_integrand")
+        for k, name in enumerate(DIAGNOSTIC_COLUMNS):
+            if name in reads_accel:
+                assert rows[0, k] == np.inf, name
+            else:
+                assert rows[0, k] == pytest.approx(plain[0, k], rel=1e-14, abs=1e-300), name
+        np.testing.assert_allclose(rows[1], solo, rtol=1e-14)
+
 
 class TestEquivalenceScan:
     def test_default_weights_admissible(self, g64):

@@ -14,8 +14,9 @@ from blackstock import (
     threshold_bisection,
     weighted_regularity_study,
 )
-from blackstock.experiments import MIN_DECAY_RATE
-from blackstock.integrate import Termination
+import blackstock.experiments as experiments
+from blackstock.experiments import MIN_DECAY_RATE, _classify_amplitudes
+from blackstock.integrate import Termination, simulate_batch
 
 from .helpers import modal_solution, series_from_energy
 
@@ -155,6 +156,70 @@ class TestThresholdBisection:
             threshold_bisection(
                 NONLIN, self.SPECS, 1.0, 0.5, 4, grid=self.GRID
             )
+
+    def test_negative_iters_rejected(self):
+        with pytest.raises(ValueError, match="iters must be nonnegative"):
+            threshold_bisection(NONLIN, self.SPECS, 0.01, 100.0, -3, grid=self.GRID)
+
+    def test_k_section_matches_plain_bisection(self, monkeypatch):
+        # A step overhead of 1.5 members' work on this grid allows two
+        # halvings per round.  Reference: plain bisection, one run per
+        # midpoint.
+        cfg, window = StepConfig(dt=4e-3), (2.0, 6.0)
+        monkeypatch.setattr(experiments, "_STEP_OVERHEAD_WORK", 1.5 * 33 * 16)
+        report = threshold_bisection(
+            NONLIN, self.SPECS, 0.01, 100.0, 5, grid=self.GRID, T=8.0, cfg=cfg, window=window
+        )
+        lo, hi, probed = 0.01, 100.0, {}
+        for _ in range(5):
+            mid = 0.5 * (lo + hi)
+            [probed[mid]] = _classify_amplitudes(
+                [mid], self.SPECS, self.GRID, NONLIN, 8.0, cfg, 10, window
+            )
+            lo, hi = (mid, hi) if probed[mid] == "decays" else (lo, mid)
+        assert report.round_widths == (2, 2, 1)
+        assert (report.amplitude_lo, report.amplitude_hi) == (lo, hi)
+        assert len(report.runs) == 2 + 3 + 3 + 1
+        assert probed.items() <= dict(report.runs).items()
+
+    def test_zero_iters_returns_the_endpoints(self):
+        report = threshold_bisection(
+            NONLIN, self.SPECS, 0.01, 100.0, 0, grid=self.GRID, T=8.0,
+            cfg=StepConfig(dt=4e-3), window=(2.0, 6.0),
+        )
+        assert (report.amplitude_lo, report.amplitude_hi) == (0.01, 100.0)
+        assert report.round_widths == ()
+        assert [a for a, _ in report.runs] == [100.0, 0.01]
+
+    def test_unbracketed_endpoints_cost_two_runs(self, monkeypatch):
+        # hi is classified alone; when it does not diverge, lo is the only
+        # other run, however many halvings were asked for.
+        batches = []
+
+        def counting(states, *args, **kwargs):
+            batches.append(len(states))
+            return simulate_batch(states, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "simulate_batch", counting)
+        with pytest.raises(ValueError, match="unbracketed"):
+            threshold_bisection(
+                MediumParams(c=1.0, b=1.0), self.SPECS, 0.01, 100.0, 8, grid=self.GRID,
+                T=8.0, cfg=StepConfig(dt=4e-3), window=(2.0, 6.0),
+            )
+        assert batches == [1, 1]
+
+    @pytest.mark.parametrize(
+        "modes, iters, halvings",
+        [((16,), 3, 3), ((64,), 8, 6), ((64,), 12, 6), ((128,), 12, 3), ((256,), 12, 1),
+         ((64,), 0, 0), ((16, 16), 8, 3), ((32, 32), 8, 1), ((8, 8, 8), 8, 1),
+         ((32, 32, 32), 8, 1)],
+    )
+    def test_round_width_from_cost_model(self, modes, iters, halvings):
+        # The widest round whose per-step cost, every member decaying, is at
+        # most that of the bisection steps it replaces: o + (2^b - 1) w
+        # against b (o + w), with o / w = 1e5 / (prod(2n + 1) sum(n)).
+        grid = Grid(extents=tuple(1.0 for _ in modes), modes=modes)
+        assert experiments._round_halvings(grid, iters) == halvings
 
 
 class TestWeightedRegularityStudy:

@@ -105,6 +105,14 @@ class TestTransforms:
         assert np.allclose(samples, naive_to_physical(g.extents, coeffs), atol=1e-12)
         assert np.allclose(to_spectral(g, samples).coeffs, coeffs, atol=1e-12)
 
+    @given(grid=random_grids(), seed=st.integers(0, 2**32 - 1))
+    def test_roundtrip_random_grids(self, grid, seed):
+        # to_spectral inverts to_physical on any box; each DST-I pass rounds
+        # at a few ulps of the largest coefficient.
+        coeffs = np.random.default_rng(seed).standard_normal(grid.modes)
+        back = to_spectral(grid, to_physical(grid.field(coeffs))).coeffs
+        assert np.max(np.abs(back - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
+
     def test_to_spectral_of_pure_mode(self, g1d):
         samples = np.sin(2 * g1d.nodes[0])
         coeffs = to_spectral(g1d, samples).coeffs

@@ -9,14 +9,15 @@ from blackstock import (
     Grid,
     InitialDataSpec,
     MediumParams,
-    PicardFailure,
     SimState,
     StepConfig,
     build_initial,
     simulate,
+    simulate_batch,
 )
 import blackstock.integrate as integrate
 from blackstock.dynamics import quadratic_source
+from blackstock.energy import SERIES_COLUMNS
 from blackstock.integrate import _ModalSolver, _picard_step
 
 from .helpers import modal_solution
@@ -129,9 +130,10 @@ class TestPicard:
         state = single_mode_state(g8, 0.5, 0.5)
         cfg = StepConfig(dt=1e-2, scheme="picard")
         solver = _ModalSolver(g8, LINEAR, cfg.dt)
-        psi, v = state.psi.coeffs, state.v.coeffs
-        _psi, _v, iterations = _picard_step(g8, psi, v, 0.0, None, solver, cfg, LINEAR)
-        assert iterations == 1
+        psi, v = state.psi.coeffs[None], state.v.coeffs[None]
+        f_old = quadratic_source(g8, psi, v, LINEAR)
+        _psi, _v, iterations, converged = _picard_step(g8, psi, v, f_old, solver, cfg, LINEAR)
+        assert converged.tolist() == [True] and iterations.tolist() == [1]
 
     def test_small_data_iteration_count(self, g8):
         state = single_mode_state(g8, 0.01, 0.01)
@@ -153,8 +155,10 @@ class TestPicard:
         state = single_mode_state(g, 50.0, 50.0)
         cfg = StepConfig(dt=1e-3, scheme="picard")
         solver = _ModalSolver(g, NONLIN, cfg.dt)
-        with pytest.raises(PicardFailure):
-            _picard_step(g, state.psi.coeffs, state.v.coeffs, 0.0, None, solver, cfg, NONLIN)
+        psi, v = state.psi.coeffs[None], state.v.coeffs[None]
+        f_old = quadratic_source(g, psi, v, NONLIN)
+        _psi, _v, _its, converged = _picard_step(g, psi, v, f_old, solver, cfg, NONLIN)
+        assert converged.tolist() == [False]
 
     def test_simulate_reuses_sampled_source(self, g8, monkeypatch):
         # A step that starts at a sampled state takes f_old from the run loop:
@@ -289,3 +293,60 @@ class TestSimulate:
         series = simulate(single_mode_state(g8), 0.3, StepConfig(dt=0.1), LINEAR)
         assert series.termination.completed
         assert series.column("t")[-1] == pytest.approx(0.3, rel=1e-12)
+
+
+def assert_columns_close(batch, solo, rtol):
+    """Equal shapes and non-finite entries; finite entries within ``rtol`` of each column's scale."""
+    assert batch.shape == solo.shape
+    finite = np.isfinite(solo)
+    assert np.array_equal(np.isfinite(batch), finite)
+    assert np.array_equal(batch[~finite], solo[~finite], equal_nan=True)
+    scale = np.max(np.where(finite, np.abs(solo), 0.0), axis=0)
+    assert np.all(np.abs(np.where(finite, batch - solo, 0.0)) <= rtol * scale)
+
+
+class TestBatch:
+    MIXED = [0.5, 5.0, 20.0, 80.0]
+
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2", "picard"])
+    @given(
+        amplitudes=st.lists(st.floats(0.1, 80.0), min_size=2, max_size=4),
+        sample_every=st.integers(1, 4),
+    )
+    @example(amplitudes=MIXED, sample_every=3)
+    def test_members_match_solo_runs(self, scheme, amplitudes, sample_every):
+        # Amplitudes from decay to blow-up within a few steps: members
+        # complete, diverge or fail picard at different steps, and leave the
+        # batch as they do.  Each must match its own run.
+        grid = Grid(extents=(np.pi,), modes=(16,))
+        cfg = StepConfig(dt=1e-2, scheme=scheme)
+        states = [single_mode_state(grid, a, a) for a in amplitudes]
+        with pytest.MonkeyPatch.context() as patch:
+            # A row buffer of one row per member: it grows as rows arrive
+            # and is compacted in place as members leave.
+            patch.setattr(integrate, "_ROW_BUFFER_VALUES", len(SERIES_COLUMNS) * len(states))
+            batch = simulate_batch(states, 0.5, cfg, NONLIN, sample_every, snapshot_every=20)
+        for state, member in zip(states, batch):
+            solo = simulate(state, 0.5, cfg, NONLIN, sample_every, snapshot_every=20)
+            assert member.termination == solo.termination
+            assert member.max_picard_iterations == solo.max_picard_iterations
+            assert_columns_close(member.data, solo.data, 1e-13)
+            assert [t for t, _ in member.snapshots] == [t for t, _ in solo.snapshots]
+            for (_, got), (_, want) in zip(member.snapshots, solo.snapshots):
+                for x, y in ((got.psi.coeffs, want.psi.coeffs), (got.v.coeffs, want.v.coeffs)):
+                    assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y))
+        if amplitudes == self.MIXED:
+            # The mixed example does end its members at different steps.
+            ends = {(s.termination.kind, s.termination.time) for s in batch}
+            assert len(ends) >= 3
+
+    def test_members_must_share_grid_and_start_time(self, g8):
+        cfg = StepConfig(dt=1e-2)
+        other = Grid(extents=(1.0,), modes=(8,))
+        with pytest.raises(ValueError, match="share one grid"):
+            simulate_batch([single_mode_state(g8), single_mode_state(other)], 0.1, cfg, LINEAR)
+        later = SimState(psi=g8.zeros(), v=g8.zeros(), time=1.0)
+        with pytest.raises(ValueError, match="share one grid"):
+            simulate_batch([single_mode_state(g8), later], 0.1, cfg, LINEAR)
+        with pytest.raises(ValueError, match="at least one"):
+            simulate_batch([], 0.1, cfg, LINEAR)
