@@ -12,17 +12,8 @@ decay / blow-up dichotomy.
 """
 
 from .config import ConfigError, RunConfig, load_config, parse_config
-from .dynamics import MediumParams, assemble_f, linearized_acceleration, nonlinear_acceleration
-from .energy import (
-    GammaWeights,
-    calibrated_gammas,
-    default_probe_states,
-    energy_E,
-    equivalence_constants,
-    functionals,
-    identity_residual,
-    lyapunov_L,
-)
+from .dynamics import MediumParams, assemble_f
+from .energy import GammaWeights, identity_residual
 from .experiments import (
     DecayFit,
     RegularityStudy,
@@ -36,7 +27,6 @@ from .fields import InitialDataSpec, SimState, build_initial, full_h_norm, norm
 from .grid import (
     Grid,
     SpectralField,
-    laplacian_symbol,
     padded_field_values,
     project_padded_to_sine,
     to_physical,
@@ -89,24 +79,15 @@ __all__ = [
     "agmon_ratio",
     "assemble_f",
     "build_initial",
-    "calibrated_gammas",
-    "default_probe_states",
     "default_window",
     "empirical_max_ratio",
-    "energy_E",
-    "equivalence_constants",
     "fit_decay",
     "full_h_norm",
-    "functionals",
     "gronwall_verify",
     "identity_residual",
     "interpolation_ratio",
-    "laplacian_symbol",
-    "linearized_acceleration",
     "load_checkpoint",
     "load_config",
-    "lyapunov_L",
-    "nonlinear_acceleration",
     "norm",
     "padded_field_values",
     "parse_config",

@@ -289,8 +289,8 @@ def _run_verify_inequalities(cfg: RunConfig, out: Path) -> int:
 def _expand_sweep(cfg_raw: dict) -> list[dict]:
     sweep = cfg_raw.get("sweep", {})
     params = sweep.get("parameters", {})
-    if not params:
-        raise ConfigError("sweep requires sweep.parameters")
+    if not isinstance(params, dict) or not params:
+        raise ConfigError(f"sweep.parameters must be a non-empty object, got {params!r}")
     keys = sorted(params)
     for key in keys:
         if not isinstance(params[key], list) or not params[key]:
@@ -306,6 +306,8 @@ def _expand_sweep(cfg_raw: dict) -> list[dict]:
             *parents, leaf = key.split(".")
             for part in parents:
                 node = node.setdefault(part, {})
+                if not isinstance(node, dict):
+                    raise ConfigError(f"sweep parameter {key!r}: {part!r} is not an object")
             node[leaf] = value
             label_parts.append(f"{leaf}={value}")
         variants.append({"label": "__".join(label_parts), "config": variant})

@@ -69,8 +69,14 @@ class RunConfig:
     sweep: dict = field(default_factory=dict)
 
 
-def _reject_unknown(section: dict, allowed: set[str], where: str) -> None:
-    unknown = set(section) - allowed
+def _object(section: Any, where: str) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+    return section
+
+
+def _reject_unknown(section: Any, allowed: set[str], where: str) -> None:
+    unknown = set(_object(section, where)) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
 
@@ -158,8 +164,8 @@ def _parse_mode(mode: Any, where: str) -> list[int]:
     return [parse_number(m, f"{where}.mode", integer=True) for m in mode]
 
 
-def _parse_initial_one(section: dict, where: str) -> InitialDataSpec:
-    kind = _require(section, "kind", where)
+def _parse_initial_one(section: Any, where: str) -> InitialDataSpec:
+    kind = _require(_object(section, where), "kind", where)
     try:
         if kind == "zero":
             _reject_unknown(section, {"kind"}, where)
@@ -220,6 +226,8 @@ def _parse_integrator(section: dict) -> tuple[StepConfig, float, int]:
     return step, T, sample_every
 
 
+# Sections kept as plain dicts for the subcommand that reads them.
+_PASS_THROUGH_KEYS = ("fit", "threshold", "study", "inequalities", "sweep")
 _TOP_LEVEL_KEYS = {
     "grid",
     "medium",
@@ -228,11 +236,7 @@ _TOP_LEVEL_KEYS = {
     "gammas",
     "seed",
     "output_dir",
-    "fit",
-    "threshold",
-    "study",
-    "inequalities",
-    "sweep",
+    *_PASS_THROUGH_KEYS,
 }
 
 
@@ -266,6 +270,8 @@ def parse_config(raw: dict) -> RunConfig:
     )
     seed = parse_number(raw.get("seed", 0), "seed", integer=True)
     output_dir = raw.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
     # Mode indices must exist on the grid; realize once to surface errors now.
     try:
         psi0.realize(grid)
@@ -283,11 +289,7 @@ def parse_config(raw: dict) -> RunConfig:
         gammas=gammas,
         seed=seed,
         output_dir=output_dir,
-        fit=dict(raw.get("fit", {})),
-        threshold=dict(raw.get("threshold", {})),
-        study=dict(raw.get("study", {})),
-        inequalities=dict(raw.get("inequalities", {})),
-        sweep=dict(raw.get("sweep", {})),
+        **{key: dict(_object(raw.get(key, {}), key)) for key in _PASS_THROUGH_KEYS},
     )
 
 

@@ -10,14 +10,10 @@ with ``v = psi_t`` and the quadratic source
 
     f = -2 k c^2 v Delta psi - 2 sigma grad psi . grad v.
 
-The frozen-coefficient linearization replaces ``v`` by a given coefficient
-field ``alpha`` inside the products and adds a forcing ``ftilde``:
-
-    psi_tt = c^2 Delta psi + b Delta v
-             - 2 k c^2 alpha Delta psi - 2 sigma grad psi . grad alpha + ftilde.
-
-With ``alpha = v`` and ``ftilde = 0`` the linearized operator reproduces the
-nonlinear one identically.
+:func:`quadratic_source` forms the products with a coefficient field
+``alpha`` in place of ``v`` (``alpha = v`` gives ``f``).  The linear part
+``c^2 Delta psi + b Delta v`` is diagonal in the sine basis, and
+:mod:`blackstock.integrate` solves it mode by mode.
 
 The quadratic terms are computed in gradient-free form.  Pointwise,
 
@@ -45,13 +41,7 @@ import numpy as np
 from .fields import SimState
 from .grid import Grid, SpectralField, padded_field_values, project_padded_to_sine
 
-__all__ = [
-    "MediumParams",
-    "nonlinear_acceleration",
-    "quadratic_source",
-    "assemble_f",
-    "linearized_acceleration",
-]
+__all__ = ["MediumParams", "quadratic_source", "assemble_f"]
 
 
 @dataclass(frozen=True)
@@ -121,30 +111,3 @@ def assemble_f(state: SimState, p: MediumParams) -> SpectralField:
     return SpectralField(
         state.grid, quadratic_source(state.grid, state.psi.coeffs, state.v.coeffs, p)
     )
-
-
-def nonlinear_acceleration(state: SimState, p: MediumParams) -> SpectralField:
-    """Full Blackstock acceleration ``psi_tt = c^2 Delta psi + b Delta v + f``."""
-    return linearized_acceleration(state, state.v, None, p)
-
-
-def linearized_acceleration(
-    state: SimState,
-    alpha: SpectralField,
-    ftilde: SpectralField | None,
-    p: MediumParams,
-) -> SpectralField:
-    """Frozen-coefficient acceleration with coefficient ``alpha`` and forcing ``ftilde``."""
-    grid = state.grid
-    if alpha.grid.extents != grid.extents or alpha.grid.modes != grid.modes:
-        raise ValueError("alpha lives on a different grid")
-    if ftilde is not None and (
-        ftilde.grid.extents != grid.extents or ftilde.grid.modes != grid.modes
-    ):
-        raise ValueError("ftilde lives on a different grid")
-    lam = grid.laplacian_eigenvalues
-    out = lam * (p.c**2 * state.psi.coeffs + p.b * state.v.coeffs)
-    out = out + quadratic_source(grid, state.psi.coeffs, alpha.coeffs, p)
-    if ftilde is not None:
-        out = out + ftilde.coeffs
-    return SpectralField(grid, out)

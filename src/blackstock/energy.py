@@ -36,33 +36,24 @@ are formed from single table entries.  A table with an overflowed entry is
 mapped column by column instead, so that only the values that read the
 entry become infinite (a product would turn ``0 * inf`` into NaN in every
 value).  Leading axes of the state are members of a batch and carry
-through.  ``functionals``, ``energy_E`` and
-``lyapunov_L`` read from the same table.
+through.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import MediumParams
-from .fields import SimState
-from .grid import Grid, SpectralField
+from .grid import Grid
 
 __all__ = [
     "DIAGNOSTIC_COLUMNS",
     "SERIES_COLUMNS",
     "GammaWeights",
-    "energy_E",
-    "functionals",
-    "lyapunov_L",
-    "equivalence_constants",
-    "default_probe_states",
-    "calibrated_gammas",
     "identity_residual",
     "instantaneous_diagnostics",
 ]
@@ -97,15 +88,13 @@ class GammaWeights:
     """Lyapunov combination weights: small nonnegative constants.
 
     The decay machinery needs all three strictly positive (zero weights
-    degenerate ``L`` to ``E1``); ``admissible`` is set by the equivalence
-    scan and is True when the scanned lower constant ``C1_hat`` stayed
-    positive.
+    degenerate ``L`` to ``E1``) and small enough, for the medium at hand,
+    that ``L`` stays equivalent to ``E``: ``min L/E > 0`` over nonzero states.
     """
 
     gamma1: float = 0.1
     gamma2: float = 0.01
     gamma3: float = 0.05
-    admissible: bool | None = None
 
     def __post_init__(self):
         if min(self.gamma1, self.gamma2, self.gamma3) < 0:
@@ -176,93 +165,6 @@ def instantaneous_diagnostics(
     out[..., _WGP_INTEGRAND] *= t
     out[..., _W_PTT : _W_LAP_VT + 1] = math.sqrt(t) * np.sqrt(gram[..., _AA0 : _VV2 - 1 : -1])
     return out
-
-
-def _state_diagnostics(state: SimState, p: MediumParams, g: GammaWeights) -> dict[str, float]:
-    row = instantaneous_diagnostics(
-        state.grid, state.time, state.psi.coeffs, state.v.coeffs, None, None, p, g
-    )
-    return dict(zip(DIAGNOSTIC_COLUMNS, row.tolist()))
-
-
-def functionals(state: SimState, p: MediumParams) -> tuple[float, float, float, float, float]:
-    """The tuple ``(E1, E2, F1, F2, F3)``."""
-    d = _state_diagnostics(state, p, GammaWeights())
-    return d["E1"], d["E2"], d["F1"], d["F2"], d["F3"]
-
-
-def energy_E(state: SimState, p: MediumParams) -> float:
-    """Total energy ``E = E1 + E2 + ||grad v||^2``."""
-    return _state_diagnostics(state, p, GammaWeights())["E"]
-
-
-def lyapunov_L(state: SimState, p: MediumParams, g: GammaWeights) -> float:
-    """Weighted combination ``E1 + g1 E2 + g2 (F1 + F2) + g3 F3``."""
-    return _state_diagnostics(state, p, g)["L"]
-
-
-def equivalence_constants(
-    p: MediumParams, g: GammaWeights, probe_states: Sequence[SimState]
-) -> tuple[float, float]:
-    """Scanned bounds of ``L / E`` over nonzero probe states.
-
-    Returns ``(C1_hat, C2_hat)`` with ``C1_hat = min L/E`` and
-    ``C2_hat = max L/E``; the weights are admissible when ``C1_hat > 0``.
-    """
-    if len(probe_states) == 0:
-        raise ValueError("probe state list is empty")
-    ratios = []
-    for state in probe_states:
-        d = _state_diagnostics(state, p, g)
-        if d["E"] <= 0:
-            raise ValueError("probe states must be nonzero")
-        ratios.append(d["L"] / d["E"])
-    return float(min(ratios)), float(max(ratios))
-
-
-def default_probe_states(grid: Grid, seed: int = 0, n_random: int = 20) -> list[SimState]:
-    """Standard probe family for the equivalence scan.
-
-    Single-mode states across the spectrum with aligned, opposed and skewed
-    ``(psi, v)`` pairs, plus seeded random coefficient pairs.
-    """
-    probes: list[SimState] = []
-    mode_list = [tuple(1 for _ in grid.modes), tuple(grid.modes)]
-    mid = tuple(max(1, N // 2) for N in grid.modes)
-    if mid not in mode_list:
-        mode_list.append(mid)
-    for mode in mode_list:
-        e = grid.basis_field(mode)
-        z = grid.zeros()
-        for psi_amp, v_amp in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (1.0, -4.0), (4.0, -1.0)):
-            psi = e * psi_amp if psi_amp else z
-            v = e * v_amp if v_amp else z
-            if psi_amp == 0.0 and v_amp == 0.0:
-                continue
-            probes.append(SimState(psi=psi, v=v, time=0.0))
-    rng = np.random.default_rng(seed)
-    for _ in range(n_random):
-        psi = SpectralField(grid, rng.standard_normal(grid.modes))
-        v = SpectralField(grid, rng.standard_normal(grid.modes))
-        probes.append(SimState(psi=psi, v=v, time=0.0))
-    return probes
-
-
-def calibrated_gammas(
-    p: MediumParams,
-    grid: Grid,
-    start: GammaWeights | None = None,
-    max_halvings: int = 20,
-) -> GammaWeights:
-    """Shrink ``gamma2, gamma3`` geometrically until the equivalence scan passes."""
-    g = start or GammaWeights()
-    probes = default_probe_states(grid)
-    for _ in range(max_halvings):
-        c1, _c2 = equivalence_constants(p, g, probes)
-        if c1 > 0:
-            return replace(g, admissible=True)
-        g = replace(g, gamma2=g.gamma2 / 2.0, gamma3=g.gamma3 / 2.0)
-    return replace(g, admissible=False)
 
 
 def identity_residual(series, p: MediumParams) -> np.ndarray:

@@ -172,6 +172,12 @@ class ThresholdReport:
 
     ``runs`` lists every probed amplitude with its classification, in probe
     order; ``round_widths`` the number of halvings each k-section round made.
+
+    The bracket belongs to the scheme and step size as much as to the PDE:
+    at coarse ``dt`` the schemes diverge at lower amplitudes than the exact
+    flow.  On the unit-box mode-1 setup (N=64, c=b=k=sigma=1, T=20), imex2
+    at ``dt = 2e-3`` brackets ``(3.745, 3.769)``, while the ``dt``-converged
+    threshold lies in ``(10, 11)``.
     """
 
     params: MediumParams

@@ -65,7 +65,6 @@ from scipy.fft import dstn
 __all__ = [
     "Grid",
     "SpectralField",
-    "laplacian_symbol",
     "to_physical",
     "to_spectral",
     "padded_field_values",
@@ -110,10 +109,6 @@ class Grid:
     @property
     def dim(self) -> int:
         return len(self.extents)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.modes
 
     @cached_property
     def nodes(self) -> tuple[np.ndarray, ...]:
@@ -241,35 +236,14 @@ class SpectralField:
         return bool(np.all(np.isfinite(self.coeffs)))
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self.grid, other.grid)
+        if other.grid.extents != self.grid.extents or other.grid.modes != self.grid.modes:
+            raise ValueError("fields live on different grids")
         return SpectralField(self.grid, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self.grid, other.grid)
-        return SpectralField(self.grid, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar: float) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.grid, -self.coeffs)
-
-
-def _check_same_grid(a: Grid, b: Grid) -> None:
-    if a.extents != b.extents or a.modes != b.modes:
-        raise ValueError("fields live on different grids")
-
-
-def laplacian_symbol(grid: Grid, mode) -> float:
-    """Dirichlet Laplacian eigenvalue ``-sum_i (m_i pi / L_i)^2`` of one mode."""
-    mode = tuple(np.atleast_1d(mode).astype(int))
-    if len(mode) != grid.dim:
-        raise IndexError("mode multi-index has the wrong dimension")
-    if any(not 1 <= mi <= Ni for mi, Ni in zip(mode, grid.modes)):
-        raise IndexError(f"mode {mode} out of range for modes {grid.modes}")
-    return -sum((mi * np.pi / L) ** 2 for mi, L in zip(mode, grid.extents))
 
 
 def to_physical(field: SpectralField) -> np.ndarray:

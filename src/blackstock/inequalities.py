@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import norm
+from .fields import full_h_norm, norm
 from .grid import Grid, SpectralField
 
 __all__ = [
@@ -59,7 +59,6 @@ def agmon_ratio(u: SpectralField) -> float:
     l2 = norm(u, "L2")
     if l2 == 0.0:
         raise ValueError("agmon ratio is undefined for the zero field")
-    from .fields import full_h_norm
 
     d = u.grid.dim
     h2 = full_h_norm(u, 2)
@@ -73,7 +72,6 @@ def interpolation_ratio(u: SpectralField, q: int) -> float:
     l2 = norm(u, "L2")
     if l2 == 0.0:
         raise ValueError("interpolation ratio is undefined for the zero field")
-    from .fields import full_h_norm
 
     d = u.grid.dim
     theta = d / 2.0 - d / float(q)

@@ -1,17 +1,24 @@
-"""Independent oracles for the test suite.
+"""Independent oracles and thin state-level readers for the test suite.
 
-Everything here is deliberately written the slow, obvious way (direct
-summation, dense quadrature, closed forms) and never calls back into the
-transform or integrator code paths it checks.
+The oracles are deliberately written the slow, obvious way (direct
+summation, dense quadrature, closed forms) and never call back into the
+transform or integrator code paths they check.  The readers at the end
+(``diagnostics``, ``acceleration`` and the ``L / E`` equivalence scan) are
+the opposite: one-state views of exactly the code a run executes, so that
+tests of the functionals and the acceleration check what runs use.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
-from blackstock import Grid
+from blackstock import GammaWeights, Grid, SimState, SpectralField
+from blackstock.dynamics import quadratic_source
+from blackstock.energy import DIAGNOSTIC_COLUMNS, instantaneous_diagnostics
 from blackstock.integrate import TimeSeries
 
 
@@ -223,3 +230,75 @@ def gronwall_closed_form(g, t):
 def series_from_energy(t, E):
     """Minimal TimeSeries carrying only the t and E columns (for fit tests)."""
     return TimeSeries(("t", "E"), np.column_stack([t, E]).astype(float))
+
+
+def diagnostics(state, p, g=GammaWeights(), accel=None):
+    """The diagnostics of one state by column name, from the table runs record.
+
+    No source is given (``f_dot_v`` reads 0); ``accel`` is an optional
+    acceleration field for the columns that read ``psi_tt``.
+    """
+    row = instantaneous_diagnostics(
+        state.grid, state.time, state.psi.coeffs, state.v.coeffs, None,
+        None if accel is None else accel.coeffs, p, g,
+    )
+    return dict(zip(DIAGNOSTIC_COLUMNS, row.tolist()))
+
+
+def acceleration(state, p, alpha=None):
+    """``psi_tt = c^2 Delta psi + b Delta v + f``, formed as the run loop forms it.
+
+    A field ``alpha`` replaces ``v`` inside the quadratic products (the
+    frozen-coefficient operator).
+    """
+    grid = state.grid
+    psi, v = state.psi.coeffs, state.v.coeffs
+    source = quadratic_source(grid, psi, v if alpha is None else alpha.coeffs, p)
+    return SpectralField(grid, grid.laplacian_eigenvalues * (p.c**2 * psi + p.b * v) + source)
+
+
+def probe_states(grid, n_random=20):
+    """Probe family of the equivalence scan.
+
+    The first, middle and last modes with aligned, opposed and skewed
+    ``(psi, v)`` amplitude pairs, plus seeded random coefficient pairs.
+    """
+    modes = dict.fromkeys([(1,) * grid.dim, tuple(N // 2 for N in grid.modes), grid.modes])
+    pairs = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (1.0, -4.0), (4.0, -1.0))
+    probes = [SimState(psi=a * e, v=b * e) for e in map(grid.basis_field, modes) for a, b in pairs]
+    rng = np.random.default_rng(0)
+    for _ in range(n_random):
+        psi, v = (grid.field(rng.standard_normal(grid.modes)) for _ in range(2))
+        probes.append(SimState(psi=psi, v=v))
+    return probes
+
+
+def equivalence_scan(p, g, probes):
+    """``(min, max)`` of ``L / E`` over nonzero probe states.
+
+    ``L`` is equivalent to ``E`` on the probes when the minimum is positive.
+    """
+    if not probes:
+        raise ValueError("probe state list is empty")
+    psi = np.stack([s.psi.coeffs for s in probes])
+    v = np.stack([s.v.coeffs for s in probes])
+    rows = instantaneous_diagnostics(probes[0].grid, 0.0, psi, v, None, None, p, g)
+    E, L = (rows[:, DIAGNOSTIC_COLUMNS.index(name)] for name in ("E", "L"))
+    if np.any(E <= 0):
+        raise ValueError("probe states must be nonzero")
+    return float(np.min(L / E)), float(np.max(L / E))
+
+
+def calibrated_gammas(p, grid):
+    """Halve ``gamma2`` and ``gamma3`` from the defaults, at most 20 times,
+    until the scan's minimum is positive.
+
+    Returns the weights and whether the scan passed.
+    """
+    g = GammaWeights()
+    probes = probe_states(grid)
+    for _ in range(20):
+        if equivalence_scan(p, g, probes)[0] > 0:
+            return g, True
+        g = replace(g, gamma2=g.gamma2 / 2.0, gamma3=g.gamma3 / 2.0)
+    return g, False

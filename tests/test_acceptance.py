@@ -22,9 +22,7 @@ from blackstock import (
     StepConfig,
     agmon_ratio,
     build_initial,
-    default_probe_states,
     empirical_max_ratio,
-    equivalence_constants,
     fit_decay,
     gronwall_verify,
     identity_residual,
@@ -40,7 +38,7 @@ from blackstock import (
 from blackstock.cli import main
 from blackstock.experiments import _classify_amplitudes
 
-from .helpers import modal_solution
+from .helpers import equivalence_scan, modal_solution, probe_states
 
 
 LINEAR = MediumParams(c=1.0, b=1.0)
@@ -155,9 +153,7 @@ class TestCriterion3LyapunovMonotonicity:
             bool(np.all(increments <= 0)),
             f"L nonincreasing for t >= 1 (max increment {increments.max():.3e})",
         )
-        c1, c2 = equivalence_constants(
-            NONLIN, GammaWeights(), default_probe_states(pi_grid)
-        )
+        c1, c2 = equivalence_scan(NONLIN, GammaWeights(), probe_states(pi_grid))
         ok_c1 = report("3", c1 > 0, f"equivalence scan C1_hat {c1:.4f} > 0 (C2_hat {c2:.4f})")
         assert ok_mono and ok_c1
 

@@ -216,6 +216,15 @@ class TestSimulateCommand:
             ("weighted-study", {"study": {"resolutions": 64}}),
             ("verify-inequalities", {"inequalities": {"samples": "many"}}),
             ("verify-inequalities", {"inequalities": {"gronwall_draws": 1.5}}),
+            # Sections, sweep paths and output_dir of the wrong JSON type.
+            ("simulate", {"grid": 5}),
+            ("simulate", {"integrator": None}),
+            ("simulate", {"initial": 3}),
+            ("simulate", {"initial": {"psi0": 5}}),
+            ("simulate", {"threshold": 5}),
+            ("sweep", {"sweep": {"parameters": 5}}),
+            ("sweep", {"sweep": {"parameters": {"medium.k.x": [1.0]}}}),
+            ("simulate", {"output_dir": 5}),
         ],
     )
     def test_non_numeric_or_fractional_config_exits_1(self, tmp_path, subcommand, overrides):

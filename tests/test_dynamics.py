@@ -1,4 +1,4 @@
-"""Nonlinear acceleration, quadratic source and frozen-coefficient linearization."""
+"""Quadratic source, and the acceleration and frozen-coefficient operator built on it."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,11 @@ from blackstock import (
     MediumParams,
     SimState,
     assemble_f,
-    linearized_acceleration,
-    nonlinear_acceleration,
     padded_field_values,
     to_physical,
 )
 
-from .helpers import quadratic_source_oracle, random_grids, sine_projection_oracle
+from .helpers import acceleration, quadratic_source_oracle, random_grids, sine_projection_oracle
 
 
 @pytest.fixture
@@ -54,14 +52,14 @@ class TestNonlinearAcceleration:
     def test_zero_state(self, g16):
         p = MediumParams(c=1, b=1, k=1, sigma=1)
         state = SimState(psi=g16.zeros(), v=g16.zeros())
-        assert np.all(nonlinear_acceleration(state, p).coeffs == 0.0)
+        assert np.all(acceleration(state, p).coeffs == 0.0)
 
     @pytest.mark.parametrize("b,k,sigma", [(1.0, 0.0, 0.0), (2.5, 3.0, -1.0)])
     def test_eigenfunction_with_zero_velocity(self, g16, b, k, sigma):
         # v = 0 kills every quadratic term; acceleration is c^2 Delta psi = -sin x.
         p = MediumParams(c=1.0, b=b, k=k, sigma=sigma)
         state = SimState(psi=g16.basis_field((1,)), v=g16.zeros())
-        acc = nonlinear_acceleration(state, p)
+        acc = acceleration(state, p)
         expected = np.zeros(16)
         expected[0] = -1.0
         assert np.allclose(acc.coeffs, expected, atol=1e-12)
@@ -76,7 +74,7 @@ class TestNonlinearAcceleration:
         for N in (63, 127):
             g = Grid(extents=(np.pi,), modes=(N,))
             e1 = g.basis_field((1,))
-            acc = nonlinear_acceleration(SimState(psi=e1, v=e1), p)
+            acc = acceleration(SimState(psi=e1, v=e1), p)
             values = to_physical(acc)
             center = np.argmin(np.abs(g.nodes[0] - np.pi / 2))
             assert g.nodes[0][center] == pytest.approx(np.pi / 2, abs=1e-14)
@@ -96,10 +94,10 @@ class TestNonlinearAcceleration:
             psi=s1.psi + 2.0 * s2.psi,
             v=s1.v + 2.0 * s2.v,
         )
-        acc = nonlinear_acceleration(combo, p).coeffs
+        acc = acceleration(combo, p).coeffs
         parts = (
-            nonlinear_acceleration(s1, p).coeffs
-            + 2.0 * nonlinear_acceleration(s2, p).coeffs
+            acceleration(s1, p).coeffs
+            + 2.0 * acceleration(s2, p).coeffs
         )
         assert np.allclose(acc, parts, atol=1e-12)
 
@@ -132,7 +130,7 @@ class TestAssembleF:
         lam = g16.laplacian_eigenvalues
         for seed in range(100):
             state = random_state(g16, seed)
-            acc = nonlinear_acceleration(state, p).coeffs
+            acc = acceleration(state, p).coeffs
             linear = lam * (p.c**2 * state.psi.coeffs + p.b * state.v.coeffs)
             f = assemble_f(state, p).coeffs
             assert np.allclose(acc, linear + f, atol=1e-11)
@@ -168,27 +166,10 @@ class TestLinearizedAcceleration:
     def test_zero_alpha_is_linear_operator(self, g16):
         p = MediumParams(c=1.2, b=0.8, k=5.0, sigma=3.0)
         state = random_state(g16, 4)
-        acc = linearized_acceleration(state, g16.zeros(), None, p).coeffs
+        acc = acceleration(state, p, g16.zeros()).coeffs
         lam = g16.laplacian_eigenvalues
         expected = lam * (p.c**2 * state.psi.coeffs + p.b * state.v.coeffs)
         assert np.allclose(acc, expected, atol=1e-12)
-
-    def test_alpha_equals_v_recovers_nonlinear(self, g16):
-        p = MediumParams(c=1, b=1, k=1, sigma=1)
-        for seed in range(10):
-            state = random_state(g16, seed + 50)
-            lin = linearized_acceleration(state, state.v, None, p).coeffs
-            non = nonlinear_acceleration(state, p).coeffs
-            assert np.allclose(lin, non, atol=1e-12)
-
-    def test_forcing_enters_additively(self, g16):
-        p = MediumParams(c=1, b=1, k=1, sigma=1)
-        state = random_state(g16, 60)
-        alpha = random_state(g16, 61).v
-        ftilde = random_state(g16, 62).psi
-        without = linearized_acceleration(state, alpha, None, p).coeffs
-        with_f = linearized_acceleration(state, alpha, ftilde, p).coeffs
-        assert np.allclose(with_f - without, ftilde.coeffs, atol=1e-13)
 
     def test_frozen_coefficient_term_against_quadrature(self, g16):
         # psi = sin x, v = 0, alpha = sin x, c = k = 1, sigma = 0:
@@ -196,24 +177,17 @@ class TestLinearizedAcceleration:
         p = MediumParams(c=1, b=1, k=1, sigma=0)
         e1 = g16.basis_field((1,))
         state = SimState(psi=e1, v=g16.zeros())
-        acc = linearized_acceleration(state, e1, None, p).coeffs
+        acc = acceleration(state, p, e1).coeffs
         source = sine_projection_oracle(np.pi, lambda x: 2 * np.sin(x) ** 2, 16)
         expected = source.copy()
         expected[0] -= 1.0
         assert np.allclose(acc, expected, atol=1e-10)
-
-    def test_grid_mismatch(self, g16):
-        other = Grid(extents=(np.pi,), modes=(8,))
-        p = MediumParams()
-        state = random_state(g16, 70)
-        with pytest.raises(ValueError, match="different grid"):
-            linearized_acceleration(state, other.zeros(), None, p)
 
 
 class TestBoundaryPreservation:
     def test_outputs_vanish_on_boundary(self, g16):
         p = MediumParams(c=1, b=1, k=2, sigma=-1)
         state = random_state(g16, 80)
-        acc = nonlinear_acceleration(state, p)
+        acc = acceleration(state, p)
         vals = padded_field_values(g16, acc.coeffs)
         assert vals[0] == 0.0 and vals[-1] == 0.0

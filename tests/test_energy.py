@@ -13,21 +13,22 @@ from blackstock import (
     SimState,
     StepConfig,
     build_initial,
-    calibrated_gammas,
-    default_probe_states,
-    energy_E,
-    equivalence_constants,
-    functionals,
     identity_residual,
-    lyapunov_L,
-    nonlinear_acceleration,
     norm,
     simulate,
     to_physical,
 )
 from blackstock.energy import DIAGNOSTIC_COLUMNS, instantaneous_diagnostics
 
-from .helpers import modal_solution, random_grids
+from .helpers import (
+    acceleration,
+    calibrated_gammas,
+    diagnostics,
+    equivalence_scan,
+    modal_solution,
+    probe_states,
+    random_grids,
+)
 
 
 @pytest.fixture
@@ -48,17 +49,17 @@ NONLIN = MediumParams(c=1.0, b=1.0, k=1.0, sigma=1.0)
 class TestEnergy:
     def test_zero_state(self, g64):
         state = SimState(psi=g64.zeros(), v=g64.zeros())
-        assert energy_E(state, P11) == 0.0
+        assert diagnostics(state, P11)["E"] == 0.0
 
     def test_pure_potential(self, g64):
         state = SimState(psi=g64.basis_field((1,)), v=g64.zeros())
         # (1/2)(pi/2) + (1/2)(pi/2) = pi/2
-        assert energy_E(state, P11) == pytest.approx(np.pi / 2, rel=1e-13)
+        assert diagnostics(state, P11)["E"] == pytest.approx(np.pi / 2, rel=1e-13)
 
     def test_pure_velocity(self, g64):
         state = SimState(psi=g64.zeros(), v=g64.basis_field((1,), 2.0))
         # A^2 (pi/4) + A^2 (pi/2) with A = 2 -> 3 pi
-        assert energy_E(state, P11) == pytest.approx(3 * np.pi, rel=1e-13)
+        assert diagnostics(state, P11)["E"] == pytest.approx(3 * np.pi, rel=1e-13)
 
     def test_decomposition(self, g64):
         rng = np.random.default_rng(12)
@@ -68,16 +69,15 @@ class TestEnergy:
                 psi=g64.field(rng.standard_normal(g64.modes)),
                 v=g64.field(rng.standard_normal(g64.modes)),
             )
-            E1, E2, *_ = functionals(state, NONLIN)
+            d = diagnostics(state, NONLIN)
             grad_v_sq = np.sum(-lam * state.v.coeffs**2) * g64.coeff_weight
-            assert energy_E(state, NONLIN) == pytest.approx(
-                E1 + E2 + grad_v_sq, rel=1e-13
-            )
+            assert d["E"] == pytest.approx(d["E1"] + d["E2"] + grad_v_sq, rel=1e-13)
 
 
 class TestFunctionals:
     def test_worked_values(self, unit):
-        E1, E2, F1, F2, F3 = functionals(unit, P11)
+        d = diagnostics(unit, P11)
+        E1, E2, F1, F2, F3 = (d[name] for name in ("E1", "E2", "F1", "F2", "F3"))
         assert E1 == pytest.approx(np.pi / 2, rel=1e-13)
         assert E2 == pytest.approx(np.pi / 4, rel=1e-13)
         assert F1 == pytest.approx(3 * np.pi / 4, rel=1e-13)
@@ -88,18 +88,18 @@ class TestFunctionals:
 class TestLyapunov:
     def test_zero_state(self, g64):
         state = SimState(psi=g64.zeros(), v=g64.zeros())
-        assert lyapunov_L(state, P11, GammaWeights()) == 0.0
+        assert diagnostics(state, P11, GammaWeights())["L"] == 0.0
 
     def test_worked_value(self, unit):
         # E1 + 0.1 E2 + 0.01 (F1 + F2) + 0.05 F3 = pi (1/2 + 1/40 + 3/200 + 3/80)
-        L = lyapunov_L(unit, P11, GammaWeights())
+        L = diagnostics(unit, P11, GammaWeights())["L"]
         assert L == pytest.approx(np.pi * 0.5775, rel=1e-13)
         assert L == pytest.approx(1.8142698, abs=1e-7)
 
     def test_zero_weights_recover_e1(self, unit):
         g = GammaWeights(gamma1=0.0, gamma2=0.0, gamma3=0.0)
-        E1, *_ = functionals(unit, P11)
-        assert lyapunov_L(unit, P11, g) == pytest.approx(E1, rel=1e-14)
+        E1 = diagnostics(unit, P11)["E1"]
+        assert diagnostics(unit, P11, g)["L"] == pytest.approx(E1, rel=1e-14)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
@@ -168,7 +168,7 @@ class TestDiagnosticsTable:
         )
         got = dict(zip(DIAGNOSTIC_COLUMNS, row.tolist()))
         assert got["f_dot_v"] == got["w_ptt"] == got["wgp_integrand"] == 0.0
-        assert got["E"] == energy_E(unit, P11)
+        assert got["E"] == diagnostics(unit, P11)["E"]
 
     def test_overflowed_acceleration_reaches_only_its_columns(self, g64):
         # A blowing-up member's last row: accel^2 overflows while psi and v
@@ -194,7 +194,7 @@ class TestDiagnosticsTable:
 
 class TestEquivalenceScan:
     def test_default_weights_admissible(self, g64):
-        c1, c2 = equivalence_constants(NONLIN, GammaWeights(), default_probe_states(g64))
+        c1, c2 = equivalence_scan(NONLIN, GammaWeights(), probe_states(g64))
         assert c1 > 0
         assert c2 > c1
 
@@ -202,24 +202,24 @@ class TestEquivalenceScan:
         e1 = g64.basis_field((1,))
         adversary = [SimState(psi=e1, v=-1.0 * e1)]
         bad = GammaWeights(gamma1=0.1, gamma2=10.0, gamma3=0.05)
-        c1, _ = equivalence_constants(NONLIN, bad, adversary)
+        c1, _ = equivalence_scan(NONLIN, bad, adversary)
         assert c1 <= 0
 
     def test_ratio_scale_invariance(self, g64):
-        probes = default_probe_states(g64, n_random=5)
+        probes = probe_states(g64, n_random=5)
         scaled = [SimState(psi=7.0 * s.psi, v=7.0 * s.v) for s in probes]
-        base = equivalence_constants(NONLIN, GammaWeights(), probes)
-        scal = equivalence_constants(NONLIN, GammaWeights(), scaled)
+        base = equivalence_scan(NONLIN, GammaWeights(), probes)
+        scal = equivalence_scan(NONLIN, GammaWeights(), scaled)
         assert base[0] == pytest.approx(scal[0], rel=1e-12)
         assert base[1] == pytest.approx(scal[1], rel=1e-12)
 
     def test_empty_probe_list(self):
         with pytest.raises(ValueError):
-            equivalence_constants(NONLIN, GammaWeights(), [])
+            equivalence_scan(NONLIN, GammaWeights(), [])
 
     def test_calibration_sets_admissible_flag(self, g64):
-        g = calibrated_gammas(NONLIN, g64)
-        assert g.admissible is True
+        g, admissible = calibrated_gammas(NONLIN, g64)
+        assert admissible is True
         assert g.gamma2 == pytest.approx(0.01)
 
 
@@ -266,26 +266,22 @@ class TestIdentityResidual:
 
 def time_weighted_norms(state, accel):
     """``(sqrt(t) ||psi_tt||, sqrt(t) ||Delta v||)`` read from the diagnostics table."""
-    row = instantaneous_diagnostics(
-        state.grid, state.time, state.psi.coeffs, state.v.coeffs, None, accel.coeffs,
-        P11, GammaWeights(),
-    )
-    d = dict(zip(DIAGNOSTIC_COLUMNS, row.tolist()))
+    d = diagnostics(state, P11, accel=accel)
     return d["w_ptt"], d["w_lap_vt"]
 
 
 class TestWeightedNorms:
     def test_zero_time_weight(self, g64):
         state = SimState(psi=g64.basis_field((1,)), v=g64.basis_field((2,)), time=0.0)
-        accel = nonlinear_acceleration(state, NONLIN)
+        accel = acceleration(state, NONLIN)
         assert time_weighted_norms(state, accel) == (0.0, 0.0)
 
     def test_homogeneity(self, g64):
         state = SimState(psi=g64.basis_field((1,)), v=g64.basis_field((2,)), time=2.0)
-        accel = nonlinear_acceleration(state, P11)
+        accel = acceleration(state, P11)
         w1, w2 = time_weighted_norms(state, accel)
         scaled = SimState(psi=3.0 * state.psi, v=3.0 * state.v, time=2.0)
-        s1, s2 = time_weighted_norms(scaled, nonlinear_acceleration(scaled, P11))
+        s1, s2 = time_weighted_norms(scaled, acceleration(scaled, P11))
         assert (s1, s2) == (pytest.approx(3 * w1, rel=1e-12), pytest.approx(3 * w2, rel=1e-12))
 
     def test_linear_run_matches_modal_derivative(self):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from blackstock import (
     Grid,
     SpectralField,
-    laplacian_symbol,
     padded_field_values,
     project_padded_to_sine,
     to_physical,
@@ -55,27 +54,22 @@ class TestGridConstruction:
 
 
 class TestLaplacianSymbol:
+    # Mode (m_1, ..., m_d) sits at index (m_1 - 1, ..., m_d - 1).
     def test_unit_box_first_mode(self):
         g = Grid(extents=(np.pi,), modes=(8,))
-        assert laplacian_symbol(g, (1,)) == pytest.approx(-1.0, abs=1e-14)
+        assert g.laplacian_eigenvalues[0] == pytest.approx(-1.0, abs=1e-14)
 
     def test_square_box_mode_21(self):
         g = Grid(extents=(np.pi, np.pi), modes=(8, 8))
-        assert laplacian_symbol(g, (2, 1)) == pytest.approx(-5.0, abs=1e-13)
+        assert g.laplacian_eigenvalues[1, 0] == pytest.approx(-5.0, abs=1e-13)
 
     def test_rectangular_box(self):
         # -( (3 pi / 1)^2 + (4 pi / 2)^2 ) = -13 pi^2
         g = Grid(extents=(1.0, 2.0), modes=(8, 8))
-        assert laplacian_symbol(g, (3, 4)) == pytest.approx(-13 * np.pi**2, rel=1e-14)
-
-    def test_out_of_range(self, g1d):
-        with pytest.raises(IndexError):
-            laplacian_symbol(g1d, (9,))
-        with pytest.raises(IndexError):
-            laplacian_symbol(g1d, (0,))
+        assert g.laplacian_eigenvalues[2, 3] == pytest.approx(-13 * np.pi**2, rel=1e-14)
 
     def test_monotone_in_mode(self, g2d):
-        vals = [laplacian_symbol(g2d, (m, 1)) for m in range(1, 9)]
+        vals = [g2d.laplacian_eigenvalues[m - 1, 0] for m in range(1, 9)]
         assert all(vals[i + 1] < vals[i] for i in range(7))
 
 

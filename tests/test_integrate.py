@@ -125,6 +125,30 @@ class TestModalAccuracy:
         assert 2.0**expected_order == pytest.approx(ratio, rel=0.15)
 
 
+class TestNonlinearSelfConvergence:
+    @pytest.mark.parametrize("a", [0.3, 1.0])
+    @pytest.mark.parametrize(
+        "scheme,expected_order", [("imex1", 1), ("imex2", 2), ("picard", 2)]
+    )
+    def test_richardson_order_2d(self, scheme, expected_order, a):
+        # Full nonlinear medium on the pi^2 box: the final states of dt, dt/2,
+        # dt/4 and dt/8 differ by ratios 2^order once the error is asymptotic.
+        grid = Grid(extents=(np.pi, np.pi), modes=(16, 16))
+        state = build_initial(
+            InitialDataSpec.multi_mode([((1, 1), a), ((2, 1), 0.5 * a)]),
+            InitialDataSpec.single_mode((1, 2), a),
+            grid,
+        )
+        finals = []
+        for dt in (0.04, 0.02, 0.01, 0.005):
+            cfg = StepConfig(dt=dt, scheme=scheme)
+            _t, final = simulate(state, 0.4, cfg, NONLIN, sample_every=10**9).snapshots[-1]
+            finals.append(np.concatenate([final.psi.coeffs.ravel(), final.v.coeffs.ravel()]))
+        diffs = [np.max(np.abs(x - y)) for x, y in zip(finals, finals[1:])]
+        ratios = [d0 / d1 for d0, d1 in zip(diffs, diffs[1:])]
+        assert ratios == [pytest.approx(2.0**expected_order, rel=0.1)] * 2
+
+
 class TestPicard:
     def test_linear_problem_converges_in_one_iteration(self, g8):
         state = single_mode_state(g8, 0.5, 0.5)
