@@ -32,11 +32,12 @@ and scaled by the basis mass.  ``instantaneous_diagnostics`` forms the table
 in one matrix product and maps it in a second one, by a coefficient matrix
 built once per medium and Lyapunov weights, to every value of
 ``DIAGNOSTIC_COLUMNS`` except ``t`` and the three time-weighted ones, which
-are formed from single table entries.  A table with an overflowed entry is
-mapped column by column instead, so that only the values that read the
-entry become infinite (a product would turn ``0 * inf`` into NaN in every
-value).  Leading axes of the state are members of a batch and carry
-through.
+are formed from single table entries.  A row of the table with an overflowed
+entry is mapped column by column instead, so that only the values that read
+the entry become infinite (a product would turn ``0 * inf`` into NaN in every
+value).  Leading axes of the state carry through: members of a batch, and
+samples at several times, with ``t`` a column of times that broadcasts over
+them.  The rows of each time are those of a call for that time alone.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def _combination(p: MediumParams, g: GammaWeights) -> np.ndarray:
 
 def instantaneous_diagnostics(
     grid: Grid,
-    t: float,
+    t: float | np.ndarray,
     psi: np.ndarray,
     v: np.ndarray,
     f: np.ndarray | None,
@@ -141,8 +142,11 @@ def instantaneous_diagnostics(
 
     ``psi``, ``v``, the source ``f`` and the evaluated acceleration ``accel``
     are coefficient arrays of shape ``(..., *grid.modes)``; ``None`` for ``f``
-    or ``accel`` reads as zero.  Leading axes are members evaluated together:
-    the result has shape ``(..., len(DIAGNOSTIC_COLUMNS))``.
+    or ``accel`` reads as zero.  Leading axes are evaluated together: the
+    result has shape ``(..., len(DIAGNOSTIC_COLUMNS))``.  ``t`` is one time or
+    an array of times that broadcasts over the leading axes, such as a column
+    ``(samples, 1)`` for states ``(samples, members, *grid.modes)``.  The
+    rows of each time equal those of a call for that time alone, bit for bit.
     """
     lead = psi.shape[: psi.ndim - grid.dim]
     size = lead + (math.prod(grid.modes),)
@@ -151,19 +155,25 @@ def instantaneous_diagnostics(
     for k, (x, y) in enumerate(pairs):
         if x is not None:
             np.multiply(x.reshape(size), y.reshape(size), out=products[..., k, :])
-    gram = (products @ grid.gram_weights).reshape(lead + (15,)) * grid.coeff_weight
     combination = _combination(p, g)
-    if np.isfinite(gram).all():
+    # An overflowed entry can raise the invalid flag in the matrix products;
+    # the rows that have one are redone below.
+    with np.errstate(invalid="ignore"):
+        gram = (products @ grid.gram_weights).reshape(lead + (15,)) * grid.coeff_weight
         out = gram @ combination
-    else:
+    overflowed = ~np.isfinite(gram).all(axis=-1)
+    if overflowed.any():
         # An overflowed entry times a zero coefficient would be NaN: each
         # value sums only the entries it reads, so it stays finite or inf.
         with np.errstate(over="ignore", invalid="ignore"):
-            terms = gram[..., :, None] * combination
-        out = np.where(combination != 0.0, terms, 0.0).sum(axis=-2)
+            terms = gram[overflowed][:, :, None] * combination
+        out[overflowed] = np.where(combination != 0.0, terms, 0.0).sum(axis=-2)
+    t = np.asarray(t, dtype=float)
     out[..., _T] = t
     out[..., _WGP_INTEGRAND] *= t
-    out[..., _W_PTT : _W_LAP_VT + 1] = math.sqrt(t) * np.sqrt(gram[..., _AA0 : _VV2 - 1 : -1])
+    out[..., _W_PTT : _W_LAP_VT + 1] = np.sqrt(t)[..., None] * np.sqrt(
+        gram[..., _AA0 : _VV2 - 1 : -1]
+    )
     return out
 
 

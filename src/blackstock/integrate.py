@@ -48,15 +48,24 @@ iterations.  ``SimState`` objects are built only for snapshots.
 *Per-member termination.*  Each member ends on its own, with its own
 ``Termination``: a non-finite state, a non-finite source or an energy above
 ``ENERGY_BLOWUP_CUTOFF`` is ``diverged``, an iteration that does not converge
-is ``picard_failed``.  Each finiteness check is one test of the whole batch;
+is ``picard_failed``.  The energy is formed every step from two weighted sums
+of squares; its weights are positive, so a non-finite state shows as a
+non-finite energy.  Each finiteness check is one test of the whole batch;
 only when it fails are the members looked at one by one.  An ended member is
 removed from the live arrays, so later steps cost only the survivors.
 
-*Rows and compaction.*  Each sample is one row per live member, filled by
-``instantaneous_diagnostics``.  The rows are time-major,
+*Blocks of samples.*  A sample only keeps the live arrays ``(t, psi, v, f)``
+in a block; the loop replaces them every step and never writes into them, so
+this needs no copy.  One ``instantaneous_diagnostics`` call, with the sample
+times as a column, maps the block to rows when it holds
+``_BLOCK_COEFFICIENTS`` state coefficients, before any member retires, and
+at the end of the run.  The rows are those of one call per sample, bit for
+bit.
+
+*Rows and compaction.*  The rows are time-major,
 ``data[row, live member, column]``, in one buffer.  A single run reserves
 all its rows.  A batch's buffer holds the rest of the run when it is small
-enough (``_ROW_BUFFER_VALUES``) and otherwise doubles when full; no
+enough (``_ROW_BUFFER_VALUES``) and otherwise grows when full; no
 full-length buffer is reserved for members that may end early.
 When members leave, their rows are copied out and the survivors' rows are
 compacted within the same buffer.  The two running integrals ``D_cum`` and
@@ -67,6 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -94,6 +104,13 @@ ENERGY_BLOWUP_CUTOFF = 1e12
 #: reserves all its rows instead.
 _ROW_BUFFER_VALUES = 500_000
 
+#: Sampled states are mapped to diagnostics rows in blocks of this many state
+#: coefficients: 64 samples of a 1D N=64 run, one sample of a 64-member N=64
+#: batch or of a 32^3 run.  Mapping a block costs about ten times its state
+#: in temporaries; a block of 2^14 raises the peak memory of the threshold
+#: search's 64-member rounds by about 2 MB.
+_BLOCK_COEFFICIENTS = 2**12
+
 #: A batch evaluates its quadratic source on slices of at most this many state
 #: coefficients (32 members at N=64, one member from 2048 coefficients on).
 #: The evaluation's temporaries are several times the state, so a large first
@@ -102,9 +119,9 @@ _SOURCE_SLICE_COEFFICIENTS = 2**11
 
 _SCHEMES = ("imex1", "imex2", "picard")
 
-_COL_T, _COL_E, _COL_D_INTEGRAND, _COL_WGP_INTEGRAND, _COL_D_CUM, _COL_W_GRAD_PTT = (
+_COL_T, _COL_D_INTEGRAND, _COL_WGP_INTEGRAND, _COL_D_CUM, _COL_W_GRAD_PTT = (
     SERIES_COLUMNS.index(name)
-    for name in ("t", "E", "d_integrand", "wgp_integrand", "D_cum", "w_grad_ptt")
+    for name in ("t", "d_integrand", "wgp_integrand", "D_cum", "w_grad_ptt")
 )
 
 
@@ -184,9 +201,16 @@ class _ModalSolver:
         self.dt = dt
         self._cc_lam = self.cc * lam
         self._b_lam = self.b * lam
-        # (I - theta dt A) with A = [[0, 1], [cc lam, b lam]]
-        self._cn = self._factor(0.5)
-        self._be = self._factor(1.0)
+
+    # (I - theta dt A) with A = [[0, 1], [cc lam, b lam]]; each scheme uses
+    # one of the two, so each is formed on first use.
+    @cached_property
+    def _cn(self):
+        return self._factor(0.5)
+
+    @cached_property
+    def _be(self):
+        return self._factor(1.0)
 
     def _factor(self, theta: float):
         dt = self.dt
@@ -217,10 +241,6 @@ def _finite_members(*arrays: np.ndarray) -> np.ndarray:
     # Per member (leading axis): every entry of every array is finite.
     n = arrays[0].shape[0]
     return np.logical_and.reduce([np.isfinite(a.reshape(n, -1)).all(axis=1) for a in arrays])
-
-
-def _all_finite(*arrays: np.ndarray) -> bool:
-    return all(np.isfinite(a).all() for a in arrays)
 
 
 def _picard_update_norm(grid, dpsi, dv) -> np.ndarray:
@@ -259,7 +279,7 @@ def _picard_step(
     live = (np.arange(len(psi)), psi, v, psi0, v0, f_old)
     for it in range(1, cfg.picard_max_iter + 1):
         idx, psi_j, v_j, a0, b0, f0 = live
-        if not _all_finite(psi_j, v_j):
+        if not (np.isfinite(psi_j).all() and np.isfinite(v_j).all()):
             finite = _finite_members(psi_j, v_j)
             its[idx[~finite]] = it
             if not finite.any():
@@ -308,8 +328,7 @@ def _series(data: np.ndarray, termination, snapshots, max_its: int) -> TimeSerie
         y = data[:, integrand]
         # Trapezoid rule over the sample times; cumsum adds sequentially, so
         # the roundings are those of accumulating sample by sample.
-        with np.errstate(over="ignore", invalid="ignore"):
-            data[:, integral] = np.cumsum(np.append(0.0, 0.5 * np.diff(t) * (y[1:] + y[:-1])))
+        data[:, integral] = np.cumsum(np.append(0.0, 0.5 * np.diff(t) * (y[1:] + y[:-1])))
     return TimeSeries(SERIES_COLUMNS, data, snapshots, termination, int(max_its))
 
 
@@ -342,6 +361,9 @@ def simulate(
     return simulate_batch([initial], T, cfg, p, sample_every, gammas, snapshot_every)[0]
 
 
+# Overflow on the way to a divergence is expected: the loop's checks act on
+# the non-finite values it leaves.
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_batch(
     initials: Sequence[SimState],
     T: float,
@@ -374,9 +396,22 @@ def simulate_batch(
     solver = _ModalSolver(grid, p, cfg.dt)
     picard = cfg.scheme == "picard"
     n_members = len(initials)
+    n_coeffs = math.prod(grid.modes)
     results: list[TimeSeries | None] = [None] * n_members
     snapshots: list[list[tuple[float, SimState]]] = [[] for _ in initials]
     max_its = np.zeros(n_members, dtype=int)
+    # E = psi^2 . w_psi + v^2 . w_v per member, with the positive weights
+    # w = Grid.gram_weights @ e (not formed: a 3D grid's would be large), so
+    # a non-finite state gives a non-finite energy.
+    gram_weights = grid.gram_weights
+    e_psi = grid.coeff_weight * np.array([0.0, 0.5 * cc, 0.5 * cc / p.b])
+    e_v = grid.coeff_weight * np.array([0.5, 1.0, 0.0])
+
+    def energy(psi: np.ndarray, v: np.ndarray) -> np.ndarray:
+        n = len(psi)
+        return ((psi * psi).reshape(n, -1) @ gram_weights) @ e_psi + (
+            (v * v).reshape(n, -1) @ gram_weights
+        ) @ e_v
 
     # Live state: one entry per surviving member along the leading axis.
     # ``members`` maps it to the member's position in ``initials``.
@@ -389,7 +424,7 @@ def simulate_batch(
     # Sampled rows are time-major, ``data[row, live member, column]``, a view
     # of the flat ``buffer``.  A single run reserves all its rows.  A batch's
     # buffer holds the rest of the run if that fits _ROW_BUFFER_VALUES, else
-    # it doubles when full; when members leave, the rows of the others are
+    # it grows when full; when members leave, the rows of the others are
     # compacted within it, so that it then holds more rows per member.
     if n_members == 1:
         capacity = n_rows_max
@@ -403,25 +438,45 @@ def simulate_batch(
         return buffer[: capacity * n_live * n_cols].reshape(capacity, n_live, n_cols)
 
     data = rows_view()
+    # The samples not yet mapped to rows: their times and the live arrays
+    # (psi, v, f) at each.  The loop replaces these arrays every step and never
+    # writes into them, so keeping them needs no copy.
+    block: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def record(t: float, f: np.ndarray) -> np.ndarray:
+    def flush() -> None:
+        # Map the block to rows with one diagnostics call.
         nonlocal n_rows, data, buffer
-        with np.errstate(over="ignore", invalid="ignore"):
-            accel = lam * (cc * psi + p.b * v) + f
-            rows = instantaneous_diagnostics(grid, t, psi, v, f, accel, p, g)
-        if n_rows == len(data):
-            kept = data
-            buffer = np.empty(min(n_rows_max, 2 * n_rows) * members.size * n_cols)
+        if not block:
+            return
+        times, *arrays = zip(*block)
+        # A block of one sample is a view of its arrays, not a copy.
+        psi_b, v_b, f_b = (a[0][None] if len(a) == 1 else np.array(a) for a in arrays)
+        accel = lam * (cc * psi_b + p.b * v_b) + f_b
+        rows = instantaneous_diagnostics(
+            grid, np.array(times)[:, None], psi_b, v_b, f_b, accel, p, g
+        )
+        end = n_rows + len(block)
+        if end > len(data):
+            kept = data[:n_rows]
+            buffer = np.empty(min(n_rows_max, max(end, 2 * n_rows)) * members.size * n_cols)
             data = rows_view()
             data[:n_rows] = kept
-        data[n_rows, :, : rows.shape[1]] = rows
-        n_rows += 1
-        return rows[:, _COL_E]
+        data[n_rows:end, :, : rows.shape[-1]] = rows
+        n_rows = end
+        block.clear()
+
+    def sample(t: float) -> None:
+        # Keep the live state at a sample; a full block is mapped at once, so
+        # a large state is never held past its step.
+        block.append((t, psi, v, f_curr))
+        if len(block) * members.size * n_coeffs >= _BLOCK_COEFFICIENTS:
+            flush()
 
     def retire(leaving: np.ndarray, kind: str, t: float) -> bool:
         # End the runs of the live members in the mask ``leaving`` and drop
         # them from the live arrays; False when no member is left.
-        nonlocal members, psi, v, f_curr, f_prev, data
+        nonlocal members, psi, v, f_curr, f_prev, E, data
+        flush()
         for j in np.flatnonzero(leaving):
             m = members[j]
             # A copy: the buffer is about to be reused.
@@ -429,7 +484,7 @@ def simulate_batch(
                 data[:n_rows, j].copy(), Termination(kind, t), snapshots[m], max_its[m]
             )
         keep = ~leaving
-        members, psi, v = members[keep], psi[keep], v[keep]
+        members, psi, v, E = members[keep], psi[keep], v[keep], E[keep]
         f_curr = None if f_curr is None else f_curr[keep]
         f_prev = None if f_prev is None else f_prev[keep]
         if members.size:
@@ -439,8 +494,9 @@ def simulate_batch(
         return members.size > 0
 
     f_curr = _source(grid, psi, v, p)
-    record(t0, f_curr)
+    sample(t0)
     f_prev = f_curr
+    E = energy(psi, v)
 
     for n in range(n_steps):
         t_next = t0 + (n + 1) * cfg.dt
@@ -450,10 +506,8 @@ def simulate_batch(
             if n == 0:
                 # Predictor-corrector startup keeps the global order at two.
                 psi_p, v_p = solver.trapezoid(psi, v, f_curr)
-                with np.errstate(over="ignore", invalid="ignore"):
-                    f_pred = _source(grid, psi_p, v_p, p)
-                fhat = 0.5 * (f_curr + f_pred)
-                if not _all_finite(fhat):
+                fhat = 0.5 * (f_curr + _source(grid, psi_p, v_p, p))
+                if not np.isfinite(fhat).all():
                     bad = ~_finite_members(fhat)
                     fhat[bad] = f_curr[bad]
             else:
@@ -461,23 +515,22 @@ def simulate_batch(
             psi, v = solver.trapezoid(psi, v, fhat)
         else:
             if f_curr is None:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    f_curr = _source(grid, psi, v, p)
+                f_curr = _source(grid, psi, v, p)
             psi, v, its, converged = _picard_step(grid, psi, v, f_curr, solver, cfg, p)
             max_its[members] = np.maximum(max_its[members], its)
             if not converged.all() and not retire(~converged, "picard_failed", t_next):
                 break
 
-        if not _all_finite(psi, v) and not retire(
+        E = energy(psi, v)
+        if not np.isfinite(E).all() and not retire(
             ~_finite_members(psi, v), "diverged", t_next
         ):
             break
 
         is_sample = ((n + 1) % sample_every == 0) or (n + 1 == n_steps)
         if is_sample or not picard:
-            with np.errstate(over="ignore", invalid="ignore"):
-                f_prev, f_curr = f_curr, _source(grid, psi, v, p)
-            if not _all_finite(f_curr) and not retire(
+            f_prev, f_curr = f_curr, _source(grid, psi, v, p)
+            if not np.isfinite(f_curr).all() and not retire(
                 ~_finite_members(f_curr), "diverged", t_next
             ):
                 break
@@ -485,7 +538,7 @@ def simulate_batch(
             # Not evaluated at the new state: the next picard step does it.
             f_curr = None
         if is_sample:
-            E = record(t_next, f_curr)
+            sample(t_next)
             # Also true for a NaN energy.
             blown = ~(E <= ENERGY_BLOWUP_CUTOFF)
             if blown.any() and not retire(blown, "diverged", t_next):
@@ -494,6 +547,7 @@ def simulate_batch(
             for j, m in enumerate(members):
                 snapshots[m].append((t_next, _state(grid, psi[j], v[j], t_next)))
     else:
+        flush()
         final_t = t0 + n_steps * cfg.dt
         for j, m in enumerate(members):
             if not snapshots[m] or snapshots[m][-1][0] != final_t:

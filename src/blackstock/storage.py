@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,12 +64,20 @@ def write_series_csv(path: str | Path, series: TimeSeries) -> None:
 
 def read_series_csv(path: str | Path) -> TimeSeries:
     """The columns of a series CSV; ``ValueError`` for an empty or malformed file."""
-    text = Path(path).read_text().strip().splitlines()
-    if len(text) < 2:
+    # numpy's C reader parses straight into one array and reads ``inf``,
+    # ``nan`` and 17-digit values exactly.  A pure-Python parse makes one
+    # float object per value, whose memory the allocator keeps after the call.
+    with open(path) as fh:
+        header = tuple(fh.readline().strip().split(","))
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data rows: empty below
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"malformed series CSV {path}: {exc}") from exc
+    if rows.size == 0:
         raise ValueError(f"empty series CSV {path}")
-    header = tuple(text[0].split(","))
-    rows = np.array([[float(x) for x in line.split(",")] for line in text[1:]])
-    if rows.ndim != 2 or rows.shape[1] != len(header):
+    if rows.shape[1] != len(header):
         raise ValueError(f"malformed series CSV {path}")
     return TimeSeries(header, rows)
 

@@ -293,6 +293,34 @@ class TestFitCommand:
         assert main(["fit", "--config", str(path), "--output", str(tmp_path / "out")]) == 3
         assert "empty series CSV" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ["t,E\n1,2\n3\n", "t,E\n1,2,3\n", "t,E\n1,x\n"])
+    def test_malformed_series_csv_exits_3(self, tmp_path, capsys, content):
+        # A ragged row, a row longer than the header, a value that is not a number.
+        csv = tmp_path / "series.csv"
+        csv.write_text(content)
+        with pytest.raises(ValueError, match="malformed series CSV"):
+            read_series_csv(csv)
+        path = write_config(tmp_path, short_config(fit={"series_csv": str(csv)}))
+        assert main(["fit", "--config", str(path), "--output", str(tmp_path / "out")]) == 3
+        assert "malformed series CSV" in capsys.readouterr().err
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40))
+    def test_series_csv_round_trip_is_bit_exact(self, seed, rows):
+        # Diverged series write inf and nan; every value, down to subnormals
+        # and up to the largest double, reads back with the same bits.
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((rows, len(CSV_COLUMNS))) * 10.0 ** rng.integers(
+            -320, 308, (rows, len(CSV_COLUMNS))
+        )
+        special = [np.inf, -np.inf, np.nan, -0.0, 5e-324, np.finfo(float).max]
+        data.flat[rng.choice(data.size, len(special), replace=False)] = special
+        with tempfile.TemporaryDirectory() as tmp:
+            csv = os.path.join(tmp, "series.csv")
+            write_series_csv(csv, TimeSeries(CSV_COLUMNS, data))
+            series = read_series_csv(csv)
+        assert series.columns == CSV_COLUMNS
+        assert series.data.tobytes() == data.tobytes()
+
 
 class TestVerifyInequalitiesCommand:
     def test_report_written(self, tmp_path):

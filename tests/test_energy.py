@@ -162,6 +162,29 @@ class TestDiagnosticsTable:
         for name in DIAGNOSTIC_COLUMNS:
             assert abs(got[name] - oracle[name]) <= 1e-12 * scale[name], name
 
+    @given(
+        grid=random_grids(),
+        seed=st.integers(0, 2**32 - 1),
+        n_times=st.integers(1, 4),
+        n_members=st.integers(1, 3),
+        overflow=st.booleans(),
+    )
+    def test_time_column_matches_per_time_calls(self, grid, seed, n_times, n_members, overflow):
+        # States (times, members, *modes) with a column of times give the
+        # bits of one call per time; with an overflowed acceleration in one
+        # row, the other rows keep theirs.
+        rng = np.random.default_rng(seed)
+        psi, v, f, accel = rng.standard_normal((4, n_times, n_members) + grid.modes)
+        if overflow:
+            accel[rng.integers(n_times), rng.integers(n_members)] = 1e200
+        t = rng.uniform(0.0, 10.0, n_times)
+        g = GammaWeights()
+        with np.errstate(over="ignore"):
+            rows = instantaneous_diagnostics(grid, t[:, None], psi, v, f, accel, NONLIN, g)
+            for i in range(n_times):
+                one = instantaneous_diagnostics(grid, t[i], psi[i], v[i], f[i], accel[i], NONLIN, g)
+                assert np.array_equal(rows[i], one, equal_nan=True)
+
     def test_missing_source_and_acceleration_read_as_zero(self, unit):
         row = instantaneous_diagnostics(
             unit.grid, 1.0, unit.psi.coeffs, unit.v.coeffs, None, None, P11, GammaWeights()

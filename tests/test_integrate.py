@@ -17,7 +17,12 @@ from blackstock import (
 )
 import blackstock.integrate as integrate
 from blackstock.dynamics import quadratic_source
-from blackstock.energy import SERIES_COLUMNS
+from blackstock.energy import (
+    DIAGNOSTIC_COLUMNS,
+    SERIES_COLUMNS,
+    GammaWeights,
+    instantaneous_diagnostics,
+)
 from blackstock.integrate import _ModalSolver, _picard_step
 
 from .helpers import modal_solution
@@ -325,8 +330,8 @@ def assert_columns_close(batch, solo, rtol):
     finite = np.isfinite(solo)
     assert np.array_equal(np.isfinite(batch), finite)
     assert np.array_equal(batch[~finite], solo[~finite], equal_nan=True)
-    scale = np.max(np.where(finite, np.abs(solo), 0.0), axis=0)
-    assert np.all(np.abs(np.where(finite, batch - solo, 0.0)) <= rtol * scale)
+    batch, solo = np.where(finite, batch, 0.0), np.where(finite, solo, 0.0)
+    assert np.all(np.abs(batch - solo) <= rtol * np.max(np.abs(solo), axis=0))
 
 
 class TestBatch:
@@ -363,6 +368,70 @@ class TestBatch:
             # The mixed example does end its members at different steps.
             ends = {(s.termination.kind, s.termination.time) for s in batch}
             assert len(ends) >= 3
+
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2", "picard"])
+    @given(
+        amplitudes=st.lists(
+            st.one_of(st.floats(0.1, 300.0), st.sampled_from([1e100, 1e200])),
+            min_size=2,
+            max_size=4,
+        ),
+        sample_every=st.integers(1, 4),
+        block_samples=st.integers(1, 3),
+        cutoff_exponent=st.floats(1.0, 12.0),
+    )
+    # Between them the two examples end members in every way: the energy
+    # cutoff (5.0 under imex, 5.0 at cutoff 1e4 under picard), a non-finite
+    # source (1e100 under imex, 5.0 under picard), a non-finite state (1e200
+    # under imex) and picard_failed (1e100, 1e200 and 20.0 under picard).
+    @example(amplitudes=[0.5, 5.0, 1e100, 1e200], sample_every=3, block_samples=2,
+             cutoff_exponent=12.0)
+    @example(amplitudes=[0.5, 5.0, 20.0, 1e100], sample_every=3, block_samples=2,
+             cutoff_exponent=4.0)
+    def test_blocked_rows_match_sampled_states(
+        self, scheme, amplitudes, sample_every, block_samples, cutoff_exponent
+    ):
+        # Blocks of 1-3 samples, so that members retire in the middle of a
+        # block.  A run of each member alone without the energy cutoff gives
+        # its sampled states: the member has a row at each of them up to its
+        # end, and each row is the diagnostics of that state.  A member ends
+        # on the first sample whose energy exceeds the cutoff, with that row
+        # as its last.
+        grid = Grid(extents=(np.pi,), modes=(16,))
+        cfg = StepConfig(dt=1e-2, scheme=scheme)
+        cutoff = 10.0**cutoff_exponent
+        states = [single_mode_state(grid, a, a) for a in amplitudes]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrate, "_BLOCK_COEFFICIENTS", block_samples * len(states) * 16)
+            patch.setattr(integrate, "ENERGY_BLOWUP_CUTOFF", cutoff)
+            batch = simulate_batch(states, 0.5, cfg, NONLIN, sample_every)
+            patch.setattr(integrate, "ENERGY_BLOWUP_CUTOFF", np.inf)
+            references = [
+                simulate(state, 0.5, cfg, NONLIN, sample_every, snapshot_every=sample_every)
+                for state in states
+            ]
+        g = GammaWeights()
+        lam = grid.laplacian_eigenvalues
+        for state, member, reference in zip(states, batch, references):
+            sampled = dict([(0.0, state)] + reference.snapshots)
+            t, E = member.column("t"), member.column("E")
+            end = member.termination
+            # A state the reference samples at the end time was finite, with a
+            # finite source: the member ended there on the energy cutoff.
+            assert t.tolist() == [s for s in sampled if end.completed or s <= end.time]
+            on_cutoff = not end.completed and t[-1] == end.time
+            if on_cutoff:
+                assert E[-1] > cutoff
+            # The initial sample is not tested against the cutoff.
+            assert np.all(E[1 : len(E) - on_cutoff] <= cutoff)
+            want = []
+            for time in t:
+                psi, v = sampled[time].psi.coeffs, sampled[time].v.coeffs
+                with np.errstate(over="ignore", invalid="ignore"):  # the states near blow-up
+                    f = quadratic_source(grid, psi, v, NONLIN)
+                    accel = lam * (NONLIN.c**2 * psi + NONLIN.b * v) + f
+                    want.append(instantaneous_diagnostics(grid, time, psi, v, f, accel, NONLIN, g))
+            assert_columns_close(member.data[:, : len(DIAGNOSTIC_COLUMNS)], np.array(want), 1e-13)
 
     def test_members_must_share_grid_and_start_time(self, g8):
         cfg = StepConfig(dt=1e-2)
