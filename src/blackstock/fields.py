@@ -59,9 +59,6 @@ class SimState:
     def grid(self) -> Grid:
         return self.psi.grid
 
-    def is_finite(self) -> bool:
-        return self.psi.is_finite() and self.v.is_finite()
-
 
 @dataclass(frozen=True)
 class InitialDataSpec:

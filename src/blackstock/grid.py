@@ -195,23 +195,6 @@ class Grid:
             mats.append(S @ C)
         return tuple(mats)
 
-    def zeros(self) -> "SpectralField":
-        return SpectralField(self, np.zeros(self.modes))
-
-    def field(self, coeffs: np.ndarray) -> "SpectralField":
-        return SpectralField(self, coeffs)
-
-    def basis_field(self, mode, amplitude: float = 1.0) -> "SpectralField":
-        """Field equal to ``amplitude`` times one basis function."""
-        mode = tuple(np.atleast_1d(mode).astype(int))
-        if len(mode) != self.dim:
-            raise IndexError("mode multi-index has the wrong dimension")
-        if any(not 1 <= mi <= Ni for mi, Ni in zip(mode, self.modes)):
-            raise IndexError(f"mode {mode} out of range for modes {self.modes}")
-        coeffs = np.zeros(self.modes)
-        coeffs[tuple(mi - 1 for mi in mode)] = amplitude
-        return SpectralField(self, coeffs)
-
 
 @dataclass(frozen=True)
 class SpectralField:
@@ -231,14 +214,6 @@ class SpectralField:
                 f"coefficient shape {coeffs.shape} does not match grid modes {self.grid.modes}"
             )
         object.__setattr__(self, "coeffs", coeffs)
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.coeffs)))
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        if other.grid.extents != self.grid.extents or other.grid.modes != self.grid.modes:
-            raise ValueError("fields live on different grids")
-        return SpectralField(self.grid, self.coeffs + other.coeffs)
 
     def __mul__(self, scalar: float) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs * float(scalar))

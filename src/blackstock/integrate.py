@@ -48,11 +48,13 @@ iterations.  ``SimState`` objects are built only for snapshots.
 *Per-member termination.*  Each member ends on its own, with its own
 ``Termination``: a non-finite state, a non-finite source or an energy above
 ``ENERGY_BLOWUP_CUTOFF`` is ``diverged``, an iteration that does not converge
-is ``picard_failed``.  The energy is formed every step from two weighted sums
-of squares; its weights are positive, so a non-finite state shows as a
-non-finite energy.  Each finiteness check is one test of the whole batch;
-only when it fails are the members looked at one by one.  An ended member is
-removed from the live arrays, so later steps cost only the survivors.
+is ``picard_failed``.  The initial state takes the checks of a sample, so a
+member that starts out of bounds ends at the start time without a step.  The
+energy is formed every step from two weighted sums of squares; its weights
+are positive, so a non-finite state shows as a non-finite energy.  Each
+finiteness check is one test of the whole batch; only when it fails are the
+members looked at one by one.  An ended member is removed from the live
+arrays, so later steps cost only the survivors.
 
 *Blocks of samples.*  A sample only keeps the live arrays ``(t, psi, v, f)``
 in a block; the loop replaces them every step and never writes into them, so
@@ -62,13 +64,9 @@ times as a column, maps the block to rows when it holds
 at the end of the run.  The rows are those of one call per sample, bit for
 bit.
 
-*Rows and compaction.*  The rows are time-major,
-``data[row, live member, column]``, in one buffer.  A single run reserves
-all its rows.  A batch's buffer holds the rest of the run when it is small
-enough (``_ROW_BUFFER_VALUES``) and otherwise grows when full; no
-full-length buffer is reserved for members that may end early.
-When members leave, their rows are copied out and the survivors' rows are
-compacted within the same buffer.  The two running integrals ``D_cum`` and
+*Rows.*  Each member's rows live in an array of their own, sized for the
+whole run.  Pages that are never written, the rest of a member that ends
+early, are never made resident.  The two running integrals ``D_cum`` and
 ``w_grad_ptt`` are summed over a member's rows when it ends.
 """
 
@@ -96,13 +94,6 @@ __all__ = [
 
 #: Runs whose energy exceeds this value are classified as diverged.
 ENERGY_BLOWUP_CUTOFF = 1e12
-
-#: Size, in values, up to which a batch's row buffer holds the rest of the run
-#: at once; beyond it the buffer grows by doubling.  It stays below the 4 MiB
-#: from which numpy asks for huge pages, so a partly filled buffer costs only
-#: the rows written.  A single run, which has no member to retire early,
-#: reserves all its rows instead.
-_ROW_BUFFER_VALUES = 500_000
 
 #: Sampled states are mapped to diagnostics rows in blocks of this many state
 #: coefficients: 64 samples of a 1D N=64 run, one sample of a 64-member N=64
@@ -384,6 +375,8 @@ def simulate_batch(
     n_steps = cfg.steps_to(T)
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
+    if snapshot_every is not None and snapshot_every < 1:
+        raise ValueError("snapshot_every must be at least 1")
     if not initials:
         raise ValueError("need at least one initial state")
     grid, t0 = initials[0].grid, initials[0].time
@@ -419,25 +412,8 @@ def simulate_batch(
     psi = np.stack([s.psi.coeffs for s in initials])
     v = np.stack([s.v.coeffs for s in initials])
     n_rows_max = 1 + -(-n_steps // sample_every)
+    rows_of = [np.empty((n_rows_max, len(SERIES_COLUMNS))) for _ in initials]
     n_rows = 0
-    n_cols = len(SERIES_COLUMNS)
-    # Sampled rows are time-major, ``data[row, live member, column]``, a view
-    # of the flat ``buffer``.  A single run reserves all its rows.  A batch's
-    # buffer holds the rest of the run if that fits _ROW_BUFFER_VALUES, else
-    # it grows when full; when members leave, the rows of the others are
-    # compacted within it, so that it then holds more rows per member.
-    if n_members == 1:
-        capacity = n_rows_max
-    else:
-        capacity = min(n_rows_max, max(1, _ROW_BUFFER_VALUES // (n_members * n_cols)))
-    buffer = np.empty(capacity * n_members * n_cols)
-
-    def rows_view() -> np.ndarray:
-        n_live = members.size
-        capacity = min(n_rows_max, buffer.size // (n_live * n_cols))
-        return buffer[: capacity * n_live * n_cols].reshape(capacity, n_live, n_cols)
-
-    data = rows_view()
     # The samples not yet mapped to rows: their times and the live arrays
     # (psi, v, f) at each.  The loop replaces these arrays every step and never
     # writes into them, so keeping them needs no copy.
@@ -445,7 +421,7 @@ def simulate_batch(
 
     def flush() -> None:
         # Map the block to rows with one diagnostics call.
-        nonlocal n_rows, data, buffer
+        nonlocal n_rows
         if not block:
             return
         times, *arrays = zip(*block)
@@ -456,12 +432,8 @@ def simulate_batch(
             grid, np.array(times)[:, None], psi_b, v_b, f_b, accel, p, g
         )
         end = n_rows + len(block)
-        if end > len(data):
-            kept = data[:n_rows]
-            buffer = np.empty(min(n_rows_max, max(end, 2 * n_rows)) * members.size * n_cols)
-            data = rows_view()
-            data[:n_rows] = kept
-        data[n_rows:end, :, : rows.shape[-1]] = rows
+        for j, m in enumerate(members):
+            rows_of[m][n_rows:end, : rows.shape[-1]] = rows[:, j]
         n_rows = end
         block.clear()
 
@@ -475,28 +447,48 @@ def simulate_batch(
     def retire(leaving: np.ndarray, kind: str, t: float) -> bool:
         # End the runs of the live members in the mask ``leaving`` and drop
         # them from the live arrays; False when no member is left.
-        nonlocal members, psi, v, f_curr, f_prev, E, data
+        nonlocal members, psi, v, f_curr, f_prev, E
         flush()
         for j in np.flatnonzero(leaving):
             m = members[j]
-            # A copy: the buffer is about to be reused.
             results[m] = _series(
-                data[:n_rows, j].copy(), Termination(kind, t), snapshots[m], max_its[m]
+                rows_of[m][:n_rows], Termination(kind, t), snapshots[m], max_its[m]
             )
         keep = ~leaving
         members, psi, v, E = members[keep], psi[keep], v[keep], E[keep]
         f_curr = None if f_curr is None else f_curr[keep]
         f_prev = None if f_prev is None else f_prev[keep]
-        if members.size:
-            kept = data[:n_rows, keep]
-            data = rows_view()
-            data[:n_rows] = kept
         return members.size > 0
 
-    f_curr = _source(grid, psi, v, p)
-    sample(t0)
-    f_prev = f_curr
-    E = energy(psi, v)
+    def checked(t: float, is_sample: bool) -> bool:
+        # The checks of the new state at ``t``.  A member with a non-finite
+        # state or source ends there without a row; one whose energy is above
+        # the cutoff at a sample ends with that row as its last.  False when
+        # no member is left.
+        nonlocal E, f_curr, f_prev
+        E = energy(psi, v)
+        if not np.isfinite(E).all() and not retire(~_finite_members(psi, v), "diverged", t):
+            return False
+        if is_sample or not picard:
+            f_prev, f_curr = f_curr, _source(grid, psi, v, p)
+            if not np.isfinite(f_curr).all() and not retire(
+                ~_finite_members(f_curr), "diverged", t
+            ):
+                return False
+        else:
+            # Not evaluated at the new state: the next picard step does it.
+            f_curr = None
+        if is_sample:
+            sample(t)
+            # Also true for a NaN energy.
+            blown = ~(E <= ENERGY_BLOWUP_CUTOFF)
+            if blown.any() and not retire(blown, "diverged", t):
+                return False
+        return True
+
+    E = f_curr = f_prev = None
+    if not checked(t0, True):
+        return results
 
     for n in range(n_steps):
         t_next = t0 + (n + 1) * cfg.dt
@@ -521,28 +513,9 @@ def simulate_batch(
             if not converged.all() and not retire(~converged, "picard_failed", t_next):
                 break
 
-        E = energy(psi, v)
-        if not np.isfinite(E).all() and not retire(
-            ~_finite_members(psi, v), "diverged", t_next
-        ):
-            break
-
         is_sample = ((n + 1) % sample_every == 0) or (n + 1 == n_steps)
-        if is_sample or not picard:
-            f_prev, f_curr = f_curr, _source(grid, psi, v, p)
-            if not np.isfinite(f_curr).all() and not retire(
-                ~_finite_members(f_curr), "diverged", t_next
-            ):
-                break
-        else:
-            # Not evaluated at the new state: the next picard step does it.
-            f_curr = None
-        if is_sample:
-            sample(t_next)
-            # Also true for a NaN energy.
-            blown = ~(E <= ENERGY_BLOWUP_CUTOFF)
-            if blown.any() and not retire(blown, "diverged", t_next):
-                break
+        if not checked(t_next, is_sample):
+            break
         if snapshot_every is not None and (n + 1) % snapshot_every == 0:
             for j, m in enumerate(members):
                 snapshots[m].append((t_next, _state(grid, psi[j], v[j], t_next)))
@@ -553,6 +526,6 @@ def simulate_batch(
             if not snapshots[m] or snapshots[m][-1][0] != final_t:
                 snapshots[m].append((final_t, _state(grid, psi[j], v[j], final_t)))
             results[m] = _series(
-                data[:n_rows, j], Termination("completed"), snapshots[m], max_its[m]
+                rows_of[m][:n_rows], Termination("completed"), snapshots[m], max_its[m]
             )
     return results

@@ -227,6 +227,18 @@ def gronwall_closed_form(g, t):
     return np.exp(g.a * t) * g.u0 * bracket ** (-1.0 / g.kappa)
 
 
+def zero_field(grid):
+    """The zero field on a grid."""
+    return SpectralField(grid, np.zeros(grid.modes))
+
+
+def basis_field(grid, mode, amplitude=1.0):
+    """``amplitude`` times the basis function of the 1-based multi-index ``mode``."""
+    coeffs = np.zeros(grid.modes)
+    coeffs[tuple(m - 1 for m in mode)] = amplitude
+    return SpectralField(grid, coeffs)
+
+
 def series_from_energy(t, E):
     """Minimal TimeSeries carrying only the t and E columns (for fit tests)."""
     return TimeSeries(("t", "E"), np.column_stack([t, E]).astype(float))
@@ -265,10 +277,11 @@ def probe_states(grid, n_random=20):
     """
     modes = dict.fromkeys([(1,) * grid.dim, tuple(N // 2 for N in grid.modes), grid.modes])
     pairs = ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, -1.0), (1.0, -4.0), (4.0, -1.0))
-    probes = [SimState(psi=a * e, v=b * e) for e in map(grid.basis_field, modes) for a, b in pairs]
+    fields = [basis_field(grid, m) for m in modes]
+    probes = [SimState(psi=a * e, v=b * e) for e in fields for a, b in pairs]
     rng = np.random.default_rng(0)
     for _ in range(n_random):
-        psi, v = (grid.field(rng.standard_normal(grid.modes)) for _ in range(2))
+        psi, v = (SpectralField(grid, rng.standard_normal(grid.modes)) for _ in range(2))
         probes.append(SimState(psi=psi, v=v))
     return probes
 

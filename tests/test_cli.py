@@ -17,6 +17,7 @@ from blackstock import (
     InitialDataSpec,
     MediumParams,
     SimState,
+    SpectralField,
     StepConfig,
     build_initial,
     load_checkpoint,
@@ -33,7 +34,7 @@ from blackstock.cli import main
 from blackstock.integrate import TimeSeries
 from blackstock.storage import CSV_COLUMNS
 
-from .helpers import random_grids
+from .helpers import random_grids, zero_field
 
 
 MINIMAL = {
@@ -488,7 +489,7 @@ class TestCheckpoints:
     @given(grid=random_grids(), seed=st.integers(0, 2**32 - 1), time=st.floats(0.0, 1e6))
     def test_roundtrip_random_grids(self, grid, seed, time):
         psi, v = np.random.default_rng(seed).standard_normal((2,) + grid.modes)
-        state = SimState(psi=grid.field(psi), v=grid.field(v), time=time)
+        state = SimState(psi=SpectralField(grid, psi), v=SpectralField(grid, v), time=time)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "state.ckpt")
             save_checkpoint(path, state)
@@ -509,7 +510,7 @@ def _json_output(path, k):
 
 def _checkpoint_output(path, k):
     grid = Grid(extents=(np.pi,), modes=(16,))
-    save_checkpoint(path, SimState(psi=grid.field(np.full(16, float(k))), v=grid.zeros()))
+    save_checkpoint(path, SimState(psi=SpectralField(grid, np.full(16, float(k))), v=zero_field(grid)))
 
 
 @pytest.mark.parametrize("write", [_csv_output, _json_output, _checkpoint_output])

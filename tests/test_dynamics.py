@@ -9,12 +9,20 @@ from blackstock import (
     Grid,
     MediumParams,
     SimState,
+    SpectralField,
     assemble_f,
     padded_field_values,
     to_physical,
 )
 
-from .helpers import acceleration, quadratic_source_oracle, random_grids, sine_projection_oracle
+from .helpers import (
+    acceleration,
+    basis_field,
+    quadratic_source_oracle,
+    random_grids,
+    sine_projection_oracle,
+    zero_field,
+)
 
 
 @pytest.fixture
@@ -25,8 +33,8 @@ def g16():
 def random_state(grid, seed):
     rng = np.random.default_rng(seed)
     return SimState(
-        psi=grid.field(rng.standard_normal(grid.modes)),
-        v=grid.field(rng.standard_normal(grid.modes)),
+        psi=SpectralField(grid, rng.standard_normal(grid.modes)),
+        v=SpectralField(grid, rng.standard_normal(grid.modes)),
     )
 
 
@@ -51,14 +59,14 @@ class TestMediumParams:
 class TestNonlinearAcceleration:
     def test_zero_state(self, g16):
         p = MediumParams(c=1, b=1, k=1, sigma=1)
-        state = SimState(psi=g16.zeros(), v=g16.zeros())
+        state = SimState(psi=zero_field(g16), v=zero_field(g16))
         assert np.all(acceleration(state, p).coeffs == 0.0)
 
     @pytest.mark.parametrize("b,k,sigma", [(1.0, 0.0, 0.0), (2.5, 3.0, -1.0)])
     def test_eigenfunction_with_zero_velocity(self, g16, b, k, sigma):
         # v = 0 kills every quadratic term; acceleration is c^2 Delta psi = -sin x.
         p = MediumParams(c=1.0, b=b, k=k, sigma=sigma)
-        state = SimState(psi=g16.basis_field((1,)), v=g16.zeros())
+        state = SimState(psi=basis_field(g16, (1,)), v=zero_field(g16))
         acc = acceleration(state, p)
         expected = np.zeros(16)
         expected[0] = -1.0
@@ -73,7 +81,7 @@ class TestNonlinearAcceleration:
         center_values = {}
         for N in (63, 127):
             g = Grid(extents=(np.pi,), modes=(N,))
-            e1 = g.basis_field((1,))
+            e1 = basis_field(g, (1,))
             acc = acceleration(SimState(psi=e1, v=e1), p)
             values = to_physical(acc)
             center = np.argmin(np.abs(g.nodes[0] - np.pi / 2))
@@ -91,8 +99,8 @@ class TestNonlinearAcceleration:
         s1 = random_state(g16, 1)
         s2 = random_state(g16, 2)
         combo = SimState(
-            psi=s1.psi + 2.0 * s2.psi,
-            v=s1.v + 2.0 * s2.v,
+            psi=SpectralField(g16, s1.psi.coeffs + 2.0 * s2.psi.coeffs),
+            v=SpectralField(g16, s1.v.coeffs + 2.0 * s2.v.coeffs),
         )
         acc = acceleration(combo, p).coeffs
         parts = (
@@ -111,7 +119,7 @@ class TestAssembleF:
     def test_k_term_against_quadrature(self, g16):
         # psi = v = sin x, c = k = 1, sigma = 0: f = -2 sin x (-sin x) = 2 sin^2 x
         p = MediumParams(c=1, b=1, k=1, sigma=0)
-        e1 = g16.basis_field((1,))
+        e1 = basis_field(g16, (1,))
         f = assemble_f(SimState(psi=e1, v=e1), p)
         oracle = sine_projection_oracle(np.pi, lambda x: 2 * np.sin(x) ** 2, 16)
         assert np.allclose(f.coeffs, oracle, atol=1e-10)
@@ -119,7 +127,7 @@ class TestAssembleF:
     def test_sigma_term_against_quadrature(self, g16):
         # psi = v = sin x, k = 0, sigma = 1: f = -2 cos^2 x
         p = MediumParams(c=1, b=1, k=0, sigma=1)
-        e1 = g16.basis_field((1,))
+        e1 = basis_field(g16, (1,))
         f = assemble_f(SimState(psi=e1, v=e1), p)
         oracle = sine_projection_oracle(np.pi, lambda x: -2 * np.cos(x) ** 2, 16)
         assert np.allclose(f.coeffs, oracle, atol=1e-10)
@@ -148,14 +156,14 @@ class TestAssembleF:
         rng = np.random.default_rng(seed)
         psi, v = rng.standard_normal((2,) + grid.modes)
         p = MediumParams(c=c, b=1.0, k=k, sigma=sigma)
-        f = assemble_f(SimState(psi=grid.field(psi), v=grid.field(v)), p).coeffs
+        f = assemble_f(SimState(psi=SpectralField(grid, psi), v=SpectralField(grid, v)), p).coeffs
         oracle = quadratic_source_oracle(grid.extents, psi, v, c, k, sigma)
         assert np.max(np.abs(f - oracle)) <= 1e-12 * max(np.max(np.abs(oracle)), 1e-300)
 
     def test_2d_source(self):
         g = Grid(extents=(np.pi, np.pi), modes=(8, 8))
         p = MediumParams(c=1, b=1, k=1, sigma=0)
-        e = g.basis_field((1, 1))
+        e = basis_field(g, (1, 1))
         f = assemble_f(SimState(psi=e, v=e), p)
         # f = -2 v Delta psi = 4 sin^2 x sin^2 y; separable oracle
         o1 = sine_projection_oracle(np.pi, lambda x: np.sin(x) ** 2, 8)
@@ -166,7 +174,7 @@ class TestLinearizedAcceleration:
     def test_zero_alpha_is_linear_operator(self, g16):
         p = MediumParams(c=1.2, b=0.8, k=5.0, sigma=3.0)
         state = random_state(g16, 4)
-        acc = acceleration(state, p, g16.zeros()).coeffs
+        acc = acceleration(state, p, zero_field(g16)).coeffs
         lam = g16.laplacian_eigenvalues
         expected = lam * (p.c**2 * state.psi.coeffs + p.b * state.v.coeffs)
         assert np.allclose(acc, expected, atol=1e-12)
@@ -175,8 +183,8 @@ class TestLinearizedAcceleration:
         # psi = sin x, v = 0, alpha = sin x, c = k = 1, sigma = 0:
         # output = c^2 Delta psi + 2 sin^2 x projected
         p = MediumParams(c=1, b=1, k=1, sigma=0)
-        e1 = g16.basis_field((1,))
-        state = SimState(psi=e1, v=g16.zeros())
+        e1 = basis_field(g16, (1,))
+        state = SimState(psi=e1, v=zero_field(g16))
         acc = acceleration(state, p, e1).coeffs
         source = sine_projection_oracle(np.pi, lambda x: 2 * np.sin(x) ** 2, 16)
         expected = source.copy()

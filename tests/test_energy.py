@@ -11,6 +11,7 @@ from blackstock import (
     InitialDataSpec,
     MediumParams,
     SimState,
+    SpectralField,
     StepConfig,
     build_initial,
     identity_residual,
@@ -22,12 +23,14 @@ from blackstock.energy import DIAGNOSTIC_COLUMNS, instantaneous_diagnostics
 
 from .helpers import (
     acceleration,
+    basis_field,
     calibrated_gammas,
     diagnostics,
     equivalence_scan,
     modal_solution,
     probe_states,
     random_grids,
+    zero_field,
 )
 
 
@@ -38,7 +41,7 @@ def g64():
 
 @pytest.fixture
 def unit(g64):
-    e1 = g64.basis_field((1,))
+    e1 = basis_field(g64, (1,))
     return SimState(psi=e1, v=e1)
 
 
@@ -48,16 +51,16 @@ NONLIN = MediumParams(c=1.0, b=1.0, k=1.0, sigma=1.0)
 
 class TestEnergy:
     def test_zero_state(self, g64):
-        state = SimState(psi=g64.zeros(), v=g64.zeros())
+        state = SimState(psi=zero_field(g64), v=zero_field(g64))
         assert diagnostics(state, P11)["E"] == 0.0
 
     def test_pure_potential(self, g64):
-        state = SimState(psi=g64.basis_field((1,)), v=g64.zeros())
+        state = SimState(psi=basis_field(g64, (1,)), v=zero_field(g64))
         # (1/2)(pi/2) + (1/2)(pi/2) = pi/2
         assert diagnostics(state, P11)["E"] == pytest.approx(np.pi / 2, rel=1e-13)
 
     def test_pure_velocity(self, g64):
-        state = SimState(psi=g64.zeros(), v=g64.basis_field((1,), 2.0))
+        state = SimState(psi=zero_field(g64), v=basis_field(g64, (1,), 2.0))
         # A^2 (pi/4) + A^2 (pi/2) with A = 2 -> 3 pi
         assert diagnostics(state, P11)["E"] == pytest.approx(3 * np.pi, rel=1e-13)
 
@@ -66,8 +69,8 @@ class TestEnergy:
         lam = g64.laplacian_eigenvalues
         for seed in range(20):
             state = SimState(
-                psi=g64.field(rng.standard_normal(g64.modes)),
-                v=g64.field(rng.standard_normal(g64.modes)),
+                psi=SpectralField(g64, rng.standard_normal(g64.modes)),
+                v=SpectralField(g64, rng.standard_normal(g64.modes)),
             )
             d = diagnostics(state, NONLIN)
             grad_v_sq = np.sum(-lam * state.v.coeffs**2) * g64.coeff_weight
@@ -87,7 +90,7 @@ class TestFunctionals:
 
 class TestLyapunov:
     def test_zero_state(self, g64):
-        state = SimState(psi=g64.zeros(), v=g64.zeros())
+        state = SimState(psi=zero_field(g64), v=zero_field(g64))
         assert diagnostics(state, P11, GammaWeights())["L"] == 0.0
 
     def test_worked_value(self, unit):
@@ -121,7 +124,7 @@ class TestDiagnosticsTable:
         # retained modes) for the cross terms; int grad psi . grad v is
         # -int Delta psi v by Green's formula.
         rng = np.random.default_rng(seed)
-        psi, v, f, accel = (grid.field(a) for a in rng.standard_normal((4,) + grid.modes))
+        psi, v, f, accel = (SpectralField(grid, a) for a in rng.standard_normal((4,) + grid.modes))
         p = MediumParams(c=c, b=b)
         g = GammaWeights(*gammas)
         row = instantaneous_diagnostics(
@@ -136,7 +139,7 @@ class TestDiagnosticsTable:
         h1p, h2p = (norm(psi, kind) ** 2 for kind in ("H1semi", "H2lap"))
         l2a, h1a = (norm(accel, kind) ** 2 for kind in ("L2", "H1semi"))
         psi_v = quad(psi, v)
-        grad_psi_grad_v = -quad(grid.field(grid.laplacian_eigenvalues * psi.coeffs), v)
+        grad_psi_grad_v = -quad(SpectralField(grid, grid.laplacian_eigenvalues * psi.coeffs), v)
         cc = c * c
         E1 = 0.5 * l2v + 0.5 * cc * h1p
         E2 = cc / (2 * b) * h2p
@@ -222,7 +225,7 @@ class TestEquivalenceScan:
         assert c2 > c1
 
     def test_huge_gamma2_breaks_equivalence(self, g64):
-        e1 = g64.basis_field((1,))
+        e1 = basis_field(g64, (1,))
         adversary = [SimState(psi=e1, v=-1.0 * e1)]
         bad = GammaWeights(gamma1=0.1, gamma2=10.0, gamma3=0.05)
         c1, _ = equivalence_scan(NONLIN, bad, adversary)
@@ -259,7 +262,7 @@ def small_data_series(T=2.0, dt=1e-3, sample_every=1, scheme="imex2"):
 class TestIdentityResidual:
     def test_zero_run(self):
         grid = Grid(extents=(np.pi,), modes=(8,))
-        state = SimState(psi=grid.zeros(), v=grid.zeros())
+        state = SimState(psi=zero_field(grid), v=zero_field(grid))
         series = simulate(state, 0.1, StepConfig(dt=1e-2), NONLIN)
         res = identity_residual(series, NONLIN)
         assert np.all(res == 0.0)
@@ -295,12 +298,12 @@ def time_weighted_norms(state, accel):
 
 class TestWeightedNorms:
     def test_zero_time_weight(self, g64):
-        state = SimState(psi=g64.basis_field((1,)), v=g64.basis_field((2,)), time=0.0)
+        state = SimState(psi=basis_field(g64, (1,)), v=basis_field(g64, (2,)), time=0.0)
         accel = acceleration(state, NONLIN)
         assert time_weighted_norms(state, accel) == (0.0, 0.0)
 
     def test_homogeneity(self, g64):
-        state = SimState(psi=g64.basis_field((1,)), v=g64.basis_field((2,)), time=2.0)
+        state = SimState(psi=basis_field(g64, (1,)), v=basis_field(g64, (2,)), time=2.0)
         accel = acceleration(state, P11)
         w1, w2 = time_weighted_norms(state, accel)
         scaled = SimState(psi=3.0 * state.psi, v=3.0 * state.v, time=2.0)

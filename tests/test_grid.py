@@ -15,11 +15,13 @@ from blackstock import (
 )
 
 from .helpers import (
+    basis_field,
     naive_padded_values,
     naive_to_physical,
     naive_to_spectral,
     random_grids,
     sine_projection_oracle,
+    zero_field,
 )
 
 
@@ -75,16 +77,16 @@ class TestLaplacianSymbol:
 
 class TestTransforms:
     def test_single_basis_function(self, g1d):
-        f = g1d.basis_field((1,))
+        f = basis_field(g1d, (1,))
         assert np.allclose(to_physical(f), np.sin(g1d.nodes[0]), atol=1e-12)
 
     def test_zero_field(self, g1d):
-        assert np.all(to_physical(g1d.zeros()) == 0.0)
+        assert np.all(to_physical(zero_field(g1d)) == 0.0)
 
     def test_roundtrip_matches_naive_oracle_1d(self, g1d):
         rng = np.random.default_rng(42)
         coeffs = rng.standard_normal(g1d.modes)
-        f = g1d.field(coeffs)
+        f = SpectralField(g1d, coeffs)
         samples = to_physical(f)
         assert np.allclose(samples, naive_to_physical(g1d.extents, coeffs), atol=1e-12)
         back = to_spectral(g1d, samples)
@@ -95,7 +97,7 @@ class TestTransforms:
         g = Grid(extents=(1.0, 2.0), modes=(5, 6))
         rng = np.random.default_rng(7)
         coeffs = rng.standard_normal(g.modes)
-        samples = to_physical(g.field(coeffs))
+        samples = to_physical(SpectralField(g, coeffs))
         assert np.allclose(samples, naive_to_physical(g.extents, coeffs), atol=1e-12)
         assert np.allclose(to_spectral(g, samples).coeffs, coeffs, atol=1e-12)
 
@@ -104,7 +106,7 @@ class TestTransforms:
         # to_spectral inverts to_physical on any box; each DST-I pass rounds
         # at a few ulps of the largest coefficient.
         coeffs = np.random.default_rng(seed).standard_normal(grid.modes)
-        back = to_spectral(grid, to_physical(grid.field(coeffs))).coeffs
+        back = to_spectral(grid, to_physical(SpectralField(grid, coeffs))).coeffs
         assert np.max(np.abs(back - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
 
     def test_to_spectral_of_pure_mode(self, g1d):
@@ -121,7 +123,7 @@ class TestTransforms:
     def test_parseval(self, g2d):
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal(g2d.modes)
-        samples = to_physical(g2d.field(coeffs))
+        samples = to_physical(SpectralField(g2d, coeffs))
         quad = np.sum(samples**2) * g2d.quad_weight
         coeff_norm = np.sum(coeffs**2) * g2d.coeff_weight
         assert quad == pytest.approx(coeff_norm, rel=1e-12)
@@ -131,14 +133,14 @@ class TestDealiasedProduct:
     """Exact projection of pointwise products of padded-grid values."""
 
     def test_zero_factor(self, g1d):
-        a = padded_field_values(g1d, g1d.basis_field((1,)).coeffs)
-        b = padded_field_values(g1d, g1d.zeros().coeffs)
+        a = padded_field_values(g1d, basis_field(g1d, (1,)).coeffs)
+        b = padded_field_values(g1d, zero_field(g1d).coeffs)
         prod = project_padded_to_sine(g1d, a * b)
         assert np.all(prod == 0.0)
 
     def test_sin_squared_matches_quadrature(self):
         g = Grid(extents=(np.pi,), modes=(16,))
-        a = padded_field_values(g, g.basis_field((1,)).coeffs)
+        a = padded_field_values(g, basis_field(g, (1,)).coeffs)
         prod = project_padded_to_sine(g, a * a)
         oracle = sine_projection_oracle(np.pi, lambda x: np.sin(x) ** 2, 16)
         assert np.allclose(prod, oracle, atol=1e-10)
@@ -150,8 +152,8 @@ class TestDealiasedProduct:
 
     def test_sin_times_sin2x_matches_quadrature(self):
         g = Grid(extents=(np.pi,), modes=(16,))
-        a = padded_field_values(g, g.basis_field((1,)).coeffs)
-        b = padded_field_values(g, g.basis_field((2,)).coeffs)
+        a = padded_field_values(g, basis_field(g, (1,)).coeffs)
+        b = padded_field_values(g, basis_field(g, (2,)).coeffs)
         prod = project_padded_to_sine(g, a * b)
         oracle = sine_projection_oracle(
             np.pi, lambda x: np.sin(x) * np.sin(2 * x), 16
@@ -174,15 +176,15 @@ class TestDealiasedProduct:
     def test_2d_product_against_separable_oracle(self):
         # (sin x sin y) * (sin 2x sin y) separates into 1D projections per axis.
         g = Grid(extents=(np.pi, np.pi), modes=(8, 8))
-        a = padded_field_values(g, g.basis_field((1, 1)).coeffs)
-        b = padded_field_values(g, g.basis_field((2, 1)).coeffs)
+        a = padded_field_values(g, basis_field(g, (1, 1)).coeffs)
+        b = padded_field_values(g, basis_field(g, (2, 1)).coeffs)
         prod = project_padded_to_sine(g, a * b)
         ox = sine_projection_oracle(np.pi, lambda x: np.sin(x) * np.sin(2 * x), 8)
         oy = sine_projection_oracle(np.pi, lambda y: np.sin(y) ** 2, 8)
         assert np.allclose(prod, np.outer(ox, oy), atol=1e-10)
 
     def test_shape_mismatch(self, g1d):
-        a = padded_field_values(g1d, g1d.basis_field((1,)).coeffs)
+        a = padded_field_values(g1d, basis_field(g1d, (1,)).coeffs)
         with pytest.raises(ValueError):
             project_padded_to_sine(g1d, a[:-1])
         with pytest.raises(ValueError):

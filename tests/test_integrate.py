@@ -1,5 +1,7 @@
 """The run loop: accuracy, stability, picard iteration and divergence handling."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -10,6 +12,7 @@ from blackstock import (
     InitialDataSpec,
     MediumParams,
     SimState,
+    SpectralField,
     StepConfig,
     build_initial,
     simulate,
@@ -19,13 +22,12 @@ import blackstock.integrate as integrate
 from blackstock.dynamics import quadratic_source
 from blackstock.energy import (
     DIAGNOSTIC_COLUMNS,
-    SERIES_COLUMNS,
     GammaWeights,
     instantaneous_diagnostics,
 )
 from blackstock.integrate import _ModalSolver, _picard_step
 
-from .helpers import modal_solution
+from .helpers import modal_solution, zero_field
 
 
 @pytest.fixture
@@ -63,14 +65,14 @@ def one_step(state, cfg, p):
 class TestSingleSteps:
     @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
     def test_zero_state_fixed_point(self, g8, scheme):
-        state = SimState(psi=g8.zeros(), v=g8.zeros())
+        state = SimState(psi=zero_field(g8), v=zero_field(g8))
         cfg = StepConfig(dt=0.5, scheme=scheme)
         out = one_step(state, cfg, NONLIN)
         assert np.all(out.psi.coeffs == 0.0) and np.all(out.v.coeffs == 0.0)
         assert out.time == 0.5
 
     def test_zero_state_fixed_point_picard(self, g8):
-        state = SimState(psi=g8.zeros(), v=g8.zeros())
+        state = SimState(psi=zero_field(g8), v=zero_field(g8))
         out = one_step(state, StepConfig(dt=0.5, scheme="picard"), NONLIN)
         assert np.all(out.psi.coeffs == 0.0) and np.all(out.v.coeffs == 0.0)
 
@@ -92,8 +94,8 @@ class TestSingleSteps:
         lam = grid.laplacian_eigenvalues
         rng = np.random.default_rng(seed)
         state = SimState(
-            psi=grid.field(rng.standard_normal(grid.modes)),
-            v=grid.field(rng.standard_normal(grid.modes)),
+            psi=SpectralField(grid, rng.standard_normal(grid.modes)),
+            v=SpectralField(grid, rng.standard_normal(grid.modes)),
         )
         p = MediumParams(c=c, b=b)
         before = 0.5 * state.v.coeffs**2 + 0.5 * c**2 * (-lam) * state.psi.coeffs**2
@@ -233,7 +235,7 @@ class TestPicard:
 
 class TestSimulate:
     def test_zero_data_stays_zero(self, g8):
-        state = SimState(psi=g8.zeros(), v=g8.zeros())
+        state = SimState(psi=zero_field(g8), v=zero_field(g8))
         series = simulate(state, 1.0, StepConfig(dt=1e-2), NONLIN)
         assert series.termination.completed
         assert np.all(series.column("E") == 0.0)
@@ -296,7 +298,7 @@ class TestSimulate:
         series = simulate(state, 0.05, StepConfig(dt=1e-2), NONLIN)
         t_snap, snap = series.snapshots[-1]
         assert t_snap == pytest.approx(0.05, abs=1e-12)
-        assert snap.is_finite()
+        assert np.isfinite(snap.psi.coeffs).all() and np.isfinite(snap.v.coeffs).all()
 
     def test_dissipation_cumulative_nondecreasing(self, g8):
         state = single_mode_state(g8, 0.5, 0.5)
@@ -311,6 +313,12 @@ class TestSimulate:
             simulate(state, -1.0, StepConfig(dt=1e-2), LINEAR)
         with pytest.raises(ValueError):
             simulate(state, 1.0, StepConfig(dt=1e-2), LINEAR, sample_every=0)
+
+    @pytest.mark.parametrize("snapshot_every", [0, -2])
+    def test_snapshot_every_must_be_positive(self, g8, snapshot_every):
+        state = single_mode_state(g8)
+        with pytest.raises(ValueError, match="snapshot_every must be at least 1"):
+            simulate(state, 0.1, StepConfig(dt=1e-2), LINEAR, snapshot_every=snapshot_every)
 
     @pytest.mark.parametrize("T", [4e-4, 1.0005])
     def test_final_time_must_be_step_multiple(self, g8, T):
@@ -331,7 +339,7 @@ def assert_columns_close(batch, solo, rtol):
     assert np.array_equal(np.isfinite(batch), finite)
     assert np.array_equal(batch[~finite], solo[~finite], equal_nan=True)
     batch, solo = np.where(finite, batch, 0.0), np.where(finite, solo, 0.0)
-    assert np.all(np.abs(batch - solo) <= rtol * np.max(np.abs(solo), axis=0))
+    assert np.all(np.abs(batch - solo) <= rtol * np.max(np.abs(solo), axis=0, initial=0.0))
 
 
 class TestBatch:
@@ -350,11 +358,11 @@ class TestBatch:
         grid = Grid(extents=(np.pi,), modes=(16,))
         cfg = StepConfig(dt=1e-2, scheme=scheme)
         states = [single_mode_state(grid, a, a) for a in amplitudes]
-        with pytest.MonkeyPatch.context() as patch:
-            # A row buffer of one row per member: it grows as rows arrive
-            # and is compacted in place as members leave.
-            patch.setattr(integrate, "_ROW_BUFFER_VALUES", len(SERIES_COLUMNS) * len(states))
-            batch = simulate_batch(states, 0.5, cfg, NONLIN, sample_every, snapshot_every=20)
+        batch = simulate_batch(states, 0.5, cfg, NONLIN, sample_every, snapshot_every=20)
+        # Each member's rows are an array of their own (a bounds test: two
+        # members' rows interleaved in one buffer would not overlap).
+        for a, b in itertools.combinations(batch, 2):
+            assert not np.may_share_memory(a.data, b.data)
         for state, member in zip(states, batch):
             solo = simulate(state, 0.5, cfg, NONLIN, sample_every, snapshot_every=20)
             assert member.termination == solo.termination
@@ -380,10 +388,11 @@ class TestBatch:
         block_samples=st.integers(1, 3),
         cutoff_exponent=st.floats(1.0, 12.0),
     )
-    # Between them the two examples end members in every way: the energy
-    # cutoff (5.0 under imex, 5.0 at cutoff 1e4 under picard), a non-finite
-    # source (1e100 under imex, 5.0 under picard), a non-finite state (1e200
-    # under imex) and picard_failed (1e100, 1e200 and 20.0 under picard).
+    # Between them the two examples end members on the energy cutoff (1e100
+    # at the start time, 5.0 and 20.0 under imex, 5.0 at cutoff 1e4 under
+    # picard), on a non-finite source (1e200 at the start time, 5.0 at cutoff
+    # 1e12 under picard) and with picard_failed (20.0 under picard).  No
+    # member reaches a non-finite state: its quadratic source overflows first.
     @example(amplitudes=[0.5, 5.0, 1e100, 1e200], sample_every=3, block_samples=2,
              cutoff_exponent=12.0)
     @example(amplitudes=[0.5, 5.0, 20.0, 1e100], sample_every=3, block_samples=2,
@@ -395,8 +404,8 @@ class TestBatch:
         # block.  A run of each member alone without the energy cutoff gives
         # its sampled states: the member has a row at each of them up to its
         # end, and each row is the diagnostics of that state.  A member ends
-        # on the first sample whose energy exceeds the cutoff, with that row
-        # as its last.
+        # on the first sample, the initial one included, whose energy exceeds
+        # the cutoff, with that row as its last.
         grid = Grid(extents=(np.pi,), modes=(16,))
         cfg = StepConfig(dt=1e-2, scheme=scheme)
         cutoff = 10.0**cutoff_exponent
@@ -413,17 +422,20 @@ class TestBatch:
         g = GammaWeights()
         lam = grid.laplacian_eigenvalues
         for state, member, reference in zip(states, batch, references):
-            sampled = dict([(0.0, state)] + reference.snapshots)
+            with np.errstate(over="ignore", invalid="ignore"):
+                f0 = quadratic_source(grid, state.psi.coeffs, state.v.coeffs, NONLIN)
+            # A run ends without a row at a state whose source is not finite.
+            start = [(0.0, state)] if np.isfinite(f0).all() else []
+            sampled = dict(start + reference.snapshots)
             t, E = member.column("t"), member.column("E")
             end = member.termination
             # A state the reference samples at the end time was finite, with a
             # finite source: the member ended there on the energy cutoff.
             assert t.tolist() == [s for s in sampled if end.completed or s <= end.time]
-            on_cutoff = not end.completed and t[-1] == end.time
+            on_cutoff = not end.completed and t[-1:].tolist() == [end.time]
             if on_cutoff:
                 assert E[-1] > cutoff
-            # The initial sample is not tested against the cutoff.
-            assert np.all(E[1 : len(E) - on_cutoff] <= cutoff)
+            assert np.all(E[: len(E) - on_cutoff] <= cutoff)
             want = []
             for time in t:
                 psi, v = sampled[time].psi.coeffs, sampled[time].v.coeffs
@@ -431,14 +443,39 @@ class TestBatch:
                     f = quadratic_source(grid, psi, v, NONLIN)
                     accel = lam * (NONLIN.c**2 * psi + NONLIN.b * v) + f
                     want.append(instantaneous_diagnostics(grid, time, psi, v, f, accel, NONLIN, g))
-            assert_columns_close(member.data[:, : len(DIAGNOSTIC_COLUMNS)], np.array(want), 1e-13)
+            want = np.reshape(want, (len(t), len(DIAGNOSTIC_COLUMNS)))
+            assert_columns_close(member.data[:, : len(DIAGNOSTIC_COLUMNS)], want, 1e-13)
+
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2", "picard"])
+    def test_initial_state_is_checked(self, scheme):
+        # The initial state takes the checks of a sample: a member that starts
+        # above the energy cutoff ends at the start time with that one row,
+        # one that starts with a NaN ends there with none.  Neither takes a
+        # step, and the other members run as they would alone.
+        grid = Grid(extents=(np.pi,), modes=(16,))
+        cfg = StepConfig(dt=1e-2, scheme=scheme)
+        calm, huge = single_mode_state(grid, 0.5, 0.5), single_mode_state(grid, 1e100, 1e100)
+        nan = np.zeros(grid.modes)
+        nan[3] = np.nan
+        broken = SimState(psi=SpectralField(grid, nan), v=zero_field(grid))
+        batch = simulate_batch([calm, huge, broken], 0.5, cfg, NONLIN)
+        for state, member, n_rows in ((huge, batch[1], 1), (broken, batch[2], 0)):
+            for series in (simulate(state, 0.5, cfg, NONLIN), member):
+                assert series.termination == integrate.Termination("diverged", 0.0)
+                assert series.column("t").tolist() == [0.0] * n_rows
+                assert series.snapshots == []
+                assert series.max_picard_iterations == 0
+        assert batch[1].column("E")[0] > integrate.ENERGY_BLOWUP_CUTOFF
+        alone = simulate(calm, 0.5, cfg, NONLIN)
+        assert batch[0].termination == alone.termination
+        assert_columns_close(batch[0].data, alone.data, 1e-13)
 
     def test_members_must_share_grid_and_start_time(self, g8):
         cfg = StepConfig(dt=1e-2)
         other = Grid(extents=(1.0,), modes=(8,))
         with pytest.raises(ValueError, match="share one grid"):
             simulate_batch([single_mode_state(g8), single_mode_state(other)], 0.1, cfg, LINEAR)
-        later = SimState(psi=g8.zeros(), v=g8.zeros(), time=1.0)
+        later = SimState(psi=zero_field(g8), v=zero_field(g8), time=1.0)
         with pytest.raises(ValueError, match="share one grid"):
             simulate_batch([single_mode_state(g8), later], 0.1, cfg, LINEAR)
         with pytest.raises(ValueError, match="at least one"):
