@@ -43,7 +43,7 @@ from .inequalities import (
     random_admissible_gronwall,
     random_trig_fields,
 )
-from .integrate import simulate
+from .integrate import StepConfig, simulate
 from .storage import (
     read_series_csv,
     save_checkpoint,
@@ -178,6 +178,8 @@ def _run_threshold(cfg: RunConfig, out: Path) -> int:
     iters = parse_number(section.get("iters", 12), "threshold.iters", integer=True)
     if iters < 0:
         raise ConfigError(f"threshold.iters must be nonnegative, got {iters}")
+    if not 0 < lo < hi:
+        raise ConfigError(f"threshold.lo and threshold.hi need 0 < lo < hi, got {lo}, {hi}")
     # A decay fit needs no sample more often than every tenth step, and the
     # search makes many runs: sampling is raised to at least every tenth
     # step, and threshold.json records the value used.
@@ -217,17 +219,20 @@ def _run_weighted_study(cfg: RunConfig, out: Path) -> int:
     )
     T = parse_number(section.get("T", 4.0), "study.T")
     dt = parse_number(section.get("dt", cfg.step.dt), "study.dt")
-    scheme = section.get("scheme", "imex1")
+    try:
+        step = StepConfig(dt=dt, scheme=section.get("scheme", "imex1"))
+    except ValueError as exc:
+        raise ConfigError(f"invalid study.scheme or study.dt: {exc}") from exc
     amplitude = parse_number(section.get("amplitude", 0.01), "study.amplitude")
     exponent = parse_number(section.get("exponent", 2.0), "study.exponent")
     study = weighted_regularity_study(
         cfg.medium,
         resolutions,
         T,
-        dt,
+        step.dt,
         extent=cfg.grid.extents[0],
         spec1=InitialDataSpec.power_law(exponent, amplitude),
-        scheme=scheme,
+        scheme=step.scheme,
     )
     write_json(
         out / "study.json",
@@ -249,6 +254,9 @@ def _run_verify_inequalities(cfg: RunConfig, out: Path) -> int:
     draws = parse_number(
         section.get("gronwall_draws", 100), "inequalities.gronwall_draws", integer=True
     )
+    for name, value in (("samples", count), ("gronwall_draws", draws)):
+        if value < 1:
+            raise ConfigError(f"inequalities.{name} must be at least 1, got {value}")
     grid = cfg.grid
     seed = cfg.seed
 
@@ -314,10 +322,8 @@ def _expand_sweep(cfg_raw: dict) -> list[dict]:
     return variants
 
 
-def _sweep_worker(job: tuple[str, dict, str]) -> tuple[str, int]:
-    label, raw, out_dir = job
-    cfg = parse_config(raw)
-    cfg = _apply_seed_override(cfg)
+def _sweep_worker(job: tuple[str, RunConfig, str]) -> tuple[str, int]:
+    label, cfg, out_dir = job
     out = Path(out_dir) / label
     out.mkdir(parents=True, exist_ok=True)
     code = _run_simulate(cfg, out)
@@ -329,7 +335,10 @@ def _run_sweep(cfg_raw: dict, out: Path, jobs: int | None) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     variants = _expand_sweep(cfg_raw)
     jobs = jobs or os.cpu_count() or 1
-    work = [(v["label"], v["config"], str(out)) for v in variants]
+    # Every variant is parsed before any runs, so a bad one leaves no output.
+    work = [
+        (v["label"], _apply_seed_override(parse_config(v["config"])), str(out)) for v in variants
+    ]
     if jobs == 1:
         results = [_sweep_worker(w) for w in work]
     else:

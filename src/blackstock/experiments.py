@@ -12,22 +12,11 @@ envelope: the energy of the fundamental on the pi box with ``c = b = 1`` has
 ``threshold_bisection`` brackets the amplitude ``delta*`` separating decaying
 from diverging runs for a given medium and initial-data shape; blow-up is
 operationalized by the simulator's divergence classifier, so ``delta*`` is an
-empirical, scheme-level quantity reported with its bracket.  The search is a
-k-section: each round runs the ``2^b - 1`` dyadic interior points of the
-bracket as one batch through :func:`blackstock.integrate.simulate_batch`,
-where a diverging member leaves the batch at once and only the decaying ones
-run to the end.  The search assumes, as any bracket does, that the
-classification is monotone in the amplitude; then its bracket is exactly
-that of bisection, which visits the same dyadic points.
-
-What a round saves depends on the share of its points that lie below
-``delta*``, because those run to the end: a round costs about one step
-overhead plus one member's work per decaying point, where bisection pays
-both for every decaying probe.  ``b`` is therefore capped by a cost model
-(``_round_halvings``): the widest round that, when every point decays (the
-worst case of both searches), costs no more per step than the bisection
-steps it replaces.  That allows 6 halvings at N=64 in 1D, 3 at N=128 and
-plain bisection on a 32^2 or 32^3 grid.
+empirical, scheme-level quantity reported with its bracket.  Each round of
+the search probes the dyadic interior points of the bracket as one batch
+through :func:`blackstock.integrate.simulate_batch`, up to short horizons
+where the points above ``delta*`` diverge, then runs the survivors to the
+end from the highest down, up to the first that decays.
 
 ``weighted_regularity_study`` probes the parabolic smoothing of rough initial
 velocity: for data whose ``||Delta psi_1||`` diverges under refinement, the
@@ -141,37 +130,20 @@ def fit_decay(series: TimeSeries, window: tuple[float, float] | None = None) -> 
     )
 
 
-#: Cost model of one batched step, in units of ``prod(2 n + 1) * sum(n)`` over
-#: the grid's mode counts ``n`` (the size of the dense per-axis passes of the
-#: source) per live member: the fixed overhead of a step equals the work of
-#: this many units.  Fitted to imex2 per-step times of 1-32 member batches on
-#: 1D N=32..256, 2D 16^2, 32^2 and 3D 8^3 grids (2-core Xeon VM, one BLAS
-#: thread), where the fits ranged from 5e4 to 3e5 units.
-_STEP_OVERHEAD_WORK = 100_000
-
-
-def _round_halvings(grid: Grid, iters: int) -> int:
-    """The widest k-section round on ``grid``, in halvings, at most ``iters``.
-
-    A round of ``b`` halvings steps ``2^b - 1`` members at ``o + (2^b - 1) w``
-    per step (overhead ``o``, member work ``w``); when every member decays it
-    runs them all to the end, as the ``b`` bisection steps it replaces would
-    at ``b (o + w)``.  The round is the widest with
-    ``2^b - 1 - b <= (b - 1) o / w``.
-    """
-    ratio = _STEP_OVERHEAD_WORK / (math.prod(2 * n + 1 for n in grid.modes) * sum(grid.modes))
-    b = min(iters, 1)
-    while b < iters and 2 ** (b + 1) - 2 - b <= b * ratio:
-        b += 1
-    return b
+#: A round probes its interior points as one batch of at most this many
+#: members x state coefficients: 255 members at N=64, 127 at N=128, 15 on a
+#: 32^2 grid and one on a 32^3 grid.  It bounds the memory of that batch (its
+#: states, sources and their temporaries), which is all that limits a round.
+_ROUND_COEFFICIENTS = 2**14
 
 
 @dataclass(frozen=True)
 class ThresholdReport:
     """Bracket of the empirical small-data threshold.
 
-    ``runs`` lists every probed amplitude with its classification, in probe
-    order; ``round_widths`` the number of halvings each k-section round made.
+    ``runs`` lists every classified amplitude, in order of classification
+    (survivors below one that decays are not); ``round_widths`` the number
+    of halvings each round made.
 
     The bracket belongs to the scheme and step size as much as to the PDE:
     at coarse ``dt`` the schemes diverge at lower amplitudes than the exact
@@ -188,6 +160,27 @@ class ThresholdReport:
     round_widths: tuple[int, ...] = ()
 
 
+def _simulate_amplitudes(
+    amplitudes: list[float],
+    specs: tuple[InitialDataSpec, InitialDataSpec],
+    grid: Grid,
+    p: MediumParams,
+    T: float,
+    cfg: StepConfig,
+    sample_every: int,
+) -> list[TimeSeries]:
+    """Run the shape specs scaled by each amplitude to ``T``, as one batch."""
+    states = [
+        build_initial(_scaled_spec(specs[0], a), _scaled_spec(specs[1], a), grid)
+        for a in amplitudes
+    ]
+    return simulate_batch(states, T, cfg, p, sample_every=sample_every)
+
+
+def _classification(series: TimeSeries, window: tuple[float, float] | None) -> str:
+    return fit_decay(series, window).classification if series.termination.completed else "diverges"
+
+
 def _classify_amplitudes(
     amplitudes: list[float],
     specs: tuple[InitialDataSpec, InitialDataSpec],
@@ -199,14 +192,9 @@ def _classify_amplitudes(
     window: tuple[float, float] | None,
 ) -> list[str]:
     """Classify the runs from the shape specs scaled by each amplitude, as one batch."""
-    states = [
-        build_initial(_scaled_spec(specs[0], a), _scaled_spec(specs[1], a), grid)
-        for a in amplitudes
-    ]
     return [
-        fit_decay(series, window).classification if series.termination.completed
-        else "diverges"
-        for series in simulate_batch(states, T, cfg, p, sample_every=sample_every)
+        _classification(series, window)
+        for series in _simulate_amplitudes(amplitudes, specs, grid, p, T, cfg, sample_every)
     ]
 
 
@@ -242,57 +230,89 @@ def threshold_bisection(
 ) -> ThresholdReport:
     """Narrow the amplitude multiplier between decay and divergence by ``2^iters``.
 
-    The shape specs carry unit-scale amplitudes; each probe scales them by
-    the trial multiplier and runs a full simulation plus decay fit.  The
-    endpoints must straddle the dichotomy or the bracketing precondition
-    fails (for a linear medium every amplitude decays, and the error says so).
+    The shape specs carry unit-scale amplitudes; each trial multiplier scales
+    them.  The endpoints must straddle the dichotomy or the bracketing
+    precondition fails (for a linear medium every amplitude decays, and the
+    error says so).  ``hi`` runs first and alone, so that unbracketed
+    endpoints cost two runs.  Each round takes the ``2^b - 1`` dyadic
+    interior points of the bracket (``b`` the halvings left, at most
+    ``_ROUND_COEFFICIENTS`` in all) and
 
-    The search is a k-section: each round classifies the ``2^b - 1`` dyadic
-    interior points of the bracket as one batch and keeps the first
-    non-decaying point and its lower neighbour.  ``b`` is the number of
-    halvings left, capped by ``_round_halvings``.  ``hi`` is classified
-    first and alone, so that unbracketed endpoints cost two runs; the first
-    round carries ``lo``.  When the classification is monotone in the
-    amplitude, which the bracket assumes anyway, the result is exactly the
-    bracket of ``iters`` bisections.
+    * probes them as one batch to horizons of 1, 2, 4, ... sample intervals,
+      prefixes of their full runs; a point that diverges there ``diverges``.
+      The probe stops at the first horizon at which none diverged, once it
+      is twice the latest divergence time seen in the search;
+    * runs the survivors to ``T``, highest first and one at a time (the
+      first with ``lo``, which must decay), up to the first that decays.
+      It and the next point up are the new bracket (``lo`` and the lowest
+      point when none decays).
+
+    When the classification is monotone in the amplitude, which the bracket
+    assumes anyway, the result is exactly the bracket of ``iters`` bisections.
     """
     if not (0 < lo < hi):
         raise ValueError("need 0 < lo < hi")
     if iters < 0:
         raise ValueError(f"iters must be nonnegative, got {iters}")
     cfg = cfg or StepConfig(dt=1e-3, scheme="imex2")
-    max_halvings = _round_halvings(grid, iters)
+    n_steps = cfg.steps_to(T)
+    # The most halvings b whose 2^b - 1 points fit in _ROUND_COEFFICIENTS.
+    max_halvings = max(1, (_ROUND_COEFFICIENTS // math.prod(grid.modes) + 1).bit_length() - 1)
     runs: list[tuple[float, str]] = []
     widths: list[int] = []
+    latest = 0.0  # the latest divergence time seen in the search
+
+    def run(amplitudes: list[float], horizon: float) -> list[TimeSeries]:
+        nonlocal latest
+        series = _simulate_amplitudes(amplitudes, specs, grid, p, horizon, cfg, sample_every)
+        ends = [s.termination.time for s in series if not s.termination.completed]
+        latest = max([latest] + ends)
+        return series
 
     def classify(amplitudes: list[float]) -> list[str]:
-        classes = _classify_amplitudes(
-            amplitudes, specs, grid, p, T, cfg, sample_every, window
-        )
+        classes = [_classification(s, window) for s in run(amplitudes, T)]
         runs.extend(zip(amplitudes, classes))
         return classes
 
-    # A diverging hi leaves its run within a few steps; one that does not
-    # diverge ends the search before any interior point is run.
     [c_hi] = classify([hi])
-    b = min(iters, max_halvings)
-    points = _dyadic_points(lo, hi, b)
-    c_lo, *classes = classify([lo] + (points[1:-1] if c_hi == "diverges" else []))
-    if not (c_lo == "decays" and c_hi == "diverges"):
-        raise ValueError(
-            "unbracketed endpoints: "
-            f"classification(lo={lo}) = {c_lo}, classification(hi={hi}) = {c_hi}"
-        )
-    while b > 0:
-        widths.append(b)
-        # The new bracket: the first point that does not decay (hi when all
-        # do) and its lower neighbour.
-        j = next((i for i, c in enumerate(classes, 1) if c != "decays"), len(points) - 1)
-        lo, hi = points[j - 1], points[j]
-        iters -= b
+    pending_lo = [lo]
+
+    def classify_with_lo(amplitudes: list[float]) -> list[str]:
+        # classify(), with lo on the first call; lo must decay.
+        nonlocal pending_lo
+        classes = classify(pending_lo + amplitudes) if pending_lo or amplitudes else []
+        if pending_lo and not (classes[0] == "decays" and c_hi == "diverges"):
+            raise ValueError(
+                "unbracketed endpoints: "
+                f"classification(lo={lo}) = {classes[0]}, classification(hi={hi}) = {c_hi}"
+            )
+        classes, pending_lo = classes[len(pending_lo):], []
+        return classes
+
+    while iters > 0 and c_hi == "diverges":
         b = min(iters, max_halvings)
         points = _dyadic_points(lo, hi, b)
-        classes = classify(points[1:-1]) if b > 0 else []
+        # Probe: the points that diverge within a short horizon leave.
+        survivors, k = points[1:-1], 1
+        while survivors and k * sample_every < n_steps:
+            horizon = k * sample_every * cfg.dt
+            diverged = [not s.termination.completed for s in run(survivors, horizon)]
+            runs.extend((a, "diverges") for a, d in zip(survivors, diverged) if d)
+            survivors = [a for a, d in zip(survivors, diverged) if not d]
+            if not any(diverged) and horizon >= 2 * latest:
+                break
+            k *= 2
+        # Descend: the highest survivor that decays and the point above it.
+        j = 0
+        for a in reversed(survivors):
+            if classify_with_lo([a]) == ["decays"]:
+                j = points.index(a)
+                break
+        classify_with_lo([])
+        lo, hi = points[j], points[j + 1]
+        widths.append(b)
+        iters -= b
+    classify_with_lo([])
     return ThresholdReport(
         params=p,
         amplitude_lo=lo,

@@ -80,7 +80,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import MediumParams, quadratic_source
-from .energy import SERIES_COLUMNS, GammaWeights, instantaneous_diagnostics
+from .energy import SERIES_COLUMNS, GammaWeights, _combination, instantaneous_diagnostics
 from .fields import SimState
 from .grid import Grid, SpectralField
 
@@ -98,21 +98,21 @@ ENERGY_BLOWUP_CUTOFF = 1e12
 #: Sampled states are mapped to diagnostics rows in blocks of this many state
 #: coefficients: 64 samples of a 1D N=64 run, one sample of a 64-member N=64
 #: batch or of a 32^3 run.  Mapping a block costs about ten times its state
-#: in temporaries; a block of 2^14 raises the peak memory of the threshold
-#: search's 64-member rounds by about 2 MB.
+#: in temporaries; a block of 2^14 raises the peak memory of a 64-member
+#: N=64 batch by about 2 MB.
 _BLOCK_COEFFICIENTS = 2**12
 
 #: A batch evaluates its quadratic source on slices of at most this many state
 #: coefficients (32 members at N=64, one member from 2048 coefficients on).
-#: The evaluation's temporaries are several times the state, so a large first
-#: k-section round would otherwise hold them for all its members at once.
+#: The evaluation's temporaries are several times the state, so a wide probe
+#: of the threshold search would otherwise hold them for all its members at once.
 _SOURCE_SLICE_COEFFICIENTS = 2**11
 
 _SCHEMES = ("imex1", "imex2", "picard")
 
-_COL_T, _COL_D_INTEGRAND, _COL_WGP_INTEGRAND, _COL_D_CUM, _COL_W_GRAD_PTT = (
+_COL_T, _COL_E, _COL_D_INTEGRAND, _COL_WGP_INTEGRAND, _COL_D_CUM, _COL_W_GRAD_PTT = (
     SERIES_COLUMNS.index(name)
-    for name in ("t", "d_integrand", "wgp_integrand", "D_cum", "w_grad_ptt")
+    for name in ("t", "E", "d_integrand", "wgp_integrand", "D_cum", "w_grad_ptt")
 )
 
 
@@ -395,10 +395,10 @@ def simulate_batch(
     max_its = np.zeros(n_members, dtype=int)
     # E = psi^2 . w_psi + v^2 . w_v per member, with the positive weights
     # w = Grid.gram_weights @ e (not formed: a 3D grid's would be large), so
-    # a non-finite state gives a non-finite energy.
+    # a non-finite state gives a non-finite energy.  e is the E column of the
+    # diagnostics' map on the Gram table rows psi psi and v v.
     gram_weights = grid.gram_weights
-    e_psi = grid.coeff_weight * np.array([0.0, 0.5 * cc, 0.5 * cc / p.b])
-    e_v = grid.coeff_weight * np.array([0.5, 1.0, 0.0])
+    e_psi, _, e_v, *_ = grid.coeff_weight * _combination(p, g)[:, _COL_E].reshape(5, 3)
 
     def energy(psi: np.ndarray, v: np.ndarray) -> np.ndarray:
         n = len(psi)

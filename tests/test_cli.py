@@ -232,6 +232,28 @@ class TestSimulateCommand:
         path = write_config(tmp_path, short_config(**overrides))
         assert main([subcommand, "--config", str(path), "--output", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "subcommand,overrides,field,output",
+        [
+            ("verify-inequalities", {"inequalities": {"samples": 0}}, "inequalities.samples",
+             "inequalities.json"),
+            ("verify-inequalities", {"inequalities": {"gronwall_draws": -3}},
+             "inequalities.gronwall_draws", "inequalities.json"),
+            ("threshold", {"threshold": {"lo": 5.0, "hi": 1.0}}, "threshold.lo", "threshold.json"),
+            ("threshold", {"threshold": {"lo": 0.0}}, "threshold.lo", "threshold.json"),
+            ("weighted-study", {"study": {"scheme": "bogus"}}, "study.scheme", "study.json"),
+        ],
+    )
+    def test_values_that_cannot_be_honoured_exit_1_before_any_run(
+        self, tmp_path, capsys, subcommand, overrides, field, output
+    ):
+        # Exit 1, not the precondition failure (3) of a run that rejects them.
+        path = write_config(tmp_path, short_config(**overrides))
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", str(path), "--output", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not (out / output).exists()
+
     def test_determinism_bit_identical(self, tmp_path):
         path = write_config(tmp_path, short_config(seed=12))
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -375,7 +397,7 @@ class TestThresholdCommand:
         assert report["sample_every"] == 10
         assert report["round_widths"] == [3]
         amplitudes = [run["amplitude"] for run in report["runs"]]
-        assert amplitudes[:2] == [100.0, 0.01] and len(amplitudes) == 2 + 7
+        assert amplitudes[0] == 100.0 and 0.01 in amplitudes
         assert report["amplitude_lo"] in amplitudes and report["amplitude_hi"] in amplitudes
 
     def test_negative_iters_exits_1(self, tmp_path, capsys):
@@ -421,6 +443,14 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(path), "--output", str(out), "--jobs", jobs]) == 1
         assert "--jobs" in capsys.readouterr().err
         assert not (out / "sweep.json").exists()
+
+    def test_invalid_variant_stops_the_sweep_before_any_run(self, tmp_path, capsys):
+        cfg = short_config(sweep={"parameters": {"medium.b": [1.0, -1.0]}})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(path), "--output", str(out), "--jobs", "1"]) == 1
+        assert "medium" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("values", [1.0, []])
     def test_parameter_values_must_be_a_non_empty_list(self, tmp_path, values):

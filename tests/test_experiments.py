@@ -161,26 +161,55 @@ class TestThresholdBisection:
         with pytest.raises(ValueError, match="iters must be nonnegative"):
             threshold_bisection(NONLIN, self.SPECS, 0.01, 100.0, -3, grid=self.GRID)
 
-    def test_k_section_matches_plain_bisection(self, monkeypatch):
-        # A step overhead of 1.5 members' work on this grid allows two
-        # halvings per round.  Reference: plain bisection, one run per
-        # midpoint.
-        cfg, window = StepConfig(dt=4e-3), (2.0, 6.0)
-        monkeypatch.setattr(experiments, "_STEP_OVERHEAD_WORK", 1.5 * 33 * 16)
-        report = threshold_bisection(
-            NONLIN, self.SPECS, 0.01, 100.0, 5, grid=self.GRID, T=8.0, cfg=cfg, window=window
+    CFG, WINDOW = StepConfig(dt=4e-3), (2.0, 6.0)
+
+    def search(self, lo, hi):
+        return threshold_bisection(
+            NONLIN, self.SPECS, lo, hi, 5, grid=self.GRID, T=8.0, cfg=self.CFG, window=self.WINDOW
         )
-        lo, hi, probed = 0.01, 100.0, {}
+
+    def classify(self, amplitude):
+        [c] = _classify_amplitudes(
+            [amplitude], self.SPECS, self.GRID, NONLIN, 8.0, self.CFG, 10, self.WINDOW
+        )
+        return c
+
+    # delta* ~ 3.19 on this setup.  The classification is not monotone just
+    # above it (3.22 decays), so the brackets keep their dyadic points off
+    # (3.2, 3.23).
+    @pytest.mark.parametrize(
+        "lo, hi, round_coefficients, widths",
+        [
+            (0.01, 100.0, None, (5,)),
+            (3.1, 100.0, None, (5,)),  # bottom cell: no interior point survives the probe
+            (1.0, 3.2, None, (5,)),  # top cell: every interior point survives it
+            (2.0, 4.0, None, (5,)),
+            (0.01, 4.0, None, (5,)),
+            (0.01, 100.0, 3 * 16, (2, 2, 1)),  # rounds of three points
+        ],
+    )
+    def test_bracket_matches_plain_bisection(
+        self, monkeypatch, lo, hi, round_coefficients, widths
+    ):
+        if round_coefficients is not None:
+            monkeypatch.setattr(experiments, "_ROUND_COEFFICIENTS", round_coefficients)
+        report = self.search(lo, hi)
+        assert report.round_widths == widths
+        # Reference: plain bisection, one run per midpoint.
         for _ in range(5):
             mid = 0.5 * (lo + hi)
-            [probed[mid]] = _classify_amplitudes(
-                [mid], self.SPECS, self.GRID, NONLIN, 8.0, cfg, 10, window
-            )
-            lo, hi = (mid, hi) if probed[mid] == "decays" else (lo, mid)
-        assert report.round_widths == (2, 2, 1)
+            lo, hi = (mid, hi) if self.classify(mid) == "decays" else (lo, mid)
         assert (report.amplitude_lo, report.amplitude_hi) == (lo, hi)
-        assert len(report.runs) == 2 + 3 + 3 + 1
-        assert probed.items() <= dict(report.runs).items()
+
+    @pytest.mark.parametrize("lo, hi", [(0.01, 100.0), (2.0, 4.0)])
+    def test_runs_have_the_classification_of_their_own_run(self, lo, hi):
+        report = self.search(lo, hi)
+        amplitudes = [a for a, _ in report.runs]
+        assert len(set(amplitudes)) == len(amplitudes)
+        for a, c in report.runs:
+            assert self.classify(a) == c, a
+        # Survivors below the one that decays are never run to the end.
+        assert min(a for a in amplitudes if a != lo) == report.amplitude_lo
 
     def test_zero_iters_returns_the_endpoints(self):
         report = threshold_bisection(
@@ -207,19 +236,6 @@ class TestThresholdBisection:
                 T=8.0, cfg=StepConfig(dt=4e-3), window=(2.0, 6.0),
             )
         assert batches == [1, 1]
-
-    @pytest.mark.parametrize(
-        "modes, iters, halvings",
-        [((16,), 3, 3), ((64,), 8, 6), ((64,), 12, 6), ((128,), 12, 3), ((256,), 12, 1),
-         ((64,), 0, 0), ((16, 16), 8, 3), ((32, 32), 8, 1), ((8, 8, 8), 8, 1),
-         ((32, 32, 32), 8, 1)],
-    )
-    def test_round_width_from_cost_model(self, modes, iters, halvings):
-        # The widest round whose per-step cost, every member decaying, is at
-        # most that of the bisection steps it replaces: o + (2^b - 1) w
-        # against b (o + w), with o / w = 1e5 / (prod(2n + 1) sum(n)).
-        grid = Grid(extents=tuple(1.0 for _ in modes), modes=modes)
-        assert experiments._round_halvings(grid, iters) == halvings
 
 
 class TestWeightedRegularityStudy:
