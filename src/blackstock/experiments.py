@@ -242,10 +242,12 @@ def threshold_bisection(
       prefixes of their full runs; a point that diverges there ``diverges``.
       The probe stops at the first horizon at which none diverged, once it
       is twice the latest divergence time seen in the search;
-    * runs the survivors to ``T``, highest first and one at a time (the
-      first with ``lo``, which must decay), up to the first that decays.
-      It and the next point up are the new bracket (``lo`` and the lowest
-      point when none decays).
+    * runs the survivors to ``T``, highest first and one at a time, up to
+      the first that decays.  It and the next point up are the new bracket
+      (``lo`` and the lowest point when none decays).
+
+    ``lo``, which must decay, runs along with the first survivor that runs to
+    ``T``, or alone at the end of the search when there is none.
 
     When the classification is monotone in the amplitude, which the bracket
     assumes anyway, the result is exactly the bracket of ``iters`` bisections.
@@ -275,20 +277,7 @@ def threshold_bisection(
         return classes
 
     [c_hi] = classify([hi])
-    pending_lo = [lo]
-
-    def classify_with_lo(amplitudes: list[float]) -> list[str]:
-        # classify(), with lo on the first call; lo must decay.
-        nonlocal pending_lo
-        classes = classify(pending_lo + amplitudes) if pending_lo or amplitudes else []
-        if pending_lo and not (classes[0] == "decays" and c_hi == "diverges"):
-            raise ValueError(
-                "unbracketed endpoints: "
-                f"classification(lo={lo}) = {classes[0]}, classification(hi={hi}) = {c_hi}"
-            )
-        classes, pending_lo = classes[len(pending_lo):], []
-        return classes
-
+    ends, with_lo = (lo, hi), [lo]  # lo runs with the first run to T after hi's
     while iters > 0 and c_hi == "diverges":
         b = min(iters, max_halvings)
         points = _dyadic_points(lo, hi, b)
@@ -305,14 +294,20 @@ def threshold_bisection(
         # Descend: the highest survivor that decays and the point above it.
         j = 0
         for a in reversed(survivors):
-            if classify_with_lo([a]) == ["decays"]:
+            *_, c = classify(with_lo + [a])
+            with_lo = []
+            if c == "decays":
                 j = points.index(a)
                 break
-        classify_with_lo([])
         lo, hi = points[j], points[j + 1]
         widths.append(b)
         iters -= b
-    classify_with_lo([])
+    c_lo = classify(with_lo)[0] if with_lo else dict(runs)[ends[0]]
+    if not (c_lo == "decays" and c_hi == "diverges"):
+        raise ValueError(
+            "unbracketed endpoints: "
+            f"classification(lo={ends[0]}) = {c_lo}, classification(hi={ends[1]}) = {c_hi}"
+        )
     return ThresholdReport(
         params=p,
         amplitude_lo=lo,
