@@ -3,7 +3,10 @@
 Usage: ``blackstock <subcommand> --config <path> [--output <dir>] [--jobs N]``
 with subcommands ``simulate``, ``fit``, ``threshold``, ``weighted-study``,
 ``verify-inequalities`` and ``sweep``.  The environment variable
-``BLACKSTOCK_SEED`` overrides the configured seed.
+``BLACKSTOCK_SEED`` overrides the configured seed.  The whole configuration
+is parsed and checked by :mod:`blackstock.config` before a subcommand runs;
+the subcommands read only parsed values, and the output directory is made
+with the first file written to it.
 
 Exit codes: 0 success, 1 configuration errors, 2 divergence of a simulate
 run, 3 precondition failures (unbracketed thresholds, bad fit windows,
@@ -14,21 +17,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
-import json
 import os
 import sys
 from multiprocessing import Pool
 from pathlib import Path
 
-from .config import (
-    ConfigError,
-    RunConfig,
-    load_config,
-    parse_config,
-    parse_number,
-    parse_numbers,
-)
+from .config import ConfigError, RunConfig, load_config
 from .experiments import (
     fit_decay,
     threshold_bisection,
@@ -43,7 +37,7 @@ from .inequalities import (
     random_admissible_gronwall,
     random_trig_fields,
 )
-from .integrate import StepConfig, simulate
+from .integrate import simulate
 from .storage import (
     read_series_csv,
     save_checkpoint,
@@ -88,12 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _output_dir(cfg: RunConfig, override: str | None) -> Path:
-    out = Path(override or cfg.output_dir or "blackstock_out")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _apply_seed_override(cfg: RunConfig) -> RunConfig:
     env = os.environ.get("BLACKSTOCK_SEED")
     if env is None:
@@ -103,11 +91,6 @@ def _apply_seed_override(cfg: RunConfig) -> RunConfig:
     except ValueError:
         raise ConfigError(f"BLACKSTOCK_SEED must be an integer, got {env!r}") from None
     return dataclasses.replace(cfg, seed=seed)
-
-
-def _window(section: dict, where: str) -> tuple[float, ...] | None:
-    window = section.get("window")
-    return parse_numbers(window, where, length=2) if window is not None else None
 
 
 def _termination_payload(series) -> dict:
@@ -147,8 +130,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_fit(cfg: RunConfig, config_path: Path, out: Path) -> int:
-    section = cfg.fit
-    csv_name = section.get("series_csv")
+    csv_name = cfg.fit["series_csv"]
     if not csv_name:
         raise ConfigError("fit requires fit.series_csv in the configuration")
     csv_path = Path(csv_name)
@@ -156,8 +138,7 @@ def _run_fit(cfg: RunConfig, config_path: Path, out: Path) -> int:
         csv_path = config_path.parent / csv_path
     if not csv_path.is_file():
         raise ConfigError(f"fit.series_csv not found: {csv_path}")
-    window = _window(section, "fit.window")
-    fit = fit_decay(read_series_csv(csv_path), window)
+    fit = fit_decay(read_series_csv(csv_path), cfg.fit["window"])
     write_json(
         out / "fit.json",
         {
@@ -173,13 +154,6 @@ def _run_fit(cfg: RunConfig, config_path: Path, out: Path) -> int:
 
 def _run_threshold(cfg: RunConfig, out: Path) -> int:
     section = cfg.threshold
-    lo = parse_number(section.get("lo", 0.01), "threshold.lo")
-    hi = parse_number(section.get("hi", 100.0), "threshold.hi")
-    iters = parse_number(section.get("iters", 12), "threshold.iters", integer=True)
-    if iters < 0:
-        raise ConfigError(f"threshold.iters must be nonnegative, got {iters}")
-    if not 0 < lo < hi:
-        raise ConfigError(f"threshold.lo and threshold.hi need 0 < lo < hi, got {lo}, {hi}")
     # A decay fit needs no sample more often than every tenth step, and the
     # search makes many runs: sampling is raised to at least every tenth
     # step, and threshold.json records the value used.
@@ -187,14 +161,14 @@ def _run_threshold(cfg: RunConfig, out: Path) -> int:
     report = threshold_bisection(
         cfg.medium,
         (cfg.psi0, cfg.psi1),
-        lo,
-        hi,
-        iters,
+        section["lo"],
+        section["hi"],
+        section["iters"],
         grid=cfg.grid,
         T=cfg.T,
         cfg=cfg.step,
         sample_every=sample_every,
-        window=_window(section, "threshold.window"),
+        window=section["window"],
     )
     write_json(
         out / "threshold.json",
@@ -212,27 +186,14 @@ def _run_threshold(cfg: RunConfig, out: Path) -> int:
 
 def _run_weighted_study(cfg: RunConfig, out: Path) -> int:
     section = cfg.study
-    resolutions = list(
-        parse_numbers(
-            section.get("resolutions", [64, 128, 256]), "study.resolutions", integer=True
-        )
-    )
-    T = parse_number(section.get("T", 4.0), "study.T")
-    dt = parse_number(section.get("dt", cfg.step.dt), "study.dt")
-    try:
-        step = StepConfig(dt=dt, scheme=section.get("scheme", "imex1"))
-    except ValueError as exc:
-        raise ConfigError(f"invalid study.scheme or study.dt: {exc}") from exc
-    amplitude = parse_number(section.get("amplitude", 0.01), "study.amplitude")
-    exponent = parse_number(section.get("exponent", 2.0), "study.exponent")
     study = weighted_regularity_study(
         cfg.medium,
-        resolutions,
-        T,
-        step.dt,
+        section["resolutions"],
+        section["T"],
+        section["dt"],
         extent=cfg.grid.extents[0],
-        spec1=InitialDataSpec.power_law(exponent, amplitude),
-        scheme=step.scheme,
+        spec1=InitialDataSpec.power_law(section["exponent"], section["amplitude"]),
+        scheme=section["scheme"],
     )
     write_json(
         out / "study.json",
@@ -249,14 +210,8 @@ def _run_weighted_study(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_verify_inequalities(cfg: RunConfig, out: Path) -> int:
-    section = cfg.inequalities
-    count = parse_number(section.get("samples", 2000), "inequalities.samples", integer=True)
-    draws = parse_number(
-        section.get("gronwall_draws", 100), "inequalities.gronwall_draws", integer=True
-    )
-    for name, value in (("samples", count), ("gronwall_draws", draws)):
-        if value < 1:
-            raise ConfigError(f"inequalities.{name} must be at least 1, got {value}")
+    count = cfg.inequalities["samples"]
+    draws = cfg.inequalities["gronwall_draws"]
     grid = cfg.grid
     seed = cfg.seed
 
@@ -294,51 +249,18 @@ def _run_verify_inequalities(cfg: RunConfig, out: Path) -> int:
     return EXIT_OK if (scale_ok and all_ok) else EXIT_PRECONDITION
 
 
-def _expand_sweep(cfg_raw: dict) -> list[dict]:
-    sweep = cfg_raw.get("sweep", {})
-    params = sweep.get("parameters", {})
-    if not isinstance(params, dict) or not params:
-        raise ConfigError(f"sweep.parameters must be a non-empty object, got {params!r}")
-    keys = sorted(params)
-    for key in keys:
-        if not isinstance(params[key], list) or not params[key]:
-            raise ConfigError(f"sweep.parameters.{key} must be a non-empty list")
-    combos = list(itertools.product(*(params[k] for k in keys)))
-    variants = []
-    for combo in combos:
-        variant = json.loads(json.dumps(cfg_raw))
-        variant.pop("sweep", None)
-        label_parts = []
-        for key, value in zip(keys, combo):
-            node = variant
-            *parents, leaf = key.split(".")
-            for part in parents:
-                node = node.setdefault(part, {})
-                if not isinstance(node, dict):
-                    raise ConfigError(f"sweep parameter {key!r}: {part!r} is not an object")
-            node[leaf] = value
-            label_parts.append(f"{leaf}={value}")
-        variants.append({"label": "__".join(label_parts), "config": variant})
-    return variants
-
-
 def _sweep_worker(job: tuple[str, RunConfig, str]) -> tuple[str, int]:
     label, cfg, out_dir = job
-    out = Path(out_dir) / label
-    out.mkdir(parents=True, exist_ok=True)
-    code = _run_simulate(cfg, out)
-    return label, code
+    return label, _run_simulate(cfg, Path(out_dir) / label)
 
 
-def _run_sweep(cfg_raw: dict, out: Path, jobs: int | None) -> int:
+def _run_sweep(cfg: RunConfig, out: Path, jobs: int | None) -> int:
     if jobs is not None and jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {jobs}")
-    variants = _expand_sweep(cfg_raw)
+    if not cfg.sweep:
+        raise ConfigError("sweep requires sweep.parameters in the configuration")
     jobs = jobs or os.cpu_count() or 1
-    # Every variant is parsed before any runs, so a bad one leaves no output.
-    work = [
-        (v["label"], _apply_seed_override(parse_config(v["config"])), str(out)) for v in variants
-    ]
+    work = [(label, _apply_seed_override(variant), str(out)) for label, variant in cfg.sweep]
     if jobs == 1:
         results = [_sweep_worker(w) for w in work]
     else:
@@ -356,7 +278,7 @@ def run(subcommand: str, config_path: str | Path, output: str | None = None, job
     config_path = Path(config_path)
     cfg = load_config(config_path)
     cfg = _apply_seed_override(cfg)
-    out = _output_dir(cfg, output)
+    out = Path(output or cfg.output_dir or "blackstock_out")
     if subcommand == "simulate":
         return _run_simulate(cfg, out)
     if subcommand == "fit":
@@ -368,8 +290,7 @@ def run(subcommand: str, config_path: str | Path, output: str | None = None, job
     if subcommand == "verify-inequalities":
         return _run_verify_inequalities(cfg, out)
     if subcommand == "sweep":
-        raw = json.loads(Path(config_path).read_text())
-        return _run_sweep(raw, out, jobs)
+        return _run_sweep(cfg, out, jobs)
     raise ConfigError(f"unknown subcommand {subcommand!r}")
 
 

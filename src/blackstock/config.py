@@ -13,16 +13,22 @@ A run is described by one JSON file.  Minimal example::
 
 Defaults for omitted sections: a 1D box of length pi with 64 modes (32 per
 axis in 3D), zero initial data, the second-order IMEX scheme sampling every
-step, Lyapunov weights (0.1, 0.01, 0.05), seed 0.  Unknown keys anywhere are
-rejected, and section-level validation reuses the component invariants (for
+step, Lyapunov weights (0.1, 0.01, 0.05), seed 0.  Every section is parsed
+here, the subcommands' own (``fit``, ``threshold``, ``study``,
+``inequalities``, ``sweep``) included, so a subcommand reads only checked
+values.  Unknown keys anywhere are rejected, and so is a value no run can
+honour; section-level validation reuses the component invariants (for
 example ``b <= 0`` is rejected with the medium's own message).
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -36,8 +42,6 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "load_config",
-    "parse_number",
-    "parse_numbers",
     "parse_config",
 ]
 
@@ -50,7 +54,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration with all component objects constructed."""
+    """Validated configuration with all component objects constructed.
+
+    ``fit``, ``threshold``, ``study`` and ``inequalities`` map each key of
+    their section to its parsed value, the default where the file omits it.
+    """
 
     grid: Grid
     medium: MediumParams
@@ -66,7 +74,8 @@ class RunConfig:
     threshold: dict = field(default_factory=dict)
     study: dict = field(default_factory=dict)
     inequalities: dict = field(default_factory=dict)
-    sweep: dict = field(default_factory=dict)
+    #: The sweep's ``(label, RunConfig)`` variants, all of them parsed.
+    sweep: tuple = ()
 
 
 def _object(section: Any, where: str) -> dict:
@@ -145,19 +154,6 @@ def _parse_grid(section: dict) -> Grid:
         raise ConfigError(f"invalid grid: {exc}") from exc
 
 
-def _parse_coefficients(section: dict, defaults: dict, where: str, build):
-    # A section of named real coefficients, each defaulted, built by ``build``.
-    _reject_unknown(section, set(defaults), where)
-    values = {
-        name: parse_number(section.get(name, default), f"{where}.{name}")
-        for name, default in defaults.items()
-    }
-    try:
-        return build(**values)
-    except ValueError as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
-
-
 def _parse_mode(mode: Any, where: str) -> list[int]:
     if not isinstance(mode, list):
         mode = [mode]
@@ -178,13 +174,15 @@ def _parse_initial_one(section: Any, where: str) -> InitialDataSpec:
             )
         if kind == "multi_mode":
             _reject_unknown(section, {"kind", "terms"}, where)
-            terms = [
-                (
-                    _parse_mode(term["mode"], where),
-                    parse_number(term["amplitude"], f"{where}.amplitude"),
+            terms = []
+            for term in _require(section, "terms", where):
+                _reject_unknown(term, {"mode", "amplitude"}, f"{where}.terms")
+                terms.append(
+                    (
+                        _parse_mode(term["mode"], where),
+                        parse_number(term["amplitude"], f"{where}.amplitude"),
+                    )
                 )
-                for term in _require(section, "terms", where)
-            ]
             return InitialDataSpec.multi_mode(terms)
         if kind == "power_law":
             _reject_unknown(section, {"kind", "exponent", "amplitude"}, where)
@@ -199,45 +197,94 @@ def _parse_initial_one(section: Any, where: str) -> InitialDataSpec:
     raise ConfigError(f"unknown initial-data kind {kind!r} in {where}")
 
 
-def _parse_integrator(section: dict) -> tuple[StepConfig, float, int]:
-    allowed = {"scheme", "dt", "T", "sample_every", "picard_tol", "picard_max_iter"}
-    _reject_unknown(section, allowed, "integrator")
+def _string(value: Any, where: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
+    return value
 
-    def number(key: str, default: float, integer: bool = False):
-        return parse_number(section.get(key, default), f"integrator.{key}", integer)
 
-    T = number("T", 20.0)
-    sample_every = number("sample_every", 1, integer=True)
-    dt = number("dt", 1e-3)
-    picard_tol = number("picard_tol", 1e-10)
-    picard_max_iter = number("picard_max_iter", 50, integer=True)
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ConfigError(message)
+
+
+def _build(where: str, build, **values):
+    # ``build(**values)``, with its ValueError reported as invalid ``where``.
     try:
-        step = StepConfig(
-            dt=dt,
-            scheme=str(section.get("scheme", "imex2")),
-            picard_tol=picard_tol,
-            picard_max_iter=picard_max_iter,
-        )
-        step.steps_to(T)
+        return build(**values)
     except ValueError as exc:
-        raise ConfigError(f"invalid integrator: {exc}") from exc
-    if sample_every < 1:
-        raise ConfigError("invalid integrator: sample_every must be at least 1")
-    return step, T, sample_every
+        raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-# Sections kept as plain dicts for the subcommand that reads them.
-_PASS_THROUGH_KEYS = ("fit", "threshold", "study", "inequalities", "sweep")
-_TOP_LEVEL_KEYS = {
-    "grid",
-    "medium",
-    "initial",
-    "integrator",
-    "gammas",
-    "seed",
-    "output_dir",
-    *_PASS_THROUGH_KEYS,
+_integer = partial(parse_number, integer=True)
+
+# The keyed sections: key -> (default, parser).  A parser reads the JSON value
+# and names it by its dotted path in errors; a default is taken as it stands.
+_SECTIONS = {
+    "medium": {"c": (1.0, parse_number), "b": (1.0, parse_number),
+               "k": (0.0, parse_number), "sigma": (0.0, parse_number)},
+    "gammas": {"gamma1": (0.1, parse_number), "gamma2": (0.01, parse_number),
+               "gamma3": (0.05, parse_number)},
+    "integrator": {"scheme": ("imex2", _string), "dt": (1e-3, parse_number),
+                   "T": (20.0, parse_number), "sample_every": (1, _integer),
+                   "picard_tol": (1e-10, parse_number), "picard_max_iter": (50, _integer)},
+    "fit": {"series_csv": (None, _string), "window": (None, partial(parse_numbers, length=2))},
+    "threshold": {"lo": (0.01, parse_number), "hi": (100.0, parse_number),
+                  "iters": (12, _integer), "window": (None, partial(parse_numbers, length=2))},
+    # A study dt of None is the integrator's.
+    "study": {"resolutions": ((64, 128, 256), partial(parse_numbers, integer=True)),
+              "T": (4.0, parse_number), "dt": (None, parse_number),
+              "scheme": ("imex1", _string), "amplitude": (0.01, parse_number),
+              "exponent": (2.0, parse_number)},
+    "inequalities": {"samples": (2000, _integer), "gronwall_draws": (100, _integer)},
 }
+_TOP_LEVEL_KEYS = {"grid", "initial", "seed", "output_dir", "sweep", *_SECTIONS}
+
+
+def _parse_sections(raw: dict) -> dict[str, dict]:
+    sections = {}
+    for name, table in _SECTIONS.items():
+        section = raw.get(name, {})
+        _reject_unknown(section, set(table), name)
+        sections[name] = {
+            key: parser(section[key], f"{name}.{key}") if key in section else default
+            for key, (default, parser) in table.items()
+        }
+    return sections
+
+
+def _expand_sweep(raw: dict) -> tuple[tuple[str, RunConfig], ...]:
+    # Every point of the cartesian product of sweep.parameters, each a
+    # labelled copy of the configuration without its sweep, parsed.
+    if "sweep" not in raw:
+        return ()
+    _reject_unknown(raw["sweep"], {"parameters"}, "sweep")
+    params = raw["sweep"].get("parameters")
+    _check(isinstance(params, dict) and bool(params),
+           f"sweep.parameters must be a non-empty object, got {params!r}")
+    keys = sorted(params)
+    for key in keys:
+        _check(isinstance(params[key], list) and bool(params[key]),
+               f"sweep.parameters.{key} must be a non-empty list")
+    variants = []
+    for combo in itertools.product(*(params[k] for k in keys)):
+        variant = copy.deepcopy(raw)
+        del variant["sweep"]
+        label_parts = []
+        for key, value in zip(keys, combo):
+            node = variant
+            *parents, leaf = key.split(".")
+            for part in parents:
+                node = node.setdefault(part, {})
+                _check(isinstance(node, dict), f"sweep parameter {key!r}: {part!r} is not an object")
+            node[leaf] = value
+            label_parts.append(f"{leaf}={value}")
+        label = "__".join(label_parts)
+        try:
+            variants.append((label, parse_config(variant)))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep variant {label}: {exc}") from exc
+    return tuple(variants)
 
 
 def parse_config(raw: dict) -> RunConfig:
@@ -246,9 +293,6 @@ def parse_config(raw: dict) -> RunConfig:
         raise ConfigError("configuration root must be a JSON object")
     _reject_unknown(raw, _TOP_LEVEL_KEYS, "configuration")
     grid = _parse_grid(raw.get("grid", {}))
-    medium = _parse_coefficients(
-        raw.get("medium", {}), {"c": 1.0, "b": 1.0, "k": 0.0, "sigma": 0.0}, "medium", MediumParams
-    )
     initial = raw.get("initial", {})
     _reject_unknown(initial, {"psi0", "psi1"}, "initial")
     psi0 = (
@@ -261,17 +305,31 @@ def parse_config(raw: dict) -> RunConfig:
         if "psi1" in initial
         else InitialDataSpec.zero()
     )
-    step, T, sample_every = _parse_integrator(raw.get("integrator", {}))
-    gammas = _parse_coefficients(
-        raw.get("gammas", {}),
-        {"gamma1": 0.1, "gamma2": 0.01, "gamma3": 0.05},
-        "gammas",
-        GammaWeights,
-    )
+    sections = _parse_sections(raw)
+    medium = _build("medium", MediumParams, **sections.pop("medium"))
+    gammas = _build("gammas", GammaWeights, **sections.pop("gammas"))
+    integrator = sections.pop("integrator")
+    T, sample_every = integrator.pop("T"), integrator.pop("sample_every")
+    step = _build("integrator", StepConfig, **integrator)
+    _build("integrator", step.steps_to, T=T)
+    _check(sample_every >= 1, "invalid integrator: sample_every must be at least 1")
+    threshold = sections["threshold"]
+    lo, hi, window = threshold["lo"], threshold["hi"], threshold["window"]
+    _check(threshold["iters"] >= 0, f"threshold.iters must be nonnegative, got {threshold['iters']}")
+    _check(0 < lo < hi, f"threshold.lo and threshold.hi need 0 < lo < hi, got {lo}, {hi}")
+    # The search's runs start at time 0 and end at T.
+    _check(window is None or 0 <= window[0] < window[1] <= T,
+           f"threshold.window needs 0 <= lo < hi <= T = {T}, got {window}")
+    study = sections["study"]
+    if study["dt"] is None:
+        study["dt"] = step.dt
+    _build("study.scheme or study.dt", StepConfig, dt=study["dt"], scheme=study["scheme"])
+    for key, value in sections["inequalities"].items():
+        _check(value >= 1, f"inequalities.{key} must be at least 1, got {value}")
     seed = parse_number(raw.get("seed", 0), "seed", integer=True)
     output_dir = raw.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+    if output_dir is not None:
+        _string(output_dir, "output_dir")
     # Mode indices must exist on the grid; realize once to surface errors now.
     try:
         psi0.realize(grid)
@@ -289,7 +347,8 @@ def parse_config(raw: dict) -> RunConfig:
         gammas=gammas,
         seed=seed,
         output_dir=output_dir,
-        **{key: dict(_object(raw.get(key, {}), key)) for key in _PASS_THROUGH_KEYS},
+        sweep=_expand_sweep(raw),
+        **sections,
     )
 
 

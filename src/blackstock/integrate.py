@@ -40,8 +40,8 @@ member axis, ``psi[member, *modes]``.  The modal solves broadcast over it, and
 step costs a fixed number of array operations whatever the batch size (the
 source is evaluated on slices of at most ``_SOURCE_SLICE_COEFFICIENTS``
 coefficients, which bounds a large batch's temporaries).  The source is
-evaluated once per step for the IMEX schemes, and for ``picard`` only at
-sampled states (the fixed-point iteration evaluates the rest).  Under
+evaluated and checked once at every new state, for every scheme; a
+``picard`` step starts its fixed-point iteration from it.  Under
 ``picard`` a member that has converged is frozen and takes no further
 iterations.  ``SimState`` objects are built only for snapshots.
 
@@ -387,7 +387,6 @@ def simulate_batch(
     lam = grid.laplacian_eigenvalues
     cc = p.c**2
     solver = _ModalSolver(grid, p, cfg.dt)
-    picard = cfg.scheme == "picard"
     n_members = len(initials)
     n_coeffs = math.prod(grid.modes)
     results: list[TimeSeries | None] = [None] * n_members
@@ -469,15 +468,9 @@ def simulate_batch(
         E = energy(psi, v)
         if not np.isfinite(E).all() and not retire(~_finite_members(psi, v), "diverged", t):
             return False
-        if is_sample or not picard:
-            f_prev, f_curr = f_curr, _source(grid, psi, v, p)
-            if not np.isfinite(f_curr).all() and not retire(
-                ~_finite_members(f_curr), "diverged", t
-            ):
-                return False
-        else:
-            # Not evaluated at the new state: the next picard step does it.
-            f_curr = None
+        f_prev, f_curr = f_curr, _source(grid, psi, v, p)
+        if not np.isfinite(f_curr).all() and not retire(~_finite_members(f_curr), "diverged", t):
+            return False
         if is_sample:
             sample(t)
             # Also true for a NaN energy.
@@ -506,8 +499,6 @@ def simulate_batch(
                 fhat = 1.5 * f_curr - 0.5 * f_prev
             psi, v = solver.trapezoid(psi, v, fhat)
         else:
-            if f_curr is None:
-                f_curr = _source(grid, psi, v, p)
             psi, v, its, converged = _picard_step(grid, psi, v, f_curr, solver, cfg, p)
             max_its[members] = np.maximum(max_its[members], its)
             if not converged.all() and not retire(~converged, "picard_failed", t_next):

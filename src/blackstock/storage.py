@@ -42,7 +42,9 @@ def _write_atomically(path: str | Path, data: str | bytes) -> None:
     # Write to a temporary file next to ``path``, flush it to disk and only
     # then move it into place, so ``path`` never holds a partial output, also
     # after a crash on a filesystem that may reorder the rename before the data.
+    # The directory is made here, so a run that writes nothing leaves none.
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:

@@ -85,6 +85,11 @@ class TestConfigLoading:
         bad2["medium"]["viscosity"] = 1.0
         with pytest.raises(ConfigError, match="unknown keys in medium"):
             load_config(write_config(tmp_path, bad2))
+        term = {"mode": [1], "amplitude": 0.01}
+        bad3 = json.loads(json.dumps(MINIMAL))
+        bad3["initial"]["psi0"] = {"kind": "multi_mode", "terms": [term, dict(term, amplitdue=1)]}
+        with pytest.raises(ConfigError, match=re.escape("initial.psi0.terms: ['amplitdue']")):
+            load_config(write_config(tmp_path, bad3))
 
     def test_parse_error_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -233,26 +238,35 @@ class TestSimulateCommand:
         assert main([subcommand, "--config", str(path), "--output", str(tmp_path / "o")]) == 1
 
     @pytest.mark.parametrize(
-        "subcommand,overrides,field,output",
+        "subcommand,overrides,field",
         [
-            ("verify-inequalities", {"inequalities": {"samples": 0}}, "inequalities.samples",
-             "inequalities.json"),
+            ("verify-inequalities", {"inequalities": {"samples": 0}}, "inequalities.samples"),
             ("verify-inequalities", {"inequalities": {"gronwall_draws": -3}},
-             "inequalities.gronwall_draws", "inequalities.json"),
-            ("threshold", {"threshold": {"lo": 5.0, "hi": 1.0}}, "threshold.lo", "threshold.json"),
-            ("threshold", {"threshold": {"lo": 0.0}}, "threshold.lo", "threshold.json"),
-            ("weighted-study", {"study": {"scheme": "bogus"}}, "study.scheme", "study.json"),
+             "inequalities.gronwall_draws"),
+            ("threshold", {"threshold": {"lo": 5.0, "hi": 1.0}}, "threshold.lo"),
+            ("threshold", {"threshold": {"lo": 0.0}}, "threshold.lo"),
+            ("weighted-study", {"study": {"scheme": "bogus"}}, "study.scheme"),
+            # A misspelled key in a subcommand's section, not a run on its defaults.
+            ("fit", {"fit": {"series_csv": "run.json", "windw": [1.0, 2.0]}}, "windw"),
+            ("threshold", {"threshold": {"itres": 2}}, "itres"),
+            ("weighted-study", {"study": {"resolution": [8]}}, "resolution"),
+            ("verify-inequalities", {"inequalities": {"sample": 5}}, "sample"),
+            ("sweep", {"sweep": {"parameters": {"medium.k": [0.0]}, "jobs": 2}}, "jobs"),
+            ("fit", {"fit": {"series_csv": 5}}, "fit.series_csv"),
+            ("threshold", {"threshold": {"window": [0.4, 0.1]}}, "threshold.window"),
+            ("threshold", {"threshold": {"window": [0.1, 0.6]}}, "threshold.window"),
         ],
     )
     def test_values_that_cannot_be_honoured_exit_1_before_any_run(
-        self, tmp_path, capsys, subcommand, overrides, field, output
+        self, tmp_path, capsys, subcommand, overrides, field
     ):
-        # Exit 1, not the precondition failure (3) of a run that rejects them.
+        # Exit 1, not the precondition failure (3) of a run that rejects them,
+        # and no output directory.
         path = write_config(tmp_path, short_config(**overrides))
         out = tmp_path / "o"
         assert main([subcommand, "--config", str(path), "--output", str(out)]) == 1
         assert field in capsys.readouterr().err
-        assert not (out / output).exists()
+        assert not out.exists()
 
     def test_determinism_bit_identical(self, tmp_path):
         path = write_config(tmp_path, short_config(seed=12))
@@ -423,18 +437,20 @@ class TestWeightedStudyCommand:
 
 
 class TestSweepCommand:
-    def test_two_point_sweep(self, tmp_path):
+    def test_two_point_sweep(self, tmp_path, monkeypatch):
         cfg = short_config(
             sweep={"parameters": {"medium.k": [0.0, 1.0]}},
         )
         path = write_config(tmp_path, cfg)
         out = tmp_path / "sweep"
+        monkeypatch.setenv("BLACKSTOCK_SEED", "99")
         assert main(["sweep", "--config", str(path), "--output", str(out), "--jobs", "1"]) == 0
         report = json.loads((out / "sweep.json").read_text())
         labels = {run["label"] for run in report["runs"]}
         assert labels == {"k=0.0", "k=1.0"}
         for label in labels:
             assert (out / label / "series.csv").exists()
+            assert json.loads((out / label / "summary.json").read_text())["seed"] == 99
 
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
@@ -450,7 +466,7 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(path), "--output", str(out), "--jobs", "1"]) == 1
         assert "medium" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("values", [1.0, []])
     def test_parameter_values_must_be_a_non_empty_list(self, tmp_path, values):

@@ -470,6 +470,17 @@ class TestBatch:
         assert batch[0].termination == alone.termination
         assert_columns_close(batch[0].data, alone.data, 1e-13)
 
+    def test_picard_checks_the_source_at_unsampled_states(self):
+        # The source is evaluated and checked at every new state, sampled or
+        # not: a member whose source overflows between samples ends diverged
+        # at that step, as it does when every step is sampled (80.0 at 0.01).
+        grid = Grid(extents=(np.pi,), modes=(16,))
+        cfg = StepConfig(dt=1e-2, scheme="picard")
+        states = [single_mode_state(grid, a, a) for a in self.MIXED]
+        every, third = (simulate_batch(states, 0.5, cfg, NONLIN, n) for n in (1, 3))
+        assert [s.termination for s in third] == [s.termination for s in every]
+        assert third[3].termination == integrate.Termination("diverged", 0.01)
+
     def test_members_must_share_grid_and_start_time(self, g8):
         cfg = StepConfig(dt=1e-2)
         other = Grid(extents=(1.0,), modes=(8,))
