@@ -24,14 +24,7 @@ from .experiments import (
     weighted_regularity_study,
 )
 from .fields import InitialDataSpec, SimState, build_initial, full_h_norm, norm
-from .grid import (
-    Grid,
-    SpectralField,
-    padded_field_values,
-    project_padded_to_sine,
-    to_physical,
-    to_spectral,
-)
+from .grid import Grid, SpectralField, padded_field_values, project_padded_to_sine
 from .inequalities import (
     GronwallCheck,
     GronwallParams,
@@ -99,8 +92,6 @@ __all__ = [
     "simulate",
     "simulate_batch",
     "threshold_bisection",
-    "to_physical",
-    "to_spectral",
     "weighted_regularity_study",
     "write_json",
     "write_series_csv",

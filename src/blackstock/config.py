@@ -323,7 +323,14 @@ def parse_config(raw: dict) -> RunConfig:
     study = sections["study"]
     if study["dt"] is None:
         study["dt"] = step.dt
-    _build("study.scheme or study.dt", StepConfig, dt=study["dt"], scheme=study["scheme"])
+    study_step = _build("study.scheme or study.dt", StepConfig, dt=study["dt"], scheme=study["scheme"])
+    # Only a file's own study section is checked: the default T need not
+    # divide every integrator dt.
+    if "study" in raw:
+        _check(bool(study["resolutions"]), "study.resolutions must not be empty")
+        for N in study["resolutions"]:
+            _build("study.resolutions", Grid, extents=grid.extents[:1], modes=(N,))
+        _build("study.T", study_step.steps_to, T=study["T"])
     for key, value in sections["inequalities"].items():
         _check(value >= 1, f"inequalities.{key} must be at least 1, got {value}")
     seed = parse_number(raw.get("seed", 0), "seed", integer=True)

@@ -149,7 +149,8 @@ class ThresholdReport:
     at coarse ``dt`` the schemes diverge at lower amplitudes than the exact
     flow.  On the unit-box mode-1 setup (N=64, c=b=k=sigma=1, T=20), imex2
     at ``dt = 2e-3`` brackets ``(3.745, 3.769)``, while the ``dt``-converged
-    threshold lies in ``(10, 11)``.
+    threshold lies in ``(10, 11)`` at N=64.  The bracket depends on N too: at
+    N=128 and N=256, imex1 at ``dt <= 2.5e-4`` brackets ``(9, 9.5)``.
     """
 
     params: MediumParams

@@ -2,10 +2,13 @@
 
 The simulator evolves the pair ``(psi, v)`` with ``v = psi_t``; both live on
 one grid.  Norms are computed from coefficients where that is exact (L2, the
-H1 seminorm ``||grad u||``, the H2 seminorm ``||Delta u||``) and by quadrature
-or refined evaluation otherwise (L3, L4, Linf).  ``||Delta u||`` serves as the
-H2 seminorm: on a box with the sine basis this matches the elliptic-regularity
-equivalence of the full H2 norm.
+H1 seminorm ``||grad u||``, the H2 seminorm ``||Delta u||``) and from values
+otherwise, through the grid's per-axis sine tables: L3 and L4 by quadrature
+on the padded grid, Linf as the largest absolute value at the
+``LINF_REFINEMENT (N_i + 1) - 1`` interior points per axis of a finer
+uniform grid.  ``||Delta u||`` serves as the H2 seminorm: on a box with the
+sine basis this matches the elliptic-regularity equivalence of the full H2
+norm.
 """
 
 from __future__ import annotations
@@ -13,9 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dstn
 
-from .grid import Grid, SpectralField, padded_field_values
+from .grid import Grid, SpectralField, _apply_per_axis, _sine_table, padded_field_values
 
 __all__ = [
     "SimState",
@@ -137,21 +139,8 @@ def build_initial(spec0: InitialDataSpec, spec1: InitialDataSpec, grid: Grid) ->
 
 
 def _linf(field: SpectralField) -> float:
-    grid = field.grid
-    work = field.coeffs
-    scale = 1.0
-    for i, (N, _L) in enumerate(zip(grid.modes, grid.extents)):
-        refined = LINF_REFINEMENT * (N + 1) - 1
-        pad_shape = list(work.shape)
-        pad_shape[i] = refined
-        padded = np.zeros(pad_shape)
-        sl = [slice(None)] * work.ndim
-        sl[i] = slice(0, N)
-        padded[tuple(sl)] = work
-        work = padded
-        scale *= 2.0
-    values = dstn(work, type=1) / scale
-    return float(np.max(np.abs(values)))
+    mats = tuple(_sine_table(N, LINF_REFINEMENT * (N + 1))[1:-1] for N in field.grid.modes)
+    return float(np.max(np.abs(_apply_per_axis(mats, field.coeffs))))
 
 
 def _lq(field: SpectralField, q: int) -> float:

@@ -11,19 +11,14 @@ Dirichlet Laplacian is diagonal with eigenvalues
 
     lambda_m = -sum_i (m_i pi / L_i)^2.
 
-Transform conventions
----------------------
-Collocation nodes are the uniform interior points ``x_j = j L_i / (N_i + 1)``,
-``j = 1..N_i`` per axis.  On these nodes the basis is the DST-I kernel, and
-with ``P_i = N_i + 1``:
-
-    to_physical(a)  = dstn(a, type=1) / 2^d
-    to_spectral(u)  = dstn(u, type=1) / prod_i P_i
-
-which form an exact inverse pair on the retained span.  Quadrature with the
-uniform weights ``prod_i L_i / P_i`` integrates products of two retained basis
-functions exactly (discrete orthogonality), so L2-type norms computed from
-coefficients and from node values agree to rounding.
+Evaluation
+----------
+A sine series is evaluated in physical space in one way only: per axis, the
+dense ``(K+1) x N`` table ``E_jm = sin(pi j m / K)`` takes coefficients to
+values at the uniform points ``y_j = j L_i / K``, ``j = 0..K``, and its
+boundary rows are exact zeros.  Products use ``K_i = 2 N_i`` (below); the
+sup norm in :mod:`blackstock.fields` takes the interior rows of a finer
+table.
 
 Products
 --------
@@ -42,31 +37,27 @@ truncation leaves O(K^-2) contamination in sine bases because products of
 odd extensions are even, and that residue is far above the accuracy this
 package is verified at.
 
-Both directions are dense per-axis operators cached on the grid:
-evaluation ``E`` of shape ``(K+1) x N`` (``E_jm = sin(pi j m / K)``) and
-projection ``M = S C`` of shape ``N x (K+1)``, the coupling ``S`` composed
-with the DCT-I ``C``.  :func:`padded_field_values` and
-:func:`project_padded_to_sine` apply them axis by axis as one matrix
-product per axis, to a whole stack of fields at once.  The cost is
-``O(N^(d+1))`` per field against ``O(N^d log N)`` for FFTs.  At the
-default sizes (64 modes per axis in 1D and 2D, 32 in 3D) one matrix product
-per axis beats the FFT passes with their padding copies, but a 1D grid of
-1024 modes pays about four times the FFT cost.
+Both directions are dense per-axis operators cached on the grid: the
+evaluation table ``E`` with ``K = 2 N`` and the projection ``M = S C`` of
+shape ``N x (K+1)``, the coupling ``S`` composed with the DCT-I ``C``.
+:func:`padded_field_values` and :func:`project_padded_to_sine` apply them
+axis by axis as one matrix product per axis, to a whole stack of fields at
+once.  The cost is ``O(N^(d+1))`` per field against ``O(N^d log N)`` for
+FFTs.  At the default sizes (64 modes per axis in 1D and 2D, 32 in 3D) one
+matrix product per axis beats the FFT passes with their padding copies, but
+a 1D grid of 1024 modes pays about four times the FFT cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.fft import dstn
 
 __all__ = [
     "Grid",
     "SpectralField",
-    "to_physical",
-    "to_spectral",
     "padded_field_values",
     "project_padded_to_sine",
 ]
@@ -78,6 +69,17 @@ def _trig_table(fn, rows: np.ndarray, cols: np.ndarray, K: int) -> np.ndarray:
     # fn(pi r c / K) with the integer phase r c reduced mod 2K first, so that
     # large-index entries are as accurate as small ones.
     return fn(np.pi / K * (np.outer(rows, cols) % (2 * K)))
+
+
+@lru_cache(maxsize=32)
+def _sine_table(N: int, K: int) -> np.ndarray:
+    # The read-only (K+1, N) evaluation table sin(pi j m / K), j = 0..K,
+    # m = 1..N, shared by every grid.  The boundary rows are set to exact
+    # zeros (sin(pi m) rounds to ~1e-16).
+    E = _trig_table(np.sin, np.arange(K + 1), np.arange(1, N + 1), K)
+    E[[0, K]] = 0.0
+    E.flags.writeable = False
+    return E
 
 
 @dataclass(frozen=True)
@@ -109,22 +111,6 @@ class Grid:
     @property
     def dim(self) -> int:
         return len(self.extents)
-
-    @cached_property
-    def nodes(self) -> tuple[np.ndarray, ...]:
-        """Interior collocation nodes ``x_j = j L / (N + 1)`` per axis."""
-        return tuple(
-            np.arange(1, N + 1) * L / (N + 1)
-            for L, N in zip(self.extents, self.modes)
-        )
-
-    @cached_property
-    def quad_weight(self) -> float:
-        """Uniform quadrature weight ``prod_i L_i / (N_i + 1)`` on the nodes."""
-        w = 1.0
-        for L, N in zip(self.extents, self.modes):
-            w *= L / (N + 1)
-        return w
 
     @cached_property
     def coeff_weight(self) -> float:
@@ -169,14 +155,7 @@ class Grid:
 
     @cached_property
     def _evaluation_matrices(self) -> tuple[np.ndarray, ...]:
-        # Per-axis (K+1, N) sine evaluation at y_j = j L / K.  The boundary
-        # rows are set to exact zeros (sin(pi m) rounds to ~1e-16).
-        mats = []
-        for N, K in zip(self.modes, self.padded_sizes):
-            E = _trig_table(np.sin, np.arange(K + 1), np.arange(1, N + 1), K)
-            E[[0, K]] = 0.0
-            mats.append(E)
-        return tuple(mats)
+        return tuple(_sine_table(N, K) for N, K in zip(self.modes, self.padded_sizes))
 
     @cached_property
     def _projection_matrices(self) -> tuple[np.ndarray, ...]:
@@ -219,24 +198,6 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
-
-
-def to_physical(field: SpectralField) -> np.ndarray:
-    """Evaluate a field at the collocation nodes (exact on the retained span)."""
-    return dstn(field.coeffs, type=1) / 2.0 ** field.grid.dim
-
-
-def to_spectral(grid: Grid, samples: np.ndarray) -> SpectralField:
-    """Inverse of :func:`to_physical` from values on the collocation nodes."""
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != grid.modes:
-        raise ValueError(
-            f"sample shape {samples.shape} does not match grid modes {grid.modes}"
-        )
-    scale = 1.0
-    for N in grid.modes:
-        scale *= N + 1
-    return SpectralField(grid, dstn(samples, type=1) / scale)
 
 
 def _apply_per_axis(mats: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:

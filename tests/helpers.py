@@ -2,7 +2,7 @@
 
 The oracles are deliberately written the slow, obvious way (direct
 summation, dense quadrature, closed forms) and never call back into the
-transform or integrator code paths they check.  The readers at the end
+evaluation or integrator code paths they check.  The readers at the end
 (``diagnostics``, ``acceleration`` and the ``L / E`` equivalence scan) are
 the opposite: one-state views of exactly the code a run executes, so that
 tests of the functionals and the acceleration check what runs use.
@@ -14,6 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 from hypothesis import strategies as st
+from scipy.fft import dstn
 from scipy.integrate import simpson
 
 from blackstock import GammaWeights, Grid, SimState, SpectralField
@@ -36,69 +37,34 @@ def random_grids(draw):
     return Grid(extents=extents, modes=modes)
 
 
-def naive_to_physical(extents, coeffs):
-    """Direct multi-loop evaluation of a sine series on the collocation nodes."""
-    coeffs = np.asarray(coeffs)
-    modes = coeffs.shape
-    dim = len(modes)
-    axes_nodes = [
-        np.arange(1, N + 1) * L / (N + 1) for L, N in zip(extents, modes)
-    ]
-    out = np.zeros(modes)
-    for j_idx in np.ndindex(*modes):
-        x = [axes_nodes[i][j_idx[i]] for i in range(dim)]
-        total = 0.0
-        for m_idx in np.ndindex(*modes):
-            term = coeffs[m_idx]
-            for i in range(dim):
-                term *= np.sin((m_idx[i] + 1) * np.pi * x[i] / extents[i])
-            total += term
-        out[j_idx] = total
-    return out
+def direct_sine_sum(extents, coeffs, points):
+    """Direct summation of a sine series at every point of a tensor grid.
 
-
-def naive_to_spectral(extents, samples):
-    """Direct multi-loop discrete sine analysis of node values."""
-    samples = np.asarray(samples)
-    modes = samples.shape
-    dim = len(modes)
-    out = np.zeros(modes)
-    for m_idx in np.ndindex(*modes):
-        total = 0.0
-        for j_idx in np.ndindex(*modes):
-            term = samples[j_idx]
-            for i in range(dim):
-                P = modes[i] + 1
-                term *= np.sin((m_idx[i] + 1) * np.pi * (j_idx[i] + 1) / P)
-            total += term
-        scale = 1.0
-        for N in modes:
-            scale *= 2.0 / (N + 1)
-        out[m_idx] = total * scale
-    return out
-
-
-def naive_padded_values(extents, coeffs):
-    """Direct multi-loop evaluation of a sine series on the padded grid.
-
-    The padded grid has ``y_j = j L / (2 N)``, ``j = 0..2N`` per axis,
-    boundary points included.
+    ``points`` holds the coordinates per axis.  Each value is the sum over the
+    full mode multi-index of ``a_m prod_i sin(m_i pi x_i / L_i)``, with no
+    per-axis factorisation.
     """
     coeffs = np.asarray(coeffs)
-    modes = coeffs.shape
-    dim = len(modes)
-    axes_nodes = [np.arange(0, 2 * N + 1) * L / (2 * N) for L, N in zip(extents, modes)]
-    out = np.zeros(tuple(2 * N + 1 for N in modes))
-    for j_idx in np.ndindex(*out.shape):
-        x = [axes_nodes[i][j_idx[i]] for i in range(dim)]
-        total = 0.0
-        for m_idx in np.ndindex(*modes):
-            term = coeffs[m_idx]
-            for i in range(dim):
-                term *= np.sin((m_idx[i] + 1) * np.pi * x[i] / extents[i])
-            total += term
-        out[j_idx] = total
-    return out
+    x = np.stack([c.ravel() for c in np.meshgrid(*points, indexing="ij")], axis=1)
+    m = np.array(list(np.ndindex(*coeffs.shape))) + 1
+    basis = np.ones((len(x), len(m)))
+    for i, L in enumerate(extents):
+        basis *= np.sin(np.outer(x[:, i], m[:, i]) * np.pi / L)
+    return (basis @ coeffs.ravel()).reshape(tuple(len(p) for p in points))
+
+
+def node_inner_product(grid, x, y):
+    """``int x y`` by uniform quadrature on the collocation nodes.
+
+    The nodes are ``j L_i / (N_i + 1)``, ``j = 1..N_i``, where the sine basis
+    is the DST-I kernel; the weight ``prod_i L_i / (N_i + 1)`` integrates
+    products of two retained basis functions exactly (discrete orthogonality).
+    """
+    values = [dstn(f.coeffs, type=1) / 2.0**grid.dim for f in (x, y)]
+    weight = 1.0
+    for L, N in zip(grid.extents, grid.modes):
+        weight *= L / (N + 1)
+    return float(np.sum(values[0] * values[1]) * weight)
 
 
 def quadratic_source_oracle(extents, psi, v, c, k, sigma):

@@ -246,6 +246,9 @@ class TestSimulateCommand:
             ("threshold", {"threshold": {"lo": 5.0, "hi": 1.0}}, "threshold.lo"),
             ("threshold", {"threshold": {"lo": 0.0}}, "threshold.lo"),
             ("weighted-study", {"study": {"scheme": "bogus"}}, "study.scheme"),
+            ("weighted-study", {"study": {"resolutions": [16, 2]}}, "study.resolutions"),
+            ("weighted-study", {"study": {"resolutions": []}}, "study.resolutions"),
+            ("weighted-study", {"study": {"T": 0.1005}}, "study.T"),
             # A misspelled key in a subcommand's section, not a run on its defaults.
             ("fit", {"fit": {"series_csv": "run.json", "windw": [1.0, 2.0]}}, "windw"),
             ("threshold", {"threshold": {"itres": 2}}, "itres"),

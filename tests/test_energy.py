@@ -17,7 +17,6 @@ from blackstock import (
     identity_residual,
     norm,
     simulate,
-    to_physical,
 )
 from blackstock.energy import DIAGNOSTIC_COLUMNS, instantaneous_diagnostics
 
@@ -28,6 +27,7 @@ from .helpers import (
     diagnostics,
     equivalence_scan,
     modal_solution,
+    node_inner_product,
     probe_states,
     random_grids,
     zero_field,
@@ -133,7 +133,7 @@ class TestDiagnosticsTable:
         got = dict(zip(DIAGNOSTIC_COLUMNS, row.tolist()))
 
         def quad(x, y):
-            return float(np.sum(to_physical(x) * to_physical(y)) * grid.quad_weight)
+            return node_inner_product(grid, x, y)
 
         l2v, h1v, h2v = (norm(v, kind) ** 2 for kind in ("L2", "H1semi", "H2lap"))
         h1p, h2p = (norm(psi, kind) ** 2 for kind in ("H1semi", "H2lap"))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from blackstock import (
     Grid,
@@ -14,8 +16,15 @@ from blackstock import (
     norm,
     random_trig_fields,
 )
+from blackstock.fields import LINF_REFINEMENT
 
-from .helpers import basis_field, quadrature_norm_oracle, zero_field
+from .helpers import (
+    basis_field,
+    direct_sine_sum,
+    quadrature_norm_oracle,
+    random_grids,
+    zero_field,
+)
 
 
 @pytest.fixture
@@ -54,6 +63,17 @@ class TestNorms:
 
     def test_linf_of_sin(self, sin1):
         assert norm(sin1, "Linf") == pytest.approx(1.0, abs=1e-12)
+
+    @given(grid=random_grids(), seed=st.integers(0, 2**32 - 1))
+    def test_linf_matches_direct_summation_at_refined_nodes(self, grid, seed):
+        # The interior points j L / (LINF_REFINEMENT (N + 1)) of every axis.
+        coeffs = np.random.default_rng(seed).standard_normal(grid.modes)
+        points = []
+        for L, N in zip(grid.extents, grid.modes):
+            K = LINF_REFINEMENT * (N + 1)
+            points.append(np.arange(1, K) * L / K)
+        direct = np.max(np.abs(direct_sine_sum(grid.extents, coeffs, points)))
+        assert abs(norm(SpectralField(grid, coeffs), "Linf") - direct) <= 1e-13 * direct
 
     def test_unknown_kind(self, sin1):
         with pytest.raises(ValueError, match="unknown norm kind"):

@@ -1,24 +1,15 @@
-"""Transforms, differential operators and exact product projection."""
+"""Grid construction, the Laplacian symbol, padded evaluation and exact product projection."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from blackstock import (
-    Grid,
-    SpectralField,
-    padded_field_values,
-    project_padded_to_sine,
-    to_physical,
-    to_spectral,
-)
+from blackstock import Grid, SpectralField, padded_field_values, project_padded_to_sine
 
 from .helpers import (
     basis_field,
-    naive_padded_values,
-    naive_to_physical,
-    naive_to_spectral,
+    direct_sine_sum,
     random_grids,
     sine_projection_oracle,
     zero_field,
@@ -48,12 +39,6 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             Grid(extents=(0.0,), modes=(8,))
 
-    def test_nodes_are_uniform_interior(self, g1d):
-        nodes = g1d.nodes[0]
-        assert nodes[0] == pytest.approx(np.pi / 9)
-        assert nodes[-1] == pytest.approx(8 * np.pi / 9)
-        assert len(nodes) == 8
-
 
 class TestLaplacianSymbol:
     # Mode (m_1, ..., m_d) sits at index (m_1 - 1, ..., m_d - 1).
@@ -73,60 +58,6 @@ class TestLaplacianSymbol:
     def test_monotone_in_mode(self, g2d):
         vals = [g2d.laplacian_eigenvalues[m - 1, 0] for m in range(1, 9)]
         assert all(vals[i + 1] < vals[i] for i in range(7))
-
-
-class TestTransforms:
-    def test_single_basis_function(self, g1d):
-        f = basis_field(g1d, (1,))
-        assert np.allclose(to_physical(f), np.sin(g1d.nodes[0]), atol=1e-12)
-
-    def test_zero_field(self, g1d):
-        assert np.all(to_physical(zero_field(g1d)) == 0.0)
-
-    def test_roundtrip_matches_naive_oracle_1d(self, g1d):
-        rng = np.random.default_rng(42)
-        coeffs = rng.standard_normal(g1d.modes)
-        f = SpectralField(g1d, coeffs)
-        samples = to_physical(f)
-        assert np.allclose(samples, naive_to_physical(g1d.extents, coeffs), atol=1e-12)
-        back = to_spectral(g1d, samples)
-        assert np.allclose(back.coeffs, coeffs, atol=1e-12)
-        assert np.allclose(naive_to_spectral(g1d.extents, samples), coeffs, atol=1e-12)
-
-    def test_roundtrip_matches_naive_oracle_2d(self):
-        g = Grid(extents=(1.0, 2.0), modes=(5, 6))
-        rng = np.random.default_rng(7)
-        coeffs = rng.standard_normal(g.modes)
-        samples = to_physical(SpectralField(g, coeffs))
-        assert np.allclose(samples, naive_to_physical(g.extents, coeffs), atol=1e-12)
-        assert np.allclose(to_spectral(g, samples).coeffs, coeffs, atol=1e-12)
-
-    @given(grid=random_grids(), seed=st.integers(0, 2**32 - 1))
-    def test_roundtrip_random_grids(self, grid, seed):
-        # to_spectral inverts to_physical on any box; each DST-I pass rounds
-        # at a few ulps of the largest coefficient.
-        coeffs = np.random.default_rng(seed).standard_normal(grid.modes)
-        back = to_spectral(grid, to_physical(SpectralField(grid, coeffs))).coeffs
-        assert np.max(np.abs(back - coeffs)) <= 1e-13 * np.max(np.abs(coeffs))
-
-    def test_to_spectral_of_pure_mode(self, g1d):
-        samples = np.sin(2 * g1d.nodes[0])
-        coeffs = to_spectral(g1d, samples).coeffs
-        expected = np.zeros(8)
-        expected[1] = 1.0
-        assert np.allclose(coeffs, expected, atol=1e-13)
-
-    def test_sample_count_mismatch(self, g1d):
-        with pytest.raises(ValueError):
-            to_spectral(g1d, np.zeros(7))
-
-    def test_parseval(self, g2d):
-        rng = np.random.default_rng(3)
-        coeffs = rng.standard_normal(g2d.modes)
-        samples = to_physical(SpectralField(g2d, coeffs))
-        quad = np.sum(samples**2) * g2d.quad_weight
-        coeff_norm = np.sum(coeffs**2) * g2d.coeff_weight
-        assert quad == pytest.approx(coeff_norm, rel=1e-12)
 
 
 class TestDealiasedProduct:
@@ -207,6 +138,7 @@ class TestFieldValues:
         # the dense per-axis sums round at a few ulps of the largest value.
         coeffs = np.random.default_rng(seed).standard_normal((2,) + grid.modes)
         vals = padded_field_values(grid, coeffs)
+        points = [np.arange(2 * N + 1) * L / (2 * N) for L, N in zip(grid.extents, grid.modes)]
         for member, c in zip(vals, coeffs):
-            naive = naive_padded_values(grid.extents, c)
+            naive = direct_sine_sum(grid.extents, c, points)
             assert np.max(np.abs(member - naive)) <= 1e-13 * np.max(np.abs(naive))
