@@ -53,6 +53,25 @@ def direct_sine_sum(extents, coeffs, points):
     return (basis @ coeffs.ravel()).reshape(tuple(len(p) for p in points))
 
 
+def gauss_product_projection(extents, a, b, n_quad=64):
+    """Sine coefficients of the product of two sine series, by Gauss quadrature.
+
+    ``(1 / prod_i (L_i / 2)) int a b phi_m`` for every retained mode ``m``,
+    with ``n_quad`` Gauss-Legendre nodes per axis and the series summed
+    directly at the nodes; the quadrature error is far below rounding for the
+    small grids it is used on.
+    """
+    x, w = np.polynomial.legendre.leggauss(n_quad)
+    points = [(x + 1.0) * L / 2.0 for L in extents]
+    weights = [w * L / 2.0 for L in extents]
+    f = direct_sine_sum(extents, a, points) * direct_sine_sum(extents, b, points)
+    for L, N, pts, wts in zip(extents, np.shape(a), points, weights):
+        # Contract the leading quadrature axis; the mode axis goes last.
+        basis = np.sin(np.outer(pts, np.arange(1, N + 1)) * np.pi / L) * wts[:, None]
+        f = np.tensordot(f, basis, axes=(0, 0)) * (2.0 / L)
+    return f
+
+
 def node_inner_product(grid, x, y):
     """``int x y`` by uniform quadrature on the collocation nodes.
 

@@ -10,6 +10,7 @@ from blackstock import Grid, SpectralField, padded_field_values, project_padded_
 from .helpers import (
     basis_field,
     direct_sine_sum,
+    gauss_product_projection,
     random_grids,
     sine_projection_oracle,
     zero_field,
@@ -58,6 +59,94 @@ class TestLaplacianSymbol:
     def test_monotone_in_mode(self, g2d):
         vals = [g2d.laplacian_eigenvalues[m - 1, 0] for m in range(1, 9)]
         assert all(vals[i + 1] < vals[i] for i in range(7))
+
+
+class TestTransforms:
+    """The evaluation/projection pair: sine coefficients to padded-grid values
+    and products of padded values back to sine coefficients."""
+
+    @staticmethod
+    def padded_points(grid):
+        return [np.arange(K + 1) * L / K for L, K in zip(grid.extents, grid.padded_sizes)]
+
+    def test_single_basis_function(self, g1d):
+        vals = padded_field_values(g1d, basis_field(g1d, (1,)).coeffs)
+        assert np.allclose(vals, np.sin(self.padded_points(g1d)[0]), rtol=0, atol=1e-12)
+
+    def test_zero_field(self, g1d):
+        assert np.all(padded_field_values(g1d, zero_field(g1d).coeffs) == 0.0)
+
+    def test_roundtrip_matches_naive_oracle_1d(self, g1d):
+        # coefficients -> padded values -> product -> coefficients, each
+        # direction against direct summation and Gauss quadrature.
+        rng = np.random.default_rng(42)
+        a, b = rng.standard_normal((2,) + g1d.modes)
+        pa, pb = padded_field_values(g1d, np.stack([a, b]))
+        points = self.padded_points(g1d)
+        assert np.allclose(pa, direct_sine_sum(g1d.extents, a, points), rtol=0, atol=1e-12)
+        assert np.allclose(pb, direct_sine_sum(g1d.extents, b, points), rtol=0, atol=1e-12)
+        prod = project_padded_to_sine(g1d, pa * pb)
+        assert np.allclose(prod, gauss_product_projection(g1d.extents, a, b), rtol=0, atol=1e-12)
+
+    def test_roundtrip_matches_naive_oracle_2d(self):
+        g = Grid(extents=(1.0, 2.0), modes=(5, 6))
+        rng = np.random.default_rng(7)
+        a, b = rng.standard_normal((2,) + g.modes)
+        pa, pb = padded_field_values(g, np.stack([a, b]))
+        naive = direct_sine_sum(g.extents, a, self.padded_points(g))
+        assert np.allclose(pa, naive, rtol=0, atol=1e-12)
+        prod = project_padded_to_sine(g, pa * pb)
+        assert np.allclose(prod, gauss_product_projection(g.extents, a, b), rtol=0, atol=1e-12)
+
+    @given(grid=random_grids(), seed=st.integers(0, 2**32 - 1))
+    def test_roundtrip_random_grids(self, grid, seed):
+        # An exact projection makes int u v w = <P(u v), w> = <P(u w), v>
+        # symmetric in its three factors on any box; each side rounds at a
+        # few ulps of the sum of the magnitudes of its terms.
+        u, v, w = np.random.default_rng(seed).standard_normal((3,) + grid.modes)
+        pu, pv, pw = padded_field_values(grid, np.stack([u, v, w]))
+        uv_w = project_padded_to_sine(grid, pu * pv) * w
+        uw_v = project_padded_to_sine(grid, pu * pw) * v
+        scale = np.sum(np.abs(uv_w)) + np.sum(np.abs(uw_v))
+        assert abs(np.sum(uv_w) - np.sum(uw_v)) <= 1e-13 * scale
+
+    def test_to_spectral_of_pure_mode(self, g1d):
+        # sin(ax) sin(bx) = (cos((a-b)x) - cos((a+b)x)) / 2 on (0, pi), and
+        # cos(kx) has sine coefficients 4m / (pi (m^2 - k^2)) for m + k odd,
+        # zero otherwise.
+        m = np.arange(1, 9)
+
+        def cos_coeffs(k):
+            odd = (m + k) % 2 == 1
+            return np.where(odd, 4.0 * m / (np.pi * np.where(odd, m**2 - k**2, 1)), 0.0)
+
+        for a in range(1, 9):
+            pa = padded_field_values(g1d, basis_field(g1d, (a,)).coeffs)
+            for b in range(a, 9):
+                pb = padded_field_values(g1d, basis_field(g1d, (b,)).coeffs)
+                expected = 0.5 * (cos_coeffs(a - b) - cos_coeffs(a + b))
+                prod = project_padded_to_sine(g1d, pa * pb)
+                assert np.allclose(prod, expected, rtol=0, atol=1e-13)
+
+    def test_sample_count_mismatch(self, g2d):
+        # Only the trailing grid axes are checked; leading stack axes pass.
+        with pytest.raises(ValueError):
+            project_padded_to_sine(g2d, np.zeros((17, 16)))
+        with pytest.raises(ValueError):
+            project_padded_to_sine(g2d, np.zeros((3, 16, 17)))
+        with pytest.raises(ValueError):
+            padded_field_values(g2d, np.zeros((2, 8, 7)))
+        assert project_padded_to_sine(g2d, np.zeros((3, 17, 17))).shape == (3, 8, 8)
+
+    def test_parseval(self, g2d):
+        # The trapezoid rule on the padded grid integrates u^2, a cosine
+        # polynomial of degree 2 N = K per axis, exactly.
+        rng = np.random.default_rng(3)
+        coeffs = rng.standard_normal(g2d.modes)
+        samples = padded_field_values(g2d, coeffs)
+        quad = np.sum(samples**2) * g2d.padded_quad_weight
+        coeff_norm = np.sum(coeffs**2) * g2d.coeff_weight
+        assert quad == pytest.approx(coeff_norm, rel=1e-12)
 
 
 class TestDealiasedProduct:
