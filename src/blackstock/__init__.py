@@ -18,7 +18,6 @@ from .experiments import (
     DecayFit,
     RegularityStudy,
     ThresholdReport,
-    default_window,
     fit_decay,
     threshold_bisection,
     weighted_regularity_study,
@@ -29,9 +28,9 @@ from .inequalities import (
     GronwallCheck,
     GronwallParams,
     agmon_ratio,
-    empirical_max_ratio,
     gronwall_verify,
     interpolation_ratio,
+    max_ratios,
     random_admissible_gronwall,
     random_trig_fields,
 )
@@ -72,8 +71,6 @@ __all__ = [
     "agmon_ratio",
     "assemble_f",
     "build_initial",
-    "default_window",
-    "empirical_max_ratio",
     "fit_decay",
     "full_h_norm",
     "gronwall_verify",
@@ -81,6 +78,7 @@ __all__ = [
     "interpolation_ratio",
     "load_checkpoint",
     "load_config",
+    "max_ratios",
     "norm",
     "padded_field_values",
     "parse_config",

@@ -6,7 +6,10 @@ with subcommands ``simulate``, ``fit``, ``threshold``, ``weighted-study``,
 ``BLACKSTOCK_SEED`` overrides the configured seed.  The whole configuration
 is parsed and checked by :mod:`blackstock.config` before a subcommand runs;
 the subcommands read only parsed values, and the output directory is made
-with the first file written to it.
+with the first file written to it.  ``fit.json``, ``study.json`` and
+``threshold.json`` are ``dataclasses.asdict`` of the experiment's result
+(``threshold.json`` with each run as an ``amplitude``/``classification``
+object), and the summary's ``termination`` is that of the run.
 
 Exit codes: 0 success, 1 configuration errors, 2 divergence of a simulate
 run, 3 precondition failures (unbracketed thresholds, bad fit windows,
@@ -30,10 +33,11 @@ from .experiments import (
 )
 from .fields import InitialDataSpec, build_initial
 from .inequalities import (
+    CALIBRATION_SAFETY,
     agmon_ratio,
-    empirical_max_ratio,
     gronwall_verify,
     interpolation_ratio,
+    max_ratios,
     random_admissible_gronwall,
     random_trig_fields,
 )
@@ -93,13 +97,6 @@ def _apply_seed_override(cfg: RunConfig) -> RunConfig:
     return dataclasses.replace(cfg, seed=seed)
 
 
-def _termination_payload(series) -> dict:
-    return {
-        "kind": series.termination.kind,
-        "time": series.termination.time,
-    }
-
-
 def _run_simulate(cfg: RunConfig, out: Path) -> int:
     state = build_initial(cfg.psi0, cfg.psi1, cfg.grid)
     series = simulate(
@@ -112,7 +109,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
     )
     write_series_csv(out / "series.csv", series)
     summary = {
-        "termination": _termination_payload(series),
+        "termination": dataclasses.asdict(series.termination),
         "final_time": float(series.column("t")[-1]),
         "final_energy": float(series.column("E")[-1]),
         "final_lyapunov": float(series.column("L")[-1]),
@@ -121,10 +118,9 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         "max_picard_iterations": series.max_picard_iterations,
         "seed": cfg.seed,
     }
-    if series.snapshots:
-        t_final, final_state = series.snapshots[-1]
-        save_checkpoint(out / "state.ckpt", final_state)
-        summary["checkpoint_time"] = t_final
+    if series.final is not None:
+        save_checkpoint(out / "state.ckpt", series.final)
+        summary["checkpoint_time"] = series.final.time
     write_json(out / "summary.json", summary)
     return EXIT_OK if series.termination.completed else EXIT_DIVERGED
 
@@ -139,16 +135,7 @@ def _run_fit(cfg: RunConfig, config_path: Path, out: Path) -> int:
     if not csv_path.is_file():
         raise ConfigError(f"fit.series_csv not found: {csv_path}")
     fit = fit_decay(read_series_csv(csv_path), cfg.fit["window"])
-    write_json(
-        out / "fit.json",
-        {
-            "zeta": fit.zeta,
-            "window": list(fit.window),
-            "r_squared": fit.r_squared,
-            "classification": fit.classification,
-            "c_factor": fit.c_factor,
-        },
-    )
+    write_json(out / "fit.json", dataclasses.asdict(fit))
     return EXIT_OK
 
 
@@ -156,8 +143,7 @@ def _run_threshold(cfg: RunConfig, out: Path) -> int:
     section = cfg.threshold
     # A decay fit needs no sample more often than every tenth step, and the
     # search makes many runs: sampling is raised to at least every tenth
-    # step, and threshold.json records the value used.
-    sample_every = max(cfg.sample_every, 10)
+    # step, and the report records the value used.
     report = threshold_bisection(
         cfg.medium,
         (cfg.psi0, cfg.psi1),
@@ -167,20 +153,12 @@ def _run_threshold(cfg: RunConfig, out: Path) -> int:
         grid=cfg.grid,
         T=cfg.T,
         cfg=cfg.step,
-        sample_every=sample_every,
+        sample_every=max(cfg.sample_every, 10),
         window=section["window"],
     )
-    write_json(
-        out / "threshold.json",
-        {
-            "amplitude_lo": report.amplitude_lo,
-            "amplitude_hi": report.amplitude_hi,
-            "delta_star": report.delta_star,
-            "sample_every": sample_every,
-            "round_widths": list(report.round_widths),
-            "runs": [{"amplitude": a, "classification": c} for a, c in report.runs],
-        },
-    )
+    payload = dataclasses.asdict(report)
+    payload["runs"] = [{"amplitude": a, "classification": c} for a, c in report.runs]
+    write_json(out / "threshold.json", payload)
     return EXIT_OK
 
 
@@ -195,51 +173,27 @@ def _run_weighted_study(cfg: RunConfig, out: Path) -> int:
         spec1=InitialDataSpec.power_law(section["exponent"], section["amplitude"]),
         scheme=section["scheme"],
     )
-    write_json(
-        out / "study.json",
-        {
-            "resolutions": list(study.resolutions),
-            "sup_lap_v": list(study.sup_lap_v),
-            "sup_weighted_lap_v": list(study.sup_weighted_lap_v),
-            "unweighted_growth": study.unweighted_growth,
-            "weighted_change": study.weighted_change,
-            "passed": study.passed,
-        },
-    )
+    write_json(out / "study.json", dataclasses.asdict(study))
     return EXIT_OK
 
 
 def _run_verify_inequalities(cfg: RunConfig, out: Path) -> int:
     count = cfg.inequalities["samples"]
     draws = cfg.inequalities["gronwall_draws"]
-    grid = cfg.grid
     seed = cfg.seed
-
-    agmon_max, agmon_const = empirical_max_ratio(grid, "agmon", count, seed=seed)
-    interp4_max, interp4_const = empirical_max_ratio(
-        grid, "interpolation", count, seed=seed, q=4
+    calibration = {
+        name: {"max_ratio": r, "calibrated_constant": r * CALIBRATION_SAFETY}
+        for name, r in max_ratios(cfg.grid, count, seed).items()
+    }
+    scale_ok = not any(
+        abs(fn(u * 5.0) / fn(u) - 1.0) > 1e-10
+        for u in random_trig_fields(cfg.grid, 10, seed + 1)
+        for fn in (agmon_ratio, lambda w: interpolation_ratio(w, 4))
     )
-    interp3_max, interp3_const = empirical_max_ratio(
-        grid, "interpolation", count, seed=seed, q=3
-    )
-
-    scale_ok = True
-    for u in random_trig_fields(grid, 10, seed + 1):
-        for fn in (agmon_ratio, lambda w: interpolation_ratio(w, 4)):
-            if abs(fn(u * 5.0) / fn(u) - 1.0) > 1e-10:
-                scale_ok = False
-
-    gron_results = []
-    all_ok = True
-    for g in random_admissible_gronwall(draws, seed=seed + 2):
-        check = gronwall_verify(g, T=10.0, dt=1e-3)
-        gron_results.append(check.ok)
-        all_ok = all_ok and check.ok
-
+    gronwall = random_admissible_gronwall(draws, seed=seed + 2)
+    all_ok = all(gronwall_verify(g, T=10.0, dt=1e-3).ok for g in gronwall)
     payload = {
-        "agmon": {"max_ratio": agmon_max, "calibrated_constant": agmon_const},
-        "interpolation_q3": {"max_ratio": interp3_max, "calibrated_constant": interp3_const},
-        "interpolation_q4": {"max_ratio": interp4_max, "calibrated_constant": interp4_const},
+        **calibration,
         "scale_invariance_ok": scale_ok,
         "gronwall": {"draws": draws, "all_ok": all_ok},
         "samples": count,

@@ -2,9 +2,9 @@
 
 ``fit_decay`` turns a sampled energy series into a rate: the least-squares
 slope of ``log E(t)`` over a window.  A run is classified ``diverges`` when
-the underlying run hit the blow-up cutoff, ``decays`` when the fitted rate is
-positive and the fitted drop of ``log E`` across the window exceeds the band
-of the fit residuals, and ``stagnates`` otherwise.  The residual band, not
+it did not complete (it diverged or its picard iteration failed), ``decays``
+when the fitted rate is positive and the fitted drop of ``log E`` across the
+window exceeds the band of the fit residuals, and ``stagnates`` otherwise.  The residual band, not
 ``r^2``, is the test because an underdamped mode rings around its decaying
 envelope: the energy of the fundamental on the pi box with ``c = b = 1`` has
 ``r^2 ~ 0.981`` over (5, 15) for the exact solution, yet falls by ``e^-10``.
@@ -22,12 +22,15 @@ end from the highest down, up to the first that decays.
 velocity: for data whose ``||Delta psi_1||`` diverges under refinement, the
 unweighted supremum ``sup_t ||Delta psi_t||`` grows with resolution while the
 time-weighted supremum ``sup_t sqrt(t) ||Delta psi_t||`` stays put.
+
+Each result is a frozen dataclass whose fields are the keys of its report
+file: the command-line runner writes ``dataclasses.asdict`` of it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -41,7 +44,6 @@ __all__ = [
     "ThresholdReport",
     "RegularityStudy",
     "fit_decay",
-    "default_window",
     "threshold_bisection",
     "weighted_regularity_study",
 ]
@@ -67,22 +69,20 @@ class DecayFit:
     c_factor: float = float("nan")
 
 
-def default_window(T: float) -> tuple[float, float]:
-    """Default fit window ``(T/4, 3T/4)``: skips the initial transient."""
-    return (T / 4.0, 3.0 * T / 4.0)
-
-
 def fit_decay(series: TimeSeries, window: tuple[float, float] | None = None) -> DecayFit:
     """Least-squares fit of ``log E(t)`` over a window of a completed series.
 
-    The series ``decays`` when the fitted rate ``zeta`` exceeds
-    ``MIN_DECAY_RATE`` and the fitted drop ``zeta * (hi - lo)`` across the
-    window exceeds the residual band ``max(resid) - min(resid)``: the trend
-    dominates any bounded ring or noise around it.  Otherwise it
-    ``stagnates``.  The rule does not separate algebraic from exponential
-    decay: a ``1/t`` tail over (5, 15) also ``decays``.
+    A series that did not complete ``diverges``, with rate 0 and the window
+    ``(0, end time)``.  The default window ``(T/4, 3T/4)``, ``T`` the last
+    sample time, skips the initial transient.  The series ``decays`` when
+    the fitted rate ``zeta`` exceeds ``MIN_DECAY_RATE`` and the fitted drop
+    ``zeta * (hi - lo)`` across the window exceeds the residual band
+    ``max(resid) - min(resid)``: the trend dominates any bounded ring or
+    noise around it.  Otherwise it ``stagnates``.  The rule does not
+    separate algebraic from exponential decay: a ``1/t`` tail over (5, 15)
+    also ``decays``.
     """
-    if series.termination.kind == "diverged":
+    if not series.termination.completed:
         t_end = series.termination.time or 0.0
         return DecayFit(
             zeta=0.0,
@@ -92,7 +92,8 @@ def fit_decay(series: TimeSeries, window: tuple[float, float] | None = None) -> 
         )
     t = series.column("t")
     if window is None:
-        window = default_window(float(t[-1]))
+        T = float(t[-1])
+        window = (T / 4.0, 3.0 * T / 4.0)
     lo, hi = float(window[0]), float(window[1])
     if lo >= hi:
         raise ValueError("fit window must have positive length")
@@ -143,7 +144,8 @@ class ThresholdReport:
 
     ``runs`` lists every classified amplitude, in order of classification
     (survivors below one that decays are not); ``round_widths`` the number
-    of halvings each round made.
+    of halvings each round made; ``sample_every`` the sampling the search
+    ran with.
 
     The bracket belongs to the scheme and step size as much as to the PDE:
     at coarse ``dt`` the schemes diverge at lower amplitudes than the exact
@@ -153,57 +155,12 @@ class ThresholdReport:
     N=128 and N=256, imex1 at ``dt <= 2.5e-4`` brackets ``(9, 9.5)``.
     """
 
-    params: MediumParams
     amplitude_lo: float
     amplitude_hi: float
     delta_star: float
-    runs: tuple[tuple[float, str], ...] = field(default_factory=tuple)
-    round_widths: tuple[int, ...] = ()
-
-
-def _simulate_amplitudes(
-    amplitudes: list[float],
-    specs: tuple[InitialDataSpec, InitialDataSpec],
-    grid: Grid,
-    p: MediumParams,
-    T: float,
-    cfg: StepConfig,
-    sample_every: int,
-) -> list[TimeSeries]:
-    """Run the shape specs scaled by each amplitude to ``T``, as one batch."""
-    states = [
-        build_initial(_scaled_spec(specs[0], a), _scaled_spec(specs[1], a), grid)
-        for a in amplitudes
-    ]
-    return simulate_batch(states, T, cfg, p, sample_every=sample_every)
-
-
-def _classification(series: TimeSeries, window: tuple[float, float] | None) -> str:
-    return fit_decay(series, window).classification if series.termination.completed else "diverges"
-
-
-def _classify_amplitudes(
-    amplitudes: list[float],
-    specs: tuple[InitialDataSpec, InitialDataSpec],
-    grid: Grid,
-    p: MediumParams,
-    T: float,
-    cfg: StepConfig,
-    sample_every: int,
-    window: tuple[float, float] | None,
-) -> list[str]:
-    """Classify the runs from the shape specs scaled by each amplitude, as one batch."""
-    return [
-        _classification(series, window)
-        for series in _simulate_amplitudes(amplitudes, specs, grid, p, T, cfg, sample_every)
-    ]
-
-
-def _scaled_spec(spec: InitialDataSpec, multiplier: float) -> InitialDataSpec:
-    amps = tuple(a * multiplier for a in spec.amplitudes)
-    return InitialDataSpec(
-        kind=spec.kind, modes=spec.modes, amplitudes=amps, exponent=spec.exponent
-    )
+    sample_every: int
+    runs: tuple[tuple[float, str], ...]
+    round_widths: tuple[int, ...]
 
 
 def _dyadic_points(lo: float, hi: float, halvings: int) -> list[float]:
@@ -266,14 +223,21 @@ def threshold_bisection(
     latest = 0.0  # the latest divergence time seen in the search
 
     def run(amplitudes: list[float], horizon: float) -> list[TimeSeries]:
+        # The shape specs scaled by each amplitude, run to ``horizon`` as one batch.
         nonlocal latest
-        series = _simulate_amplitudes(amplitudes, specs, grid, p, horizon, cfg, sample_every)
+        states = [
+            build_initial(
+                *(replace(s, amplitudes=tuple(x * a for x in s.amplitudes)) for s in specs), grid
+            )
+            for a in amplitudes
+        ]
+        series = simulate_batch(states, horizon, cfg, p, sample_every=sample_every)
         ends = [s.termination.time for s in series if not s.termination.completed]
         latest = max([latest] + ends)
         return series
 
     def classify(amplitudes: list[float]) -> list[str]:
-        classes = [_classification(s, window) for s in run(amplitudes, T)]
+        classes = [fit_decay(s, window).classification for s in run(amplitudes, T)]
         runs.extend(zip(amplitudes, classes))
         return classes
 
@@ -310,13 +274,18 @@ def threshold_bisection(
             f"classification(lo={ends[0]}) = {c_lo}, classification(hi={ends[1]}) = {c_hi}"
         )
     return ThresholdReport(
-        params=p,
         amplitude_lo=lo,
         amplitude_hi=hi,
         delta_star=0.5 * (lo + hi),
+        sample_every=sample_every,
         runs=tuple(runs),
         round_widths=tuple(widths),
     )
+
+
+#: Pass thresholds of the rough-data study (see ``weighted_regularity_study``).
+UNWEIGHTED_GROWTH_MIN = 1.5
+WEIGHTED_CHANGE_MAX = 0.1
 
 
 @dataclass(frozen=True)
@@ -338,34 +307,29 @@ def weighted_regularity_study(
     dt: float,
     *,
     extent: float = np.pi,
-    spec0: InitialDataSpec | None = None,
     spec1: InitialDataSpec | None = None,
     scheme: str = "imex1",
-    sample_every: int = 1,
-    unweighted_growth_min: float = 1.5,
-    weighted_change_max: float = 0.1,
 ) -> RegularityStudy:
     """Run the rough-data refinement study in one dimension.
 
-    Defaults: ``psi_0 = 0`` and ``psi_1`` a power-law field with exponent 2
+    ``psi_0 = 0``; ``psi_1`` defaults to a power-law field with exponent 2
     (in H1 but not H2) of small amplitude.  The L-stable first-order scheme is
     the default here because the trapezoidal rule rings through the stiff
-    startup layer that this study watches.
+    startup layer that this study watches.  Every step is sampled: the
+    suprema are taken over all of them.
 
     The study passes when the unweighted supremum grows by at least
-    ``unweighted_growth_min`` from the coarsest to the finest resolution
-    while the weighted supremum changes by at most ``weighted_change_max``.
+    ``UNWEIGHTED_GROWTH_MIN`` from the coarsest to the finest resolution
+    while the weighted supremum changes by at most ``WEIGHTED_CHANGE_MAX``.
     """
-    spec0 = spec0 or InitialDataSpec.zero()
     spec1 = spec1 or InitialDataSpec.power_law(2.0, 0.01)
     resolutions = tuple(int(N) for N in resolutions)
     sup_u: list[float] = []
     sup_w: list[float] = []
     for N in resolutions:
         grid = Grid(extents=(extent,), modes=(N,))
-        state = build_initial(spec0, spec1, grid)
-        cfg = StepConfig(dt=dt, scheme=scheme)
-        series = simulate(state, T, cfg, p, sample_every=sample_every)
+        state = build_initial(InitialDataSpec.zero(), spec1, grid)
+        series = simulate(state, T, StepConfig(dt=dt, scheme=scheme), p)
         if series.termination.kind != "completed":
             raise RuntimeError(
                 f"study run diverged at resolution N={N} "
@@ -380,7 +344,7 @@ def weighted_regularity_study(
         sup_w.append(float(np.max(w_lap)))
     growth = sup_u[-1] / sup_u[0]
     change = abs(sup_w[-1] - sup_w[0]) / sup_w[0]
-    passed = growth >= unweighted_growth_min and change <= weighted_change_max
+    passed = growth >= UNWEIGHTED_GROWTH_MIN and change <= WEIGHTED_CHANGE_MAX
     return RegularityStudy(
         resolutions=resolutions,
         sup_lap_v=tuple(sup_u),

@@ -6,9 +6,10 @@ The two interpolation ratios are
     interpolation:  ||u||_Lq  / ( ||u||_H1^theta ||u||_L2^(1-theta) ),
                     theta = d/2 - d/q,  q in {3, 4}
 
-both invariant under scaling of ``u``; empirical constants are calibrated as
-the observed maximum over a seeded family of random trigonometric polynomials
-times a 1.1 safety factor.
+both invariant under scaling of ``u``.  ``max_ratios`` takes the observed
+maximum of all three over one seeded family of random trigonometric
+polynomials; an empirical constant is that maximum times
+``CALIBRATION_SAFETY``.
 
 The Gronwall check concerns continuous ``u >= 0`` satisfying
 
@@ -49,9 +50,16 @@ __all__ = [
     "interpolation_ratio",
     "gronwall_verify",
     "random_trig_fields",
-    "empirical_max_ratio",
+    "max_ratios",
     "random_admissible_gronwall",
 ]
+
+#: Random fields have nonzero coefficients only up to this mode per axis, so
+#: the family is the same on every grid that holds it.
+MAX_MODE = 32
+
+#: An empirical constant is the largest observed ratio times this factor.
+CALIBRATION_SAFETY = 1.1
 
 
 def agmon_ratio(u: SpectralField) -> float:
@@ -79,16 +87,13 @@ def interpolation_ratio(u: SpectralField, q: int) -> float:
     return norm(u, f"L{q}") / (h1**theta * l2 ** (1.0 - theta))
 
 
-def random_trig_fields(
-    grid: Grid, count: int, seed: int, max_mode: int = 32
-):
+def random_trig_fields(grid: Grid, count: int, seed: int):
     """Seeded stream of random fields with i.i.d. standard-normal coefficients.
 
-    Coefficients beyond ``max_mode`` per axis stay zero so the family matches
-    the calibration population regardless of grid size.
+    Coefficients beyond ``MAX_MODE`` per axis stay zero.
     """
     rng = np.random.default_rng(seed)
-    cut = tuple(min(N, max_mode) for N in grid.modes)
+    cut = tuple(min(N, MAX_MODE) for N in grid.modes)
     for _ in range(count):
         coeffs = np.zeros(grid.modes)
         block = tuple(slice(0, c) for c in cut)
@@ -96,23 +101,18 @@ def random_trig_fields(
         yield SpectralField(grid, coeffs)
 
 
-def empirical_max_ratio(
-    grid: Grid,
-    kind: str,
-    count: int,
-    seed: int = 1234,
-    q: int = 4,
-    safety: float = 1.1,
-) -> tuple[float, float]:
-    """Max observed ratio over the random family and the safety-inflated constant.
+def max_ratios(grid: Grid, count: int, seed: int) -> dict[str, float]:
+    """Largest ratios over ``count`` random fields, each field drawn once.
 
-    ``kind`` is ``"agmon"`` or ``"interpolation"``.
+    Keys ``agmon``, ``interpolation_q3`` and ``interpolation_q4``; every
+    value is 0 when ``count`` is 0.
     """
-    best = 0.0
+    best = dict.fromkeys(("agmon", "interpolation_q3", "interpolation_q4"), 0.0)
     for u in random_trig_fields(grid, count, seed):
-        r = agmon_ratio(u) if kind == "agmon" else interpolation_ratio(u, q)
-        best = max(best, r)
-    return best, best * safety
+        ratios = (agmon_ratio(u), interpolation_ratio(u, 3), interpolation_ratio(u, 4))
+        for key, r in zip(best, ratios):
+            best[key] = max(best[key], r)
+    return best
 
 
 @dataclass(frozen=True)

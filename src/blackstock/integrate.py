@@ -43,7 +43,8 @@ coefficients, which bounds a large batch's temporaries).  The source is
 evaluated and checked once at every new state, for every scheme; a
 ``picard`` step starts its fixed-point iteration from it.  Under
 ``picard`` a member that has converged is frozen and takes no further
-iterations.  ``SimState`` objects are built only for snapshots.
+iterations.  ``SimState`` objects are built only for the final states of
+the members that complete.
 
 *Per-member termination.*  Each member ends on its own, with its own
 ``Termination``: a non-finite state, a non-finite source or an energy above
@@ -73,7 +74,7 @@ early, are never made resident.  The two running integrals ``D_cum`` and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -162,12 +163,13 @@ class TimeSeries:
     """Sampled diagnostics, one row of ``data`` per sample and one column per name.
 
     A run's series has the columns ``SERIES_COLUMNS``; a series read back
-    from CSV has the file's columns.
+    from CSV has the file's columns.  ``final`` is the state at the end of a
+    completed run, else ``None``.
     """
 
     columns: tuple[str, ...]
     data: np.ndarray
-    snapshots: list[tuple[float, SimState]] = field(default_factory=list)
+    final: SimState | None = None
     termination: Termination = Termination("completed")
     max_picard_iterations: int = 0
 
@@ -306,11 +308,7 @@ def _source(grid: Grid, psi: np.ndarray, alpha: np.ndarray, p: MediumParams) -> 
     return f
 
 
-def _state(grid: Grid, psi: np.ndarray, v: np.ndarray, t: float) -> SimState:
-    return SimState(psi=SpectralField(grid, psi.copy()), v=SpectralField(grid, v.copy()), time=t)
-
-
-def _series(data: np.ndarray, termination, snapshots, max_its: int) -> TimeSeries:
+def _series(data: np.ndarray, termination, final, max_its: int) -> TimeSeries:
     # One member's series on its sampled rows, with the running integrals
     # filled in.
     t = data[:, _COL_T]
@@ -320,7 +318,7 @@ def _series(data: np.ndarray, termination, snapshots, max_its: int) -> TimeSerie
         # Trapezoid rule over the sample times; cumsum adds sequentially, so
         # the roundings are those of accumulating sample by sample.
         data[:, integral] = np.cumsum(np.append(0.0, 0.5 * np.diff(t) * (y[1:] + y[:-1])))
-    return TimeSeries(SERIES_COLUMNS, data, snapshots, termination, int(max_its))
+    return TimeSeries(SERIES_COLUMNS, data, final, termination, int(max_its))
 
 
 def simulate(
@@ -330,7 +328,6 @@ def simulate(
     p: MediumParams,
     sample_every: int = 1,
     gammas: GammaWeights | None = None,
-    snapshot_every: int | None = None,
 ) -> TimeSeries:
     """Integrate to time ``T`` (or first divergence), sampling diagnostics.
 
@@ -343,13 +340,12 @@ def simulate(
         sample_every: record a row of diagnostics every this many steps (the
             initial and final states are always sampled).
         gammas: Lyapunov weights used in the sampled ``L`` column.
-        snapshot_every: optionally store full states every this many steps;
-            the final state is always stored.
 
     Returns:
-        The sampled series with its termination status.
+        The sampled series with its termination status and, when the run
+        completed, its final state.
     """
-    return simulate_batch([initial], T, cfg, p, sample_every, gammas, snapshot_every)[0]
+    return simulate_batch([initial], T, cfg, p, sample_every, gammas)[0]
 
 
 # Overflow on the way to a divergence is expected: the loop's checks act on
@@ -362,7 +358,6 @@ def simulate_batch(
     p: MediumParams,
     sample_every: int = 1,
     gammas: GammaWeights | None = None,
-    snapshot_every: int | None = None,
 ) -> list[TimeSeries]:
     """Integrate each of ``initials`` as :func:`simulate` would, in one loop.
 
@@ -375,8 +370,6 @@ def simulate_batch(
     n_steps = cfg.steps_to(T)
     if sample_every < 1:
         raise ValueError("sample_every must be at least 1")
-    if snapshot_every is not None and snapshot_every < 1:
-        raise ValueError("snapshot_every must be at least 1")
     if not initials:
         raise ValueError("need at least one initial state")
     grid, t0 = initials[0].grid, initials[0].time
@@ -390,7 +383,6 @@ def simulate_batch(
     n_members = len(initials)
     n_coeffs = math.prod(grid.modes)
     results: list[TimeSeries | None] = [None] * n_members
-    snapshots: list[list[tuple[float, SimState]]] = [[] for _ in initials]
     max_its = np.zeros(n_members, dtype=int)
     # E = psi^2 . w_psi + v^2 . w_v per member, with the positive weights
     # w = Grid.gram_weights @ e (not formed: a 3D grid's would be large), so
@@ -450,9 +442,7 @@ def simulate_batch(
         flush()
         for j in np.flatnonzero(leaving):
             m = members[j]
-            results[m] = _series(
-                rows_of[m][:n_rows], Termination(kind, t), snapshots[m], max_its[m]
-            )
+            results[m] = _series(rows_of[m][:n_rows], Termination(kind, t), None, max_its[m])
         keep = ~leaving
         members, psi, v, E = members[keep], psi[keep], v[keep], E[keep]
         f_curr = None if f_curr is None else f_curr[keep]
@@ -507,16 +497,12 @@ def simulate_batch(
         is_sample = ((n + 1) % sample_every == 0) or (n + 1 == n_steps)
         if not checked(t_next, is_sample):
             break
-        if snapshot_every is not None and (n + 1) % snapshot_every == 0:
-            for j, m in enumerate(members):
-                snapshots[m].append((t_next, _state(grid, psi[j], v[j], t_next)))
     else:
         flush()
         final_t = t0 + n_steps * cfg.dt
         for j, m in enumerate(members):
-            if not snapshots[m] or snapshots[m][-1][0] != final_t:
-                snapshots[m].append((final_t, _state(grid, psi[j], v[j], final_t)))
-            results[m] = _series(
-                rows_of[m][:n_rows], Termination("completed"), snapshots[m], max_its[m]
+            final = SimState(
+                SpectralField(grid, psi[j].copy()), SpectralField(grid, v[j].copy()), final_t
             )
+            results[m] = _series(rows_of[m][:n_rows], Termination("completed"), final, max_its[m])
     return results

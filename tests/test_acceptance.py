@@ -22,21 +22,21 @@ from blackstock import (
     StepConfig,
     agmon_ratio,
     build_initial,
-    empirical_max_ratio,
     fit_decay,
     gronwall_verify,
     identity_residual,
     interpolation_ratio,
     load_checkpoint,
+    max_ratios,
     random_admissible_gronwall,
     random_trig_fields,
     save_checkpoint,
     simulate,
+    simulate_batch,
     threshold_bisection,
     weighted_regularity_study,
 )
 from blackstock.cli import main
-from blackstock.experiments import _classify_amplitudes
 
 from .helpers import equivalence_scan, modal_solution, probe_states
 
@@ -83,8 +83,7 @@ class TestCriterion1LinearCorrectness:
             series = simulate(
                 state, 1.0, StepConfig(dt=dt, scheme="imex2"), LINEAR, sample_every=10**9
             )
-            _t, final = series.snapshots[-1]
-            errors[dt] = abs(final.psi.coeffs[0] - w_exact)
+            errors[dt] = abs(series.final.psi.coeffs[0] - w_exact)
         rel = errors[1e-3] / abs(w_exact)
         ok_acc = report("1", rel <= 1e-5, f"imex2 dt=1e-3 relative error {rel:.3e} <= 1e-5")
         ratios = [errors[4e-3] / errors[2e-3], errors[2e-3] / errors[1e-3]]
@@ -228,10 +227,14 @@ class TestCriterion6SmallDataDichotomy:
         )
         grid = Grid(extents=(1.0,), modes=(64,))
         below, above = (0.3, 0.4, 0.5), (2.0, 3.0, 4.0)
-        classes = _classify_amplitudes(
-            [m * deltas[64] for m in below + above],
-            self.SPECS, grid, NONLIN, 20.0, self.CFG, 10, None,
-        )
+        states = []
+        for m in below + above:
+            spec = InitialDataSpec.single_mode((1,), m * deltas[64])
+            states.append(build_initial(spec, spec, grid))
+        classes = [
+            fit_decay(s).classification
+            for s in simulate_batch(states, 20.0, self.CFG, NONLIN, sample_every=10)
+        ]
         sides_ok = classes == ["decays"] * len(below) + ["diverges"] * len(above)
         ok_sides = report(
             "6", sides_ok, "all runs decay below delta*/2 and diverge above 2 delta*"
@@ -266,12 +269,12 @@ class TestCriterion7InequalitySuites:
 
         stable = True
         details = []
-        for kind, q in (("agmon", 4), ("interpolation", 3), ("interpolation", 4)):
-            base, _ = empirical_max_ratio(grid, kind, 10_000, seed=302, q=q)
-            doubled, _ = empirical_max_ratio(grid, kind, 20_000, seed=302, q=q)
-            rel = (doubled - base) / base
+        base = max_ratios(grid, 10_000, seed=302)
+        doubled = max_ratios(grid, 20_000, seed=302)
+        for kind in base:
+            rel = (doubled[kind] - base[kind]) / base[kind]
             stable &= rel < 0.05
-            details.append(f"{kind}(q={q}): {100 * rel:.2f}%")
+            details.append(f"{kind}: {100 * rel:.2f}%")
         ok_stable = report("7", stable, "max ratios stable under doubling: " + "; ".join(details))
         assert ok_scale and ok_stable
 
@@ -352,13 +355,12 @@ class TestCriterion9Infrastructure:
     def test_checkpoint_roundtrip(self, tmp_path, pi_grid):
         cfg = StepConfig(dt=1e-3, scheme="picard")
         full = simulate(small_data_state(pi_grid), 2.0, cfg, NONLIN, sample_every=10**9)
-        _t, full_final = full.snapshots[-1]
+        full_final = full.final
         first = simulate(small_data_state(pi_grid), 1.0, cfg, NONLIN, sample_every=10**9)
-        _t1, mid = first.snapshots[-1]
         path = tmp_path / "mid.ckpt"
-        save_checkpoint(path, mid)
+        save_checkpoint(path, first.final)
         second = simulate(load_checkpoint(path), 1.0, cfg, NONLIN, sample_every=10**9)
-        _t2, resumed = second.snapshots[-1]
+        resumed = second.final
         err = max(
             np.max(np.abs(resumed.psi.coeffs - full_final.psi.coeffs)),
             np.max(np.abs(resumed.v.coeffs - full_final.v.coeffs)),

@@ -478,6 +478,72 @@ class TestSweepCommand:
         assert main(["sweep", "--config", str(path), "--output", str(out), "--jobs", "1"]) == 1
 
 
+class TestReportFormats:
+    # A report's keys are the fields of the result it is written from, so a
+    # field that is added, removed or renamed changes a file format.  Each
+    # subcommand's files and keys are named here in full.
+    CONFIG = short_config(
+        grid={"extents": [1.0], "modes": [16]},
+        integrator={"T": 2.0, "dt": 4e-3},
+        initial=TestThresholdCommand.THRESHOLD["initial"],
+        fit={"series_csv": "out/series.csv"},
+        threshold={"lo": 0.5, "hi": 10.0, "iters": 2},
+        study={"resolutions": [16, 32], "T": 0.4, "dt": 2e-3},
+        inequalities={"samples": 20, "gronwall_draws": 2},
+    )
+    CALIBRATION = {"max_ratio", "calibrated_constant"}
+    REPORTS = {
+        "simulate": {
+            "summary.json": {
+                "termination": {"kind", "time"}, "final_time": None, "final_energy": None,
+                "final_lyapunov": None, "cumulative_dissipation": None,
+                "weighted_grad_accel_integral": None, "max_picard_iterations": None,
+                "seed": None, "checkpoint_time": None,
+            },
+        },
+        "fit": {
+            "fit.json": dict.fromkeys(("zeta", "window", "r_squared", "classification", "c_factor")),
+        },
+        "threshold": {
+            "threshold.json": {
+                "amplitude_lo": None, "amplitude_hi": None, "delta_star": None,
+                "sample_every": None, "round_widths": None,
+                "runs": [{"amplitude", "classification"}],
+            },
+        },
+        "weighted-study": {
+            "study.json": dict.fromkeys((
+                "resolutions", "sup_lap_v", "sup_weighted_lap_v", "unweighted_growth",
+                "weighted_change", "passed",
+            )),
+        },
+        "verify-inequalities": {
+            "inequalities.json": {
+                "agmon": CALIBRATION, "interpolation_q3": CALIBRATION,
+                "interpolation_q4": CALIBRATION, "gronwall": {"draws", "all_ok"},
+                "scale_invariance_ok": None, "samples": None, "seed": None,
+            },
+        },
+    }
+
+    @pytest.mark.parametrize("subcommand", list(REPORTS))
+    def test_report_keys(self, tmp_path, subcommand):
+        path = write_config(tmp_path, self.CONFIG)
+        out = tmp_path / "out"
+        if subcommand == "fit":
+            assert main(["simulate", "--config", str(path), "--output", str(out)]) == 0
+            out = tmp_path / "fit"
+        assert main([subcommand, "--config", str(path), "--output", str(out)]) == 0
+        for name, keys in self.REPORTS[subcommand].items():
+            report = json.loads((out / name).read_text())
+            assert set(report) == set(keys), name
+            for key, inner in keys.items():
+                if isinstance(inner, list):
+                    assert report[key] and all(set(entry) == inner[0] for entry in report[key])
+                elif inner is not None:
+                    assert set(report[key]) == inner, key
+
+
 class TestCheckpoints:
     GRID = Grid(extents=(np.pi,), modes=(16,))
     P = MediumParams(c=1.0, b=1.0, k=1.0, sigma=1.0)
@@ -505,28 +571,25 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="not a checkpoint"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("scheme", ["picard", "imex2"])
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2", "picard"])
     def test_midrun_restart_matches_uninterrupted(self, tmp_path, scheme):
-        # The Picard stepper carries no cross-step memory, so a restart is an
-        # exact continuation; the trapezoidal IMEX restart re-bootstraps its
-        # source extrapolation, perturbing the comparison at third order in dt.
+        # imex1 and picard carry no memory across steps, so a restart is an
+        # exact continuation; the imex2 restart re-bootstraps its source
+        # extrapolation, perturbing the comparison at third order in dt.
         cfg = StepConfig(dt=1e-3, scheme=scheme)
-        full = simulate(self.make_state(), 1.0, cfg, self.P, sample_every=10**9)
-        _t, full_final = full.snapshots[-1]
-
+        full_final = simulate(self.make_state(), 1.0, cfg, self.P, sample_every=10**9).final
         first = simulate(self.make_state(), 0.5, cfg, self.P, sample_every=10**9)
-        _t1, mid = first.snapshots[-1]
         path = tmp_path / "mid.ckpt"
-        save_checkpoint(path, mid)
-        resumed_state = load_checkpoint(path)
-        second = simulate(resumed_state, 0.5, cfg, self.P, sample_every=10**9)
-        _t2, resumed_final = second.snapshots[-1]
-
-        err = max(
-            np.max(np.abs(resumed_final.psi.coeffs - full_final.psi.coeffs)),
-            np.max(np.abs(resumed_final.v.coeffs - full_final.v.coeffs)),
-        )
-        assert err <= 1e-12
+        save_checkpoint(path, first.final)
+        second = simulate(load_checkpoint(path), 0.5, cfg, self.P, sample_every=10**9)
+        resumed_final = second.final
+        assert resumed_final.time == pytest.approx(full_final.time, abs=1e-12)
+        pairs = [(resumed_final.psi.coeffs, full_final.psi.coeffs),
+                 (resumed_final.v.coeffs, full_final.v.coeffs)]
+        if scheme == "imex2":
+            assert max(np.max(np.abs(x - y)) for x, y in pairs) <= 1e-12
+        else:
+            assert all(np.array_equal(x, y) for x, y in pairs)
 
     def test_truncated_checkpoint_names_byte_counts(self, tmp_path):
         path = tmp_path / "state.ckpt"

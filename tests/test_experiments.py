@@ -15,7 +15,7 @@ from blackstock import (
     weighted_regularity_study,
 )
 import blackstock.experiments as experiments
-from blackstock.experiments import MIN_DECAY_RATE, _classify_amplitudes
+from blackstock.experiments import MIN_DECAY_RATE
 from blackstock.integrate import Termination, simulate_batch
 
 from .helpers import modal_solution, series_from_energy
@@ -66,6 +66,16 @@ class TestFitDecay:
         fit = fit_decay(series)
         assert fit.classification == "diverges"
         assert np.isfinite(fit.zeta)
+
+    def test_picard_failed_series_diverges(self):
+        # A run that did not complete is not fitted on its partial rows, even
+        # where they decay.
+        t = np.linspace(0, 10, 100)
+        series = series_from_energy(t, np.exp(-t))
+        series.termination = Termination("picard_failed", 10.0)
+        fit = fit_decay(series, (1.0, 9.0))
+        assert fit.classification == "diverges"
+        assert (fit.zeta, fit.window) == (0.0, (0.0, 10.0))
 
     def test_window_validation(self):
         t = np.linspace(0, 10, 100)
@@ -169,10 +179,10 @@ class TestThresholdBisection:
         )
 
     def classify(self, amplitude):
-        [c] = _classify_amplitudes(
-            [amplitude], self.SPECS, self.GRID, NONLIN, 8.0, self.CFG, 10, self.WINDOW
-        )
-        return c
+        # One run of the setup at this amplitude, classified as the search does.
+        spec = InitialDataSpec.single_mode((1,), amplitude)
+        series = simulate(build_initial(spec, spec, self.GRID), 8.0, self.CFG, NONLIN, sample_every=10)
+        return fit_decay(series, self.WINDOW).classification
 
     # delta* ~ 3.19 on this setup.  The classification is not monotone just
     # above it (3.22 decays), so the brackets keep their dyadic points off
@@ -219,6 +229,7 @@ class TestThresholdBisection:
         assert (report.amplitude_lo, report.amplitude_hi) == (0.01, 100.0)
         assert report.round_widths == ()
         assert [a for a, _ in report.runs] == [100.0, 0.01]
+        assert report.sample_every == 10
 
     def test_unbracketed_endpoints_cost_two_runs(self, monkeypatch):
         # hi is classified alone; when it does not diverge, lo is the only
@@ -254,8 +265,6 @@ class TestWeightedRegularityStudy:
             T=2.0,
             dt=2e-3,
             spec1=InitialDataSpec.single_mode((1,), 0.01),
-            spec0=InitialDataSpec.single_mode((1,), 0.01),
-            unweighted_growth_min=0.0,
         )
         assert study.unweighted_growth == pytest.approx(1.0, abs=1e-6)
         assert study.weighted_change < 1e-6
@@ -267,8 +276,7 @@ class TestWeightedRegularityStudy:
         amp = 0.01
         p = MediumParams(c=1.0, b=1.0)
         study = weighted_regularity_study(
-            p, (N,), T=4.0, dt=1e-3, spec1=InitialDataSpec.power_law(2.0, amp),
-            unweighted_growth_min=0.0,
+            p, (N,), T=4.0, dt=1e-3, spec1=InitialDataSpec.power_law(2.0, amp)
         )
         t = np.linspace(1e-4, 4.0, 4000)
         total = np.zeros_like(t)

@@ -11,12 +11,13 @@ from blackstock import (
     SimState,
     SpectralField,
     build_initial,
-    empirical_max_ratio,
     full_h_norm,
+    max_ratios,
     norm,
     random_trig_fields,
 )
 from blackstock.fields import LINF_REFINEMENT
+from blackstock.inequalities import CALIBRATION_SAFETY
 
 from .helpers import (
     basis_field,
@@ -127,7 +128,7 @@ class TestNormProperties:
 
     def test_agmon_consistency_hook(self, g64):
         # Linf bounded by the empirically calibrated interpolation constant.
-        _best, constant = empirical_max_ratio(g64, "agmon", 300, seed=21)
+        constant = CALIBRATION_SAFETY * max_ratios(g64, 300, seed=21)["agmon"]
         d = g64.dim
         for u in random_trig_fields(g64, 100, seed=22):
             bound = constant * full_h_norm(u, 2) ** (d / 4) * norm(u, "L2") ** (1 - d / 4)

@@ -7,9 +7,9 @@ from blackstock import (
     Grid,
     GronwallParams,
     agmon_ratio,
-    empirical_max_ratio,
     gronwall_verify,
     interpolation_ratio,
+    max_ratios,
     random_admissible_gronwall,
     random_trig_fields,
 )
@@ -41,8 +41,8 @@ class TestAgmonRatio:
             agmon_ratio(zero_field(g32))
 
     def test_max_ratio_stable_under_doubling(self, g32):
-        base, _ = empirical_max_ratio(g32, "agmon", 2000, seed=77)
-        doubled, _ = empirical_max_ratio(g32, "agmon", 4000, seed=77)
+        base = max_ratios(g32, 2000, seed=77)["agmon"]
+        doubled = max_ratios(g32, 4000, seed=77)["agmon"]
         assert doubled >= base
         assert (doubled - base) / base < 0.05
 
@@ -70,8 +70,8 @@ class TestInterpolationRatio:
 
     @pytest.mark.parametrize("q", [3, 4])
     def test_max_ratio_stable_under_doubling(self, g32, q):
-        base, _ = empirical_max_ratio(g32, "interpolation", 2000, seed=78, q=q)
-        doubled, _ = empirical_max_ratio(g32, "interpolation", 4000, seed=78, q=q)
+        base = max_ratios(g32, 2000, seed=78)[f"interpolation_q{q}"]
+        doubled = max_ratios(g32, 4000, seed=78)[f"interpolation_q{q}"]
         assert (doubled - base) / base < 0.05
 
 

@@ -59,7 +59,7 @@ class TestStepConfig:
 
 def one_step(state, cfg, p):
     """The state one step of ``cfg`` after ``state``, through the run loop."""
-    return simulate(state, cfg.dt, cfg, p).snapshots[-1][1]
+    return simulate(state, cfg.dt, cfg, p).final
 
 
 class TestSingleSteps:
@@ -111,8 +111,7 @@ class TestModalAccuracy:
         # c = b = 1, mode 1 on (0, pi): w(t) = e^{-t/2}(cos + sin/sqrt(3))(sqrt(3)t/2)
         state = single_mode_state(g8)
         cfg = StepConfig(dt=1e-3, scheme="imex2")
-        series = simulate(state, 1.0, cfg, LINEAR, sample_every=1000)
-        _t, final = series.snapshots[-1]
+        final = simulate(state, 1.0, cfg, LINEAR, sample_every=1000).final
         w_exact, _ = modal_solution(-1.0, 1.0, 1.0, 1.0, 0.0, 1.0)
         assert w_exact == pytest.approx(0.6597001534, abs=1e-9)
         assert abs(final.psi.coeffs[0] - w_exact) / abs(w_exact) <= 1e-5
@@ -125,8 +124,7 @@ class TestModalAccuracy:
         errors = []
         for dt in (4e-3, 2e-3):
             cfg = StepConfig(dt=dt, scheme=scheme)
-            series = simulate(single_mode_state(g8), 1.0, cfg, LINEAR, sample_every=10**9)
-            _t, final = series.snapshots[-1]
+            final = simulate(single_mode_state(g8), 1.0, cfg, LINEAR, sample_every=10**9).final
             errors.append(abs(final.psi.coeffs[0] - w_exact))
         ratio = errors[0] / errors[1]
         assert 2.0**expected_order == pytest.approx(ratio, rel=0.15)
@@ -149,7 +147,7 @@ class TestNonlinearSelfConvergence:
         finals = []
         for dt in (0.04, 0.02, 0.01, 0.005):
             cfg = StepConfig(dt=dt, scheme=scheme)
-            _t, final = simulate(state, 0.4, cfg, NONLIN, sample_every=10**9).snapshots[-1]
+            final = simulate(state, 0.4, cfg, NONLIN, sample_every=10**9).final
             finals.append(np.concatenate([final.psi.coeffs.ravel(), final.v.coeffs.ravel()]))
         diffs = [np.max(np.abs(x - y)) for x, y in zip(finals, finals[1:])]
         ratios = [d0 / d1 for d0, d1 in zip(diffs, diffs[1:])]
@@ -209,12 +207,11 @@ class TestPicard:
         expected = state
         for _ in range(4):
             expected = one_step(expected, cfg, NONLIN)
+        # A run to 0.02 ends on the state that the run to 0.04 samples there.
+        sampled = [state] + [simulate(state, T, cfg, NONLIN).final for T in (0.02, 0.04)]
         monkeypatch.setattr(integrate, "quadratic_source", counting_source)
-        series = simulate(state, 0.04, cfg, NONLIN, sample_every=2, snapshot_every=2)
-        sampled = [state] + [snap for _t, snap in series.snapshots]
-        assert len(sampled) == 3
+        final = simulate(state, 0.04, cfg, NONLIN, sample_every=2).final
         assert [evaluated.count(key(s)) for s in sampled] == [1, 1, 1]
-        final = series.snapshots[-1][1]
         assert np.array_equal(final.psi.coeffs, expected.psi.coeffs)
         assert np.array_equal(final.v.coeffs, expected.v.coeffs)
 
@@ -226,8 +223,7 @@ class TestPicard:
             out = {}
             for scheme in ("imex2", "picard"):
                 cfg = StepConfig(dt=dt, scheme=scheme)
-                series = simulate(state, 1.0, cfg, NONLIN, sample_every=10**9)
-                _t, final = series.snapshots[-1]
+                final = simulate(state, 1.0, cfg, NONLIN, sample_every=10**9).final
                 out[scheme] = final.psi.coeffs
             diffs.append(np.max(np.abs(out["imex2"] - out["picard"])))
         assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.5)
@@ -295,10 +291,9 @@ class TestSimulate:
 
     def test_final_snapshot_recorded(self, g8):
         state = single_mode_state(g8, 0.01, 0.01)
-        series = simulate(state, 0.05, StepConfig(dt=1e-2), NONLIN)
-        t_snap, snap = series.snapshots[-1]
-        assert t_snap == pytest.approx(0.05, abs=1e-12)
-        assert np.isfinite(snap.psi.coeffs).all() and np.isfinite(snap.v.coeffs).all()
+        final = simulate(state, 0.05, StepConfig(dt=1e-2), NONLIN).final
+        assert final.time == pytest.approx(0.05, abs=1e-12)
+        assert np.isfinite(final.psi.coeffs).all() and np.isfinite(final.v.coeffs).all()
 
     def test_dissipation_cumulative_nondecreasing(self, g8):
         state = single_mode_state(g8, 0.5, 0.5)
@@ -313,12 +308,6 @@ class TestSimulate:
             simulate(state, -1.0, StepConfig(dt=1e-2), LINEAR)
         with pytest.raises(ValueError):
             simulate(state, 1.0, StepConfig(dt=1e-2), LINEAR, sample_every=0)
-
-    @pytest.mark.parametrize("snapshot_every", [0, -2])
-    def test_snapshot_every_must_be_positive(self, g8, snapshot_every):
-        state = single_mode_state(g8)
-        with pytest.raises(ValueError, match="snapshot_every must be at least 1"):
-            simulate(state, 0.1, StepConfig(dt=1e-2), LINEAR, snapshot_every=snapshot_every)
 
     @pytest.mark.parametrize("T", [4e-4, 1.0005])
     def test_final_time_must_be_step_multiple(self, g8, T):
@@ -358,18 +347,20 @@ class TestBatch:
         grid = Grid(extents=(np.pi,), modes=(16,))
         cfg = StepConfig(dt=1e-2, scheme=scheme)
         states = [single_mode_state(grid, a, a) for a in amplitudes]
-        batch = simulate_batch(states, 0.5, cfg, NONLIN, sample_every, snapshot_every=20)
+        batch = simulate_batch(states, 0.5, cfg, NONLIN, sample_every)
         # Each member's rows are an array of their own (a bounds test: two
         # members' rows interleaved in one buffer would not overlap).
         for a, b in itertools.combinations(batch, 2):
             assert not np.may_share_memory(a.data, b.data)
         for state, member in zip(states, batch):
-            solo = simulate(state, 0.5, cfg, NONLIN, sample_every, snapshot_every=20)
+            solo = simulate(state, 0.5, cfg, NONLIN, sample_every)
             assert member.termination == solo.termination
             assert member.max_picard_iterations == solo.max_picard_iterations
             assert_columns_close(member.data, solo.data, 1e-13)
-            assert [t for t, _ in member.snapshots] == [t for t, _ in solo.snapshots]
-            for (_, got), (_, want) in zip(member.snapshots, solo.snapshots):
+            got, want = member.final, solo.final
+            assert (got is None) == (want is None) == (not solo.termination.completed)
+            if want is not None:
+                assert got.time == want.time
                 for x, y in ((got.psi.coeffs, want.psi.coeffs), (got.v.coeffs, want.v.coeffs)):
                     assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y))
         if amplitudes == self.MIXED:
@@ -402,31 +393,35 @@ class TestBatch:
     ):
         # Blocks of 1-3 samples, so that members retire in the middle of a
         # block.  A run of each member alone without the energy cutoff gives
-        # its sampled states: the member has a row at each of them up to its
-        # end, and each row is the diagnostics of that state.  A member ends
-        # on the first sample, the initial one included, whose energy exceeds
-        # the cutoff, with that row as its last.
+        # its sampled states, the states it hands to the diagnostics: the
+        # member has a row at each of them up to its end, and each row is the
+        # diagnostics of that state.  A member ends on the first sample, the
+        # initial one included, whose energy exceeds the cutoff, with that
+        # row as its last.
         grid = Grid(extents=(np.pi,), modes=(16,))
         cfg = StepConfig(dt=1e-2, scheme=scheme)
         cutoff = 10.0**cutoff_exponent
         states = [single_mode_state(grid, a, a) for a in amplitudes]
+        references = []
+
+        def spy(grid, times, psi, v, *rest):
+            # The solo run's block of samples: each time with its state.
+            states_at = zip(psi[:, 0].copy(), v[:, 0].copy())
+            references[-1].update(zip(np.ravel(times).tolist(), states_at))
+            return instantaneous_diagnostics(grid, times, psi, v, *rest)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(integrate, "_BLOCK_COEFFICIENTS", block_samples * len(states) * 16)
             patch.setattr(integrate, "ENERGY_BLOWUP_CUTOFF", cutoff)
             batch = simulate_batch(states, 0.5, cfg, NONLIN, sample_every)
             patch.setattr(integrate, "ENERGY_BLOWUP_CUTOFF", np.inf)
-            references = [
-                simulate(state, 0.5, cfg, NONLIN, sample_every, snapshot_every=sample_every)
-                for state in states
-            ]
+            patch.setattr(integrate, "instantaneous_diagnostics", spy)
+            for state in states:
+                references.append({})
+                simulate(state, 0.5, cfg, NONLIN, sample_every)
         g = GammaWeights()
         lam = grid.laplacian_eigenvalues
-        for state, member, reference in zip(states, batch, references):
-            with np.errstate(over="ignore", invalid="ignore"):
-                f0 = quadratic_source(grid, state.psi.coeffs, state.v.coeffs, NONLIN)
-            # A run ends without a row at a state whose source is not finite.
-            start = [(0.0, state)] if np.isfinite(f0).all() else []
-            sampled = dict(start + reference.snapshots)
+        for member, sampled in zip(batch, references):
             t, E = member.column("t"), member.column("E")
             end = member.termination
             # A state the reference samples at the end time was finite, with a
@@ -438,7 +433,7 @@ class TestBatch:
             assert np.all(E[: len(E) - on_cutoff] <= cutoff)
             want = []
             for time in t:
-                psi, v = sampled[time].psi.coeffs, sampled[time].v.coeffs
+                psi, v = sampled[time]
                 with np.errstate(over="ignore", invalid="ignore"):  # the states near blow-up
                     f = quadratic_source(grid, psi, v, NONLIN)
                     accel = lam * (NONLIN.c**2 * psi + NONLIN.b * v) + f
@@ -463,7 +458,7 @@ class TestBatch:
             for series in (simulate(state, 0.5, cfg, NONLIN), member):
                 assert series.termination == integrate.Termination("diverged", 0.0)
                 assert series.column("t").tolist() == [0.0] * n_rows
-                assert series.snapshots == []
+                assert series.final is None
                 assert series.max_picard_iterations == 0
         assert batch[1].column("E")[0] > integrate.ENERGY_BLOWUP_CUTOFF
         alone = simulate(calm, 0.5, cfg, NONLIN)
