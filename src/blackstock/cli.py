@@ -8,8 +8,11 @@ is parsed and checked by :mod:`blackstock.config` before a subcommand runs;
 the subcommands read only parsed values, and the output directory is made
 with the first file written to it.  ``fit.json``, ``study.json`` and
 ``threshold.json`` are ``dataclasses.asdict`` of the experiment's result
-(``threshold.json`` with each run as an ``amplitude``/``classification``
-object), and the summary's ``termination`` is that of the run.
+(``threshold.json`` with each run and contradiction as an
+``amplitude``/``classification`` object), and the summary's ``termination``
+is that of the run.  ``fit`` reads the ``summary.json`` beside the series
+CSV, when there is one, for the run's termination: a run that did not
+complete is fitted as ``diverges``.
 
 Exit codes: 0 success, 1 configuration errors, 2 divergence of a simulate
 run, 3 precondition failures (unbracketed thresholds, bad fit windows,
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import os
 import sys
 from multiprocessing import Pool
@@ -41,7 +45,7 @@ from .inequalities import (
     random_admissible_gronwall,
     random_trig_fields,
 )
-from .integrate import simulate
+from .integrate import Termination, simulate
 from .storage import (
     read_series_csv,
     save_checkpoint,
@@ -134,7 +138,14 @@ def _run_fit(cfg: RunConfig, config_path: Path, out: Path) -> int:
         csv_path = config_path.parent / csv_path
     if not csv_path.is_file():
         raise ConfigError(f"fit.series_csv not found: {csv_path}")
-    fit = fit_decay(read_series_csv(csv_path), cfg.fit["window"])
+    series = read_series_csv(csv_path)
+    summary = csv_path.with_name("summary.json")
+    if summary.is_file():
+        # The run's own termination: a run that did not complete diverges,
+        # whatever its partial rows would fit.
+        termination = Termination(**json.loads(summary.read_text())["termination"])
+        series = dataclasses.replace(series, termination=termination)
+    fit = fit_decay(series, cfg.fit["window"])
     write_json(out / "fit.json", dataclasses.asdict(fit))
     return EXIT_OK
 
@@ -157,7 +168,8 @@ def _run_threshold(cfg: RunConfig, out: Path) -> int:
         window=section["window"],
     )
     payload = dataclasses.asdict(report)
-    payload["runs"] = [{"amplitude": a, "classification": c} for a, c in report.runs]
+    for key in ("runs", "contradictions"):
+        payload[key] = [{"amplitude": a, "classification": c} for a, c in payload[key]]
     write_json(out / "threshold.json", payload)
     return EXIT_OK
 

@@ -72,38 +72,47 @@ def quadratic_source(
     ``alpha = v`` gives the source ``f`` of the nonlinear equation.  Leading
     axes of ``psi`` and ``alpha`` are members evaluated together.
     """
+    return _source_operator(grid, p)(np.stack((psi, alpha), axis=-grid.dim - 1))
+
+
+def _source_operator(grid: Grid, p: MediumParams):
+    """:func:`quadratic_source` of stacked states ``U[..., (psi, alpha), *modes]``.
+
+    The Laplacian scalings are formed once, so a run that keeps the returned
+    function forms them once; it maps ``U`` to ``f[..., *modes]``.
+    """
+    dim = grid.dim
     if p.k == 0.0 and p.sigma == 0.0:
-        return np.zeros(np.shape(psi))
+        return lambda U: np.zeros(U.shape[: -dim - 1] + grid.modes)
     lam = grid.laplacian_eigenvalues
-    # Nested calls, so that each stage's input is freed as soon as the next
-    # stage has used it (a batch's stages are large).
-    proj = project_padded_to_sine(
-        grid, _products(padded_field_values(grid, _fields(psi, alpha, lam, p)))
-    )
-    return proj[0] - p.sigma * lam * proj[1]
+    # Scaling the Laplacian members before evaluation leaves the first
+    # product as a sum of two pointwise products.
+    scale = np.stack((-(2.0 * p.k * p.c**2 - p.sigma) * lam, p.sigma * lam))
+    sigma_lam = scale[1]
+    # The members psi, alpha, Delta psi, Delta alpha of the padded values.
+    parts = [(Ellipsis, j) + (slice(None),) * dim for j in range(4)]
 
+    def products(values: np.ndarray) -> np.ndarray:
+        # The two pointwise products, stacked first; ``values`` is a fresh
+        # array, so u lap_a is formed in place.
+        u, a, lap_u, lap_a = (values[j] for j in parts)
+        out = np.empty((2,) + u.shape)
+        first, second = out
+        np.multiply(a, lap_u, out=first)
+        first += np.multiply(u, lap_a, out=lap_a)
+        np.multiply(u, a, out=second)
+        return out
 
-def _fields(psi, alpha, lam, p: MediumParams) -> np.ndarray:
-    # The stack (psi, alpha, scaled Delta psi, scaled Delta alpha).  Scaling
-    # the Laplacian members before evaluation leaves the first product as a
-    # sum of two pointwise products.
-    fields = np.empty((4,) + np.shape(psi))
-    fields[0] = psi
-    fields[1] = alpha
-    np.multiply(-(2.0 * p.k * p.c**2 - p.sigma) * lam, psi, out=fields[2])
-    np.multiply(p.sigma * lam, alpha, out=fields[3])
-    return fields
+    def source(U: np.ndarray) -> np.ndarray:
+        # Nested calls, so that each stage's input is freed as soon as the
+        # next stage has used it (a batch's padded values are large).
+        proj = project_padded_to_sine(
+            grid,
+            products(padded_field_values(grid, np.concatenate((U, scale * U), axis=-dim - 1))),
+        )
+        return proj[0] - sigma_lam * proj[1]
 
-
-def _products(values: np.ndarray) -> np.ndarray:
-    # The two pointwise products of the padded values; ``values`` is a fresh
-    # array, so u lap_a is formed in place.
-    u, a, lap_u, lap_a = values
-    products = np.empty((2,) + u.shape)
-    np.multiply(a, lap_u, out=products[0])
-    products[0] += np.multiply(u, lap_a, out=lap_a)
-    np.multiply(u, a, out=products[1])
-    return products
+    return source
 
 
 def assemble_f(state: SimState, p: MediumParams) -> SpectralField:

@@ -145,7 +145,10 @@ class ThresholdReport:
     ``runs`` lists every classified amplitude, in order of classification
     (survivors below one that decays are not); ``round_widths`` the number
     of halvings each round made; ``sample_every`` the sampling the search
-    ran with.
+    ran with.  ``contradictions`` are the runs whose class contradicts the
+    bracket, a ``diverges`` at or below ``amplitude_lo`` or a ``decays`` at
+    or above ``amplitude_hi``: where the classification is not monotone in
+    the amplitude, the bracket need not hold ``delta*``.
 
     The bracket belongs to the scheme and step size as much as to the PDE:
     at coarse ``dt`` the schemes diverge at lower amplitudes than the exact
@@ -161,6 +164,7 @@ class ThresholdReport:
     sample_every: int
     runs: tuple[tuple[float, str], ...]
     round_widths: tuple[int, ...]
+    contradictions: tuple[tuple[float, str], ...]
 
 
 def _dyadic_points(lo: float, hi: float, halvings: int) -> list[float]:
@@ -280,6 +284,9 @@ def threshold_bisection(
         sample_every=sample_every,
         runs=tuple(runs),
         round_widths=tuple(widths),
+        contradictions=tuple(
+            (a, c) for a, c in runs if (c == "diverges" and a <= lo) or (c == "decays" and a >= hi)
+        ),
     )
 
 

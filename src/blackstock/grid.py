@@ -206,6 +206,10 @@ def _apply_per_axis(mats: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
     # the new one first, so after d passes the spatial axes are back in order
     # (stack axes last) and no pass needs a transposed copy.
     d = len(mats)
+    if d == 1:
+        # One product, which leaves the stack axes first and contiguous.
+        (M,) = mats
+        return (x.reshape(-1, x.shape[-1]) @ M.T).reshape(x.shape[:-1] + M.shape[:1])
     for M in reversed(mats):
         x = (M @ x.reshape(-1, x.shape[-1]).T).reshape((M.shape[0],) + x.shape[:-1])
     return x.transpose(tuple(range(d, x.ndim)) + tuple(range(d)))

@@ -3,8 +3,10 @@
 Because ``b > 0`` the linear part behaves like a (nonlocal) heat operator and
 is stiff: explicit schemes would be limited to steps of order
 ``1/(b |lambda_max|)``.  All schemes here treat the linear part implicitly;
-it is diagonal in the sine basis, so each step is a closed-form 2x2 solve per
-mode.
+it is diagonal in the sine basis, so a step of it is a 2x2 map per mode,
+``U+ = A psi + B v + Q f``, whose propagator tensors ``A, B, Q`` of shape
+``(2, *modes)`` are the closed-form solution of the implicit system, formed
+once per run and scheme.
 
 Schemes
 -------
@@ -33,31 +35,33 @@ The run loop
 It integrates a batch of initial states that share a grid, a start time and
 the step configuration, and returns one ``TimeSeries`` per member.
 
-*Member axis.*  The live state is raw coefficient arrays with a leading
-member axis, ``psi[member, *modes]``.  The modal solves broadcast over it, and
-:func:`blackstock.dynamics.quadratic_source` and
-:func:`blackstock.energy.instantaneous_diagnostics` take it as a stack, so a
-step costs a fixed number of array operations whatever the batch size (the
-source is evaluated on slices of at most ``_SOURCE_SLICE_COEFFICIENTS``
-coefficients, which bounds a large batch's temporaries).  The source is
-evaluated and checked once at every new state, for every scheme; a
-``picard`` step starts its fixed-point iteration from it.  Under
-``picard`` a member that has converged is frozen and takes no further
-iterations.  ``SimState`` objects are built only for the final states of
-the members that complete.
+*State layout.*  The live state is one array ``U[member, (psi, v), *modes]``,
+so a finiteness check, the removal of ended members, a sample and the energy
+``(U U) . w`` (``w`` formed once per run) each cost one array operation.  The
+propagators broadcast over the member axis, and the source is the run's
+source operator (:func:`blackstock.dynamics._source_operator`, which forms
+the Laplacian scalings once), evaluated on slices of at most
+``_SOURCE_SLICE_COEFFICIENTS`` coefficients, which bounds a large batch's
+temporaries.  A step therefore costs a fixed number of array operations
+whatever the batch size: about 45 for an ``imex2`` step, half of them in
+the source.  The source is evaluated and checked once at every new state,
+for every scheme; a ``picard`` step starts its fixed-point iteration from
+it.  Under ``picard`` a member that has converged is frozen and takes no
+further iterations.  ``SimState`` objects are built only for the final
+states of the members that complete.
 
 *Per-member termination.*  Each member ends on its own, with its own
 ``Termination``: a non-finite state, a non-finite source or an energy above
 ``ENERGY_BLOWUP_CUTOFF`` is ``diverged``, an iteration that does not converge
 is ``picard_failed``.  The initial state takes the checks of a sample, so a
 member that starts out of bounds ends at the start time without a step.  The
-energy is formed every step from two weighted sums of squares; its weights
-are positive, so a non-finite state shows as a non-finite energy.  Each
+energy is formed every step as a weighted sum of squares; its weights are
+positive, so a non-finite state shows as a non-finite energy.  Each
 finiteness check is one test of the whole batch; only when it fails are the
 members looked at one by one.  An ended member is removed from the live
 arrays, so later steps cost only the survivors.
 
-*Blocks of samples.*  A sample only keeps the live arrays ``(t, psi, v, f)``
+*Blocks of samples.*  A sample only keeps the live arrays ``(t, U, f)``
 in a block; the loop replaces them every step and never writes into them, so
 this needs no copy.  One ``instantaneous_diagnostics`` call, with the sample
 times as a column, maps the block to rows when it holds
@@ -80,7 +84,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import MediumParams, quadratic_source
+from .dynamics import MediumParams, _source_operator
 from .energy import SERIES_COLUMNS, GammaWeights, _combination, instantaneous_diagnostics
 from .fields import SimState
 from .grid import Grid, SpectralField
@@ -181,130 +185,109 @@ class TimeSeries:
 
 
 class _ModalSolver:
-    """Per-mode linear solves for the diagonal 2x2 systems of one grid.
+    """Per-mode propagators of the linear part, for one grid, medium and step.
 
-    States carry any leading member axes; the mode tensors broadcast over them.
+    A theta step ``(I - theta dt L) U+ = (I + (1 - theta) dt L) U + dt f e_v``
+    with ``L = [[0, 1], [c^2 lam, b lam]]`` per mode is ``U+ = A psi + B v +
+    Q f``, with tensors ``A, B, Q`` of shape ``(2, *modes)`` in closed form.
+    ``trapezoid`` (theta = 1/2) and ``backward_euler`` (theta = 1) form them
+    on first use and map states ``U[member, (psi, v), *modes]`` and sources
+    ``f[member, *modes]`` to the next states.
     """
 
     def __init__(self, grid: Grid, p: MediumParams, dt: float):
-        lam = grid.laplacian_eigenvalues
-        self.lam = lam
-        self.cc = p.c**2
-        self.b = p.b
-        self.dt = dt
-        self._cc_lam = self.cc * lam
-        self._b_lam = self.b * lam
-
-    # (I - theta dt A) with A = [[0, 1], [cc lam, b lam]]; each scheme uses
-    # one of the two, so each is formed on first use.
-    @cached_property
-    def _cn(self):
-        return self._factor(0.5)
+        self.grid, self.cc, self.b, self.dt = grid, p.c**2, p.b, dt
 
     @cached_property
-    def _be(self):
-        return self._factor(1.0)
+    def trapezoid(self):
+        return self._propagator(0.5)
 
-    def _factor(self, theta: float):
-        dt = self.dt
-        a11 = 1.0
-        a12 = -theta * dt
-        a21 = -theta * dt * self.cc * self.lam
-        a22 = 1.0 - theta * dt * self.b * self.lam
-        det = a11 * a22 - a12 * a21
-        return a12, a21, a22, det
+    @cached_property
+    def backward_euler(self):
+        return self._propagator(1.0)
 
-    def _solve(self, factor, r1, r2):
-        a12, a21, a22, det = factor
-        return (a22 * r1 - a12 * r2) / det, (r2 - a21 * r1) / det
+    def _propagator(self, theta: float):
+        h, lam = self.dt, self.grid.laplacian_eigenvalues
+        kappa, beta = self.cc * lam, self.b * lam
+        # (I - theta h L)^-1 = [[1 - theta h beta, theta h], [theta h kappa, 1]] / det.
+        s = theta * (1.0 - theta) * h * h * kappa
+        det = 1.0 - theta * h * beta - theta * theta * h * h * kappa
+        A = np.stack((1.0 - theta * h * beta + s, h * kappa)) / det
+        B = np.stack((np.full_like(det, h), 1.0 + (1.0 - theta) * h * beta + s)) / det
+        Q = np.stack((np.full_like(det, theta * h * h), np.full_like(det, h))) / det
+        return lambda U, f: A * U[:, :1] + B * U[:, 1:] + Q * f[:, None]
 
-    def backward_euler(self, psi, v, f):
-        # (I - dt A) U+ = U- + dt f e_v
-        return self._solve(self._be, psi, v + self.dt * f)
+    @cached_property
+    def _norm_weights(self):
+        ones = np.ones(math.prod(self.grid.modes))
+        lam = self.grid.laplacian_eigenvalues.ravel()
+        return self.grid.coeff_weight * np.concatenate((ones - lam, ones))
 
-    def trapezoid(self, psi, v, fhat):
-        # (I - dt/2 A) U+ = (I + dt/2 A) U- + dt fhat e_v
-        dt = self.dt
-        r1 = psi + 0.5 * dt * v
-        r2 = v + 0.5 * dt * (self._cc_lam * psi + self._b_lam * v) + dt * fhat
-        return self._solve(self._cn, r1, r2)
-
-
-def _finite_members(*arrays: np.ndarray) -> np.ndarray:
-    # Per member (leading axis): every entry of every array is finite.
-    n = arrays[0].shape[0]
-    return np.logical_and.reduce([np.isfinite(a.reshape(n, -1)).all(axis=1) for a in arrays])
+    def norm(self, U: np.ndarray) -> np.ndarray:
+        """The discrete H1 x L2 norm of each member of ``U`` (picard's contraction test)."""
+        return np.sqrt((U * U).reshape(len(U), -1) @ self._norm_weights)
 
 
-def _picard_update_norm(grid, dpsi, dv) -> np.ndarray:
-    # Discrete H1 x L2 product norm of each member's update, mirroring the
-    # contraction norm.
-    n = dpsi.shape[0]
-    lam = grid.laplacian_eigenvalues
-    nu = grid.coeff_weight
-    return np.sqrt(
-        np.sum(((1.0 - lam) * dpsi * dpsi).reshape(n, -1), axis=1) * nu
-        + np.sum((dv * dv).reshape(n, -1), axis=1) * nu
-    )
+def _finite_members(a: np.ndarray) -> np.ndarray:
+    # Per member (leading axis): every entry is finite.
+    return np.isfinite(a.reshape(len(a), -1)).all(axis=1)
 
 
 def _picard_step(
-    grid: Grid,
-    psi0: np.ndarray,
-    v0: np.ndarray,
+    U0: np.ndarray,
     f_old: np.ndarray,
     solver: _ModalSolver,
+    operator,
     cfg: StepConfig,
-    p: MediumParams,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One picard step of every member of ``(psi0, v0)``, whose source is ``f_old``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One picard step of every member of ``U0``, whose source is ``f_old``.
 
-    Returns the new states, each member's iteration count and a mask of the
-    members that converged.  The others failed: an iterate was not finite
-    (counted at that iteration) or the budget ran out.  A converged member is
-    frozen and takes no further iterations.
+    ``operator`` is the run's source operator
+    (:func:`blackstock.dynamics._source_operator`).  Returns the new states,
+    each member's iteration count and a mask of the members that converged.
+    The others failed: an iterate was not finite (counted at that iteration)
+    or the budget ran out.  A converged member is frozen and takes no further
+    iterations.
     """
     # Initial iterate: trapezoid step with the source frozen at the step start.
-    psi, v = solver.trapezoid(psi0, v0, f_old)
-    its = np.full(len(psi), cfg.picard_max_iter)
-    converged = np.zeros(len(psi), dtype=bool)
+    U = solver.trapezoid(U0, f_old)
+    its = np.full(len(U), cfg.picard_max_iter)
+    converged = np.zeros(len(U), dtype=bool)
     # The members still iterating: indices, iterates and step-start data.
-    live = (np.arange(len(psi)), psi, v, psi0, v0, f_old)
+    live = (np.arange(len(U)), U, U0, f_old)
     for it in range(1, cfg.picard_max_iter + 1):
-        idx, psi_j, v_j, a0, b0, f0 = live
-        if not (np.isfinite(psi_j).all() and np.isfinite(v_j).all()):
-            finite = _finite_members(psi_j, v_j)
+        idx, U_j, U_0, f_0 = live
+        if not np.isfinite(U_j).all():
+            finite = _finite_members(U_j)
             its[idx[~finite]] = it
             if not finite.any():
                 break
             live = tuple(a[finite] for a in live)
-            idx, psi_j, v_j, a0, b0, f0 = live
+            idx, U_j, U_0, f_0 = live
         with np.errstate(over="ignore", invalid="ignore"):
-            fhat = 0.5 * (f0 + _source(grid, psi_j, v_j, p))
-            psi_n, v_n = solver.trapezoid(a0, b0, fhat)
-            update = _picard_update_norm(grid, psi_n - psi_j, v_n - v_j)
-            scale = _picard_update_norm(grid, psi_n, v_n)
+            U_n = solver.trapezoid(U_0, 0.5 * (f_0 + _source(operator, U_j)))
+            update = solver.norm(U_n - U_j)
+            scale = solver.norm(U_n)
         done = update <= cfg.picard_tol * np.maximum(scale, 1e-300)
-        live = (idx, psi_n, v_n, a0, b0, f0)
+        live = (idx, U_n, U_0, f_0)
         if done.any():
-            psi[idx[done]] = psi_n[done]
-            v[idx[done]] = v_n[done]
+            U[idx[done]] = U_n[done]
             its[idx[done]] = it
             converged[idx[done]] = True
             if done.all():
                 break
             live = tuple(a[~done] for a in live)
-    return psi, v, its, converged
+    return U, its, converged
 
 
-def _source(grid: Grid, psi: np.ndarray, alpha: np.ndarray, p: MediumParams) -> np.ndarray:
-    # quadratic_source of every member, evaluated a slice of members at a time.
-    size = max(1, _SOURCE_SLICE_COEFFICIENTS // math.prod(grid.modes))
-    if len(psi) <= size:
-        return quadratic_source(grid, psi, alpha, p)
-    f = np.empty(psi.shape)
-    for i in range(0, len(psi), size):
-        f[i : i + size] = quadratic_source(grid, psi[i : i + size], alpha[i : i + size], p)
+def _source(operator, U: np.ndarray) -> np.ndarray:
+    # The source operator on every member, a slice of members at a time.
+    size = max(1, _SOURCE_SLICE_COEFFICIENTS // math.prod(U.shape[2:]))
+    if len(U) <= size:
+        return operator(U)
+    f = np.empty(U.shape[:1] + U.shape[2:])
+    for i in range(0, len(U), size):
+        f[i : i + size] = operator(U[i : i + size])
     return f
 
 
@@ -380,35 +363,29 @@ def simulate_batch(
     lam = grid.laplacian_eigenvalues
     cc = p.c**2
     solver = _ModalSolver(grid, p, cfg.dt)
+    operator = _source_operator(grid, p)
     n_members = len(initials)
     n_coeffs = math.prod(grid.modes)
     results: list[TimeSeries | None] = [None] * n_members
     max_its = np.zeros(n_members, dtype=int)
-    # E = psi^2 . w_psi + v^2 . w_v per member, with the positive weights
-    # w = Grid.gram_weights @ e (not formed: a 3D grid's would be large), so
-    # a non-finite state gives a non-finite energy.  e is the E column of the
-    # diagnostics' map on the Gram table rows psi psi and v v.
-    gram_weights = grid.gram_weights
+    # E = (U U) . w per member, with the positive weights w = gram_weights @ e
+    # for psi and for v, so a non-finite state gives a non-finite energy.  e
+    # is the E column of the diagnostics' map on the Gram table rows psi psi
+    # and v v.
     e_psi, _, e_v, *_ = grid.coeff_weight * _combination(p, g)[:, _COL_E].reshape(5, 3)
+    w = np.concatenate((grid.gram_weights @ e_psi, grid.gram_weights @ e_v))
 
-    def energy(psi: np.ndarray, v: np.ndarray) -> np.ndarray:
-        n = len(psi)
-        return ((psi * psi).reshape(n, -1) @ gram_weights) @ e_psi + (
-            (v * v).reshape(n, -1) @ gram_weights
-        ) @ e_v
-
-    # Live state: one entry per surviving member along the leading axis.
+    # Live state U[member, (psi, v), *modes]: one entry per surviving member.
     # ``members`` maps it to the member's position in ``initials``.
     members = np.arange(n_members)
-    psi = np.stack([s.psi.coeffs for s in initials])
-    v = np.stack([s.v.coeffs for s in initials])
+    U = np.array([(s.psi.coeffs, s.v.coeffs) for s in initials])
     n_rows_max = 1 + -(-n_steps // sample_every)
     rows_of = [np.empty((n_rows_max, len(SERIES_COLUMNS))) for _ in initials]
     n_rows = 0
     # The samples not yet mapped to rows: their times and the live arrays
-    # (psi, v, f) at each.  The loop replaces these arrays every step and never
+    # (U, f) at each.  The loop replaces these arrays every step and never
     # writes into them, so keeping them needs no copy.
-    block: list[tuple[float, np.ndarray, np.ndarray, np.ndarray]] = []
+    block: list[tuple[float, np.ndarray, np.ndarray]] = []
 
     def flush() -> None:
         # Map the block to rows with one diagnostics call.
@@ -417,7 +394,8 @@ def simulate_batch(
             return
         times, *arrays = zip(*block)
         # A block of one sample is a view of its arrays, not a copy.
-        psi_b, v_b, f_b = (a[0][None] if len(a) == 1 else np.array(a) for a in arrays)
+        U_b, f_b = (a[0][None] if len(a) == 1 else np.array(a) for a in arrays)
+        psi_b, v_b = U_b[:, :, 0], U_b[:, :, 1]
         accel = lam * (cc * psi_b + p.b * v_b) + f_b
         rows = instantaneous_diagnostics(
             grid, np.array(times)[:, None], psi_b, v_b, f_b, accel, p, g
@@ -431,20 +409,20 @@ def simulate_batch(
     def sample(t: float) -> None:
         # Keep the live state at a sample; a full block is mapped at once, so
         # a large state is never held past its step.
-        block.append((t, psi, v, f_curr))
+        block.append((t, U, f_curr))
         if len(block) * members.size * n_coeffs >= _BLOCK_COEFFICIENTS:
             flush()
 
     def retire(leaving: np.ndarray, kind: str, t: float) -> bool:
         # End the runs of the live members in the mask ``leaving`` and drop
         # them from the live arrays; False when no member is left.
-        nonlocal members, psi, v, f_curr, f_prev, E
+        nonlocal members, U, f_curr, f_prev, E
         flush()
         for j in np.flatnonzero(leaving):
             m = members[j]
             results[m] = _series(rows_of[m][:n_rows], Termination(kind, t), None, max_its[m])
         keep = ~leaving
-        members, psi, v, E = members[keep], psi[keep], v[keep], E[keep]
+        members, U, E = members[keep], U[keep], E[keep]
         f_curr = None if f_curr is None else f_curr[keep]
         f_prev = None if f_prev is None else f_prev[keep]
         return members.size > 0
@@ -455,17 +433,17 @@ def simulate_batch(
         # the cutoff at a sample ends with that row as its last.  False when
         # no member is left.
         nonlocal E, f_curr, f_prev
-        E = energy(psi, v)
-        if not np.isfinite(E).all() and not retire(~_finite_members(psi, v), "diverged", t):
+        E = (U * U).reshape(len(U), -1) @ w
+        if not np.isfinite(E).all() and not retire(~_finite_members(U), "diverged", t):
             return False
-        f_prev, f_curr = f_curr, _source(grid, psi, v, p)
+        f_prev, f_curr = f_curr, _source(operator, U)
         if not np.isfinite(f_curr).all() and not retire(~_finite_members(f_curr), "diverged", t):
             return False
         if is_sample:
             sample(t)
-            # Also true for a NaN energy.
-            blown = ~(E <= ENERGY_BLOWUP_CUTOFF)
-            if blown.any() and not retire(blown, "diverged", t):
+            # A NaN energy is not below the cutoff either.
+            below = E <= ENERGY_BLOWUP_CUTOFF
+            if not below.all() and not retire(~below, "diverged", t):
                 return False
         return True
 
@@ -476,20 +454,19 @@ def simulate_batch(
     for n in range(n_steps):
         t_next = t0 + (n + 1) * cfg.dt
         if cfg.scheme == "imex1":
-            psi, v = solver.backward_euler(psi, v, f_curr)
+            U = solver.backward_euler(U, f_curr)
         elif cfg.scheme == "imex2":
             if n == 0:
                 # Predictor-corrector startup keeps the global order at two.
-                psi_p, v_p = solver.trapezoid(psi, v, f_curr)
-                fhat = 0.5 * (f_curr + _source(grid, psi_p, v_p, p))
+                fhat = 0.5 * (f_curr + _source(operator, solver.trapezoid(U, f_curr)))
                 if not np.isfinite(fhat).all():
                     bad = ~_finite_members(fhat)
                     fhat[bad] = f_curr[bad]
             else:
                 fhat = 1.5 * f_curr - 0.5 * f_prev
-            psi, v = solver.trapezoid(psi, v, fhat)
+            U = solver.trapezoid(U, fhat)
         else:
-            psi, v, its, converged = _picard_step(grid, psi, v, f_curr, solver, cfg, p)
+            U, its, converged = _picard_step(U, f_curr, solver, operator, cfg)
             max_its[members] = np.maximum(max_its[members], its)
             if not converged.all() and not retire(~converged, "picard_failed", t_next):
                 break
@@ -502,7 +479,7 @@ def simulate_batch(
         final_t = t0 + n_steps * cfg.dt
         for j, m in enumerate(members):
             final = SimState(
-                SpectralField(grid, psi[j].copy()), SpectralField(grid, v[j].copy()), final_t
+                SpectralField(grid, U[j, 0].copy()), SpectralField(grid, U[j, 1].copy()), final_t
             )
             results[m] = _series(rows_of[m][:n_rows], Termination("completed"), final, max_its[m])
     return results

@@ -318,6 +318,27 @@ class TestFitCommand:
         # modal energy rate 1.0 for c = b = 1, mode 1 on (0, pi)
         assert abs(result["zeta"] - 1.0) < 0.05
 
+    def test_fit_of_diverged_run_diverges(self, tmp_path):
+        # The partial rows of a diverged run are not fitted: fit reads the
+        # run's termination from the summary beside the CSV.
+        cfg = short_config(
+            integrator={"T": 20.0, "dt": 1e-3},
+            initial={
+                "psi0": {"kind": "single_mode", "mode": [1], "amplitude": 100.0},
+                "psi1": {"kind": "single_mode", "mode": [1], "amplitude": 100.0},
+            },
+            grid={"modes": [64]},
+            fit={"series_csv": "run/series.csv"},
+        )
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 2
+        end = json.loads((out / "summary.json").read_text())["termination"]["time"]
+        assert main(["fit", "--config", str(path), "--output", str(tmp_path / "fit")]) == 0
+        fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
+        assert fit["classification"] == "diverges"
+        assert fit["window"] == [0.0, end]
+
     def test_fit_without_series_is_config_error(self, tmp_path):
         path = write_config(tmp_path, short_config())
         assert main(["fit", "--config", str(path), "--output", str(tmp_path / "out")]) == 1
@@ -416,6 +437,7 @@ class TestThresholdCommand:
         amplitudes = [run["amplitude"] for run in report["runs"]]
         assert amplitudes[0] == 100.0 and 0.01 in amplitudes
         assert report["amplitude_lo"] in amplitudes and report["amplitude_hi"] in amplitudes
+        assert report["contradictions"] == []
 
     def test_negative_iters_exits_1(self, tmp_path, capsys):
         cfg = short_config(threshold={"iters": -3}, **self.THRESHOLD)
@@ -508,7 +530,7 @@ class TestReportFormats:
             "threshold.json": {
                 "amplitude_lo": None, "amplitude_hi": None, "delta_star": None,
                 "sample_every": None, "round_widths": None,
-                "runs": [{"amplitude", "classification"}],
+                "runs": [{"amplitude", "classification"}], "contradictions": None,
             },
         },
         "weighted-study": {

@@ -173,9 +173,10 @@ class TestThresholdBisection:
 
     CFG, WINDOW = StepConfig(dt=4e-3), (2.0, 6.0)
 
-    def search(self, lo, hi):
+    def search(self, lo, hi, iters=5):
         return threshold_bisection(
-            NONLIN, self.SPECS, lo, hi, 5, grid=self.GRID, T=8.0, cfg=self.CFG, window=self.WINDOW
+            NONLIN, self.SPECS, lo, hi, iters, grid=self.GRID, T=8.0, cfg=self.CFG,
+            window=self.WINDOW,
         )
 
     def classify(self, amplitude):
@@ -220,6 +221,18 @@ class TestThresholdBisection:
             assert self.classify(a) == c, a
         # Survivors below the one that decays are never run to the end.
         assert min(a for a in amplitudes if a != lo) == report.amplitude_lo
+
+    def test_contradictions_name_the_non_monotone_runs(self):
+        # (3.1, 3.3) puts dyadic points into the band above delta* that
+        # classifies non-monotonically: 3.2 and 3.2125 diverge, 3.225 decays.
+        # The bracket is the one the search finds; the two diverging runs
+        # below it are reported, each as its own run classifies it.
+        report = self.search(3.1, 3.3, iters=4)
+        assert (report.amplitude_lo, report.amplitude_hi) == (3.225, 3.2375)
+        assert [a for a, _ in report.contradictions] == pytest.approx([3.2, 3.2125], abs=1e-12)
+        for a, c in report.contradictions:
+            assert c == "diverges" == self.classify(a)
+        assert self.search(2.0, 4.0).contradictions == ()
 
     def test_zero_iters_returns_the_endpoints(self):
         report = threshold_bisection(

@@ -19,7 +19,7 @@ from blackstock import (
     simulate_batch,
 )
 import blackstock.integrate as integrate
-from blackstock.dynamics import quadratic_source
+from blackstock.dynamics import _source_operator, quadratic_source
 from blackstock.energy import (
     DIAGNOSTIC_COLUMNS,
     GammaWeights,
@@ -106,6 +106,34 @@ class TestSingleSteps:
             assert np.all(after <= before + 1e-14)
 
 
+class TestPropagators:
+    @pytest.mark.parametrize("scheme,theta", [("trapezoid", 0.5), ("backward_euler", 1.0)])
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        c=st.floats(0.1, 10.0),
+        b=st.floats(0.1, 10.0),
+        decades=st.floats(-4.0, 3.0),
+    )
+    def test_match_per_mode_linear_solve(self, scheme, theta, seed, c, b, decades):
+        # U+ solves (I - theta dt L) U+ = (I + (1 - theta) dt L) U + dt f e_v
+        # per mode, L = [[0, 1], [c^2 lam, b lam]], for dt in 1e-4 .. 1e3.
+        grid = Grid(extents=(np.pi,), modes=(8,))
+        lam = grid.laplacian_eigenvalues
+        dt = 10.0**decades
+        rng = np.random.default_rng(seed)
+        U = rng.standard_normal((3, 2) + grid.modes)
+        f = rng.standard_normal((3,) + grid.modes)
+        got = getattr(_ModalSolver(grid, MediumParams(c=c, b=b), dt), scheme)(U, f)
+        L = np.zeros(grid.modes + (2, 2))
+        L[:, 0, 1], L[:, 1, 0], L[:, 1, 1] = 1.0, c**2 * lam, b * lam
+        rhs = np.einsum("mij,njm->nmi", np.eye(2) + (1.0 - theta) * dt * L, U)
+        rhs[..., 1] += dt * f
+        want = np.linalg.solve(np.eye(2) - theta * dt * L, rhs[..., None])[..., 0]
+        want = want.transpose(0, 2, 1)
+        for member, expected in zip(got, want):
+            assert np.max(np.abs(member - expected)) <= 1e-12 * np.linalg.norm(expected)
+
+
 class TestModalAccuracy:
     def test_imex2_matches_closed_form(self, g8):
         # c = b = 1, mode 1 on (0, pi): w(t) = e^{-t/2}(cos + sin/sqrt(3))(sqrt(3)t/2)
@@ -159,9 +187,9 @@ class TestPicard:
         state = single_mode_state(g8, 0.5, 0.5)
         cfg = StepConfig(dt=1e-2, scheme="picard")
         solver = _ModalSolver(g8, LINEAR, cfg.dt)
-        psi, v = state.psi.coeffs[None], state.v.coeffs[None]
-        f_old = quadratic_source(g8, psi, v, LINEAR)
-        _psi, _v, iterations, converged = _picard_step(g8, psi, v, f_old, solver, cfg, LINEAR)
+        operator = _source_operator(g8, LINEAR)
+        U = np.stack((state.psi.coeffs, state.v.coeffs))[None]
+        _U, iterations, converged = _picard_step(U, operator(U), solver, operator, cfg)
         assert converged.tolist() == [True] and iterations.tolist() == [1]
 
     def test_small_data_iteration_count(self, g8):
@@ -184,9 +212,9 @@ class TestPicard:
         state = single_mode_state(g, 50.0, 50.0)
         cfg = StepConfig(dt=1e-3, scheme="picard")
         solver = _ModalSolver(g, NONLIN, cfg.dt)
-        psi, v = state.psi.coeffs[None], state.v.coeffs[None]
-        f_old = quadratic_source(g, psi, v, NONLIN)
-        _psi, _v, _its, converged = _picard_step(g, psi, v, f_old, solver, cfg, NONLIN)
+        operator = _source_operator(g, NONLIN)
+        U = np.stack((state.psi.coeffs, state.v.coeffs))[None]
+        _U, _its, converged = _picard_step(U, operator(U), solver, operator, cfg)
         assert converged.tolist() == [False]
 
     def test_simulate_reuses_sampled_source(self, g8, monkeypatch):
@@ -198,9 +226,15 @@ class TestPicard:
 
         evaluated = []
 
-        def counting_source(grid, psi, alpha, p):
-            evaluated.append(psi.tobytes() + alpha.tobytes())
-            return quadratic_source(grid, psi, alpha, p)
+        def counting_operator(grid, p):
+            # The run's source operator, recording each stacked state it maps.
+            operator = _source_operator(grid, p)
+
+            def source(U):
+                evaluated.append(U.tobytes())
+                return operator(U)
+
+            return source
 
         state = single_mode_state(g8, 0.05, 0.05)
         cfg = StepConfig(dt=1e-2, scheme="picard")
@@ -209,7 +243,7 @@ class TestPicard:
             expected = one_step(expected, cfg, NONLIN)
         # A run to 0.02 ends on the state that the run to 0.04 samples there.
         sampled = [state] + [simulate(state, T, cfg, NONLIN).final for T in (0.02, 0.04)]
-        monkeypatch.setattr(integrate, "quadratic_source", counting_source)
+        monkeypatch.setattr(integrate, "_source_operator", counting_operator)
         final = simulate(state, 0.04, cfg, NONLIN, sample_every=2).final
         assert [evaluated.count(key(s)) for s in sampled] == [1, 1, 1]
         assert np.array_equal(final.psi.coeffs, expected.psi.coeffs)
