@@ -3,11 +3,11 @@
 Usage: ``blackstock <subcommand> --config <path> [--output <dir>] [--jobs N]``
 with subcommands ``simulate``, ``fit``, ``threshold``, ``weighted-study``,
 ``verify-inequalities`` and ``sweep``.  The environment variable
-``BLACKSTOCK_SEED`` overrides the configured seed.  The whole configuration
-is parsed and checked by :mod:`blackstock.config` before a subcommand runs;
-the subcommands read only parsed values, and the output directory is made
-with the first file written to it.  ``fit.json``, ``study.json`` and
-``threshold.json`` are ``dataclasses.asdict`` of the experiment's result
+``BLACKSTOCK_SEED``, a nonnegative integer, overrides the configured seed.
+The whole configuration is parsed and checked by :mod:`blackstock.config`
+before a subcommand runs; the subcommands read only parsed values, and the
+output directory is made with the first file written to it.  ``fit.json``,
+``study.json`` and ``threshold.json`` are ``dataclasses.asdict`` of the experiment's result
 (``threshold.json`` with each run and contradiction as an
 ``amplitude``/``classification`` object), and the summary's ``termination``
 is that of the run.  ``fit`` reads the ``summary.json`` beside the series
@@ -29,7 +29,7 @@ import sys
 from multiprocessing import Pool
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, _nonnegative, load_config
 from .experiments import (
     fit_decay,
     threshold_bisection,
@@ -98,7 +98,7 @@ def _apply_seed_override(cfg: RunConfig) -> RunConfig:
         seed = int(env)
     except ValueError:
         raise ConfigError(f"BLACKSTOCK_SEED must be an integer, got {env!r}") from None
-    return dataclasses.replace(cfg, seed=seed)
+    return dataclasses.replace(cfg, seed=_nonnegative(seed, "BLACKSTOCK_SEED"))
 
 
 def _run_simulate(cfg: RunConfig, out: Path) -> int:

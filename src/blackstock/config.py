@@ -16,9 +16,13 @@ axis in 3D), zero initial data, the second-order IMEX scheme sampling every
 step, Lyapunov weights (0.1, 0.01, 0.05), seed 0.  Every section is parsed
 here, the subcommands' own (``fit``, ``threshold``, ``study``,
 ``inequalities``, ``sweep``) included, so a subcommand reads only checked
-values.  Unknown keys anywhere are rejected, and so is a value no run can
-honour; section-level validation reuses the component invariants (for
-example ``b <= 0`` is rejected with the medium's own message).
+values.  Every JSON object of the file is read by ``_read`` through one
+table, key -> (default, parser) or key -> the table of an object a file may
+omit; the ``_REQUIRED`` marker as a default makes a key required, and a
+parser names its value by the dotted path in errors.  Unknown keys anywhere
+are rejected, and so is a value no run can honour; section-level validation
+reuses the component invariants (for example ``b <= 0`` is rejected with
+the medium's own message).
 """
 
 from __future__ import annotations
@@ -78,22 +82,33 @@ class RunConfig:
     sweep: tuple = ()
 
 
-def _object(section: Any, where: str) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
-    return section
+#: The default of a key that a file must give.
+_REQUIRED = object()
 
 
-def _reject_unknown(section: Any, allowed: set[str], where: str) -> None:
-    unknown = set(_object(section, where)) - allowed
+def _read(obj: Any, table: dict, where: str = "") -> dict:
+    # The values of the JSON object ``obj`` at dotted path ``where`` ("" for
+    # the file) by ``table``, one per key of the table, in its order.
+    name = where or "configuration"
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {obj!r}")
+    values = {}
+    for key, entry in table.items():
+        path = f"{where}.{key}" if where else key
+        if isinstance(entry, dict):  # a nested table: an omitted object reads as {}
+            values[key] = _read(obj.get(key, {}), entry, path)
+            continue
+        default, parser = entry
+        if key in obj:
+            values[key] = parser(obj[key], path)
+        elif default is _REQUIRED:
+            raise ConfigError(f"missing required key {key!r} in {name}")
+        else:
+            values[key] = default
+    unknown = set(obj) - set(table)
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _require(section: dict, key: str, where: str) -> Any:
-    if key not in section:
-        raise ConfigError(f"missing required key {key!r} in {where}")
-    return section[key]
+        raise ConfigError(f"unknown keys in {name}: {sorted(unknown)}")
+    return values
 
 
 def parse_number(value: Any, where: str, integer: bool = False) -> float | int:
@@ -126,80 +141,8 @@ def parse_numbers(
     return tuple(parse_number(x, where, integer) for x in value)
 
 
-def _parse_grid(section: dict) -> Grid:
-    _reject_unknown(section, {"dim", "extents", "modes"}, "grid")
-    dim = parse_number(section.get("dim", 0), "grid.dim", integer=True) or None
-    extents = section.get("extents")
-    modes = section.get("modes")
-    if extents is not None:
-        extents = parse_numbers(extents, "grid.extents")
-    if modes is not None:
-        modes = parse_numbers(modes, "grid.modes", integer=True)
-    if dim is None:
-        if extents is not None:
-            dim = len(extents)
-        elif modes is not None:
-            dim = len(modes)
-        else:
-            dim = 1
-    if extents is None:
-        extents = [math.pi] * dim
-    if modes is None:
-        if dim not in DEFAULT_MODES:
-            raise ConfigError("grid dim must be 1, 2 or 3")
-        modes = [DEFAULT_MODES[dim]] * dim
-    try:
-        return Grid(extents=tuple(extents), modes=tuple(modes))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid grid: {exc}") from exc
-
-
-def _parse_mode(mode: Any, where: str) -> list[int]:
-    if not isinstance(mode, list):
-        mode = [mode]
-    return [parse_number(m, f"{where}.mode", integer=True) for m in mode]
-
-
-def _parse_initial_one(section: Any, where: str) -> InitialDataSpec:
-    kind = _require(_object(section, where), "kind", where)
-    try:
-        if kind == "zero":
-            _reject_unknown(section, {"kind"}, where)
-            return InitialDataSpec.zero()
-        if kind == "single_mode":
-            _reject_unknown(section, {"kind", "mode", "amplitude"}, where)
-            return InitialDataSpec.single_mode(
-                _parse_mode(_require(section, "mode", where), where),
-                parse_number(_require(section, "amplitude", where), f"{where}.amplitude"),
-            )
-        if kind == "multi_mode":
-            _reject_unknown(section, {"kind", "terms"}, where)
-            terms = []
-            for term in _require(section, "terms", where):
-                _reject_unknown(term, {"mode", "amplitude"}, f"{where}.terms")
-                terms.append(
-                    (
-                        _parse_mode(term["mode"], where),
-                        parse_number(term["amplitude"], f"{where}.amplitude"),
-                    )
-                )
-            return InitialDataSpec.multi_mode(terms)
-        if kind == "power_law":
-            _reject_unknown(section, {"kind", "exponent", "amplitude"}, where)
-            return InitialDataSpec.power_law(
-                parse_number(_require(section, "exponent", where), f"{where}.exponent"),
-                parse_number(_require(section, "amplitude", where), f"{where}.amplitude"),
-            )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
-    raise ConfigError(f"unknown initial-data kind {kind!r} in {where}")
-
-
 def _string(value: Any, where: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{where} must be a string, got {value!r}")
+    _check(isinstance(value, str), f"{where} must be a string, got {value!r}")
     return value
 
 
@@ -216,58 +159,115 @@ def _build(where: str, build, **values):
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-_integer = partial(parse_number, integer=True)
+def _integer(value: Any, where: str, low: float = -math.inf) -> int:
+    number = parse_number(value, where, integer=True)
+    _check(number >= low, f"{where} must be at least {low}, got {number}")
+    return number
 
-# The keyed sections: key -> (default, parser).  A parser reads the JSON value
-# and names it by its dotted path in errors; a default is taken as it stands.
-_SECTIONS = {
+
+_nonnegative = partial(_integer, low=0)
+_positive = partial(_integer, low=1)
+
+
+def _mode(value: Any, where: str) -> tuple:
+    # A mode index, or the list of a multi-index.
+    return parse_numbers(value if isinstance(value, list) else [value], where, integer=True)
+
+
+_TERM = {"mode": (_REQUIRED, _mode), "amplitude": (_REQUIRED, parse_number)}
+
+
+def _terms(value: Any, where: str) -> list:
+    _check(isinstance(value, list), f"{where} must be a list, got {value!r}")
+    return [tuple(_read(term, _TERM, where).values()) for term in value]
+
+
+#: The keys of each initial-data kind besides ``kind``; the values build
+#: through the ``InitialDataSpec`` classmethod of the kind's name.
+_KINDS = {
+    "zero": {},
+    "single_mode": _TERM,
+    "multi_mode": {"terms": (_REQUIRED, _terms)},
+    "power_law": {"exponent": (_REQUIRED, parse_number), "amplitude": (_REQUIRED, parse_number)},
+}
+
+
+def _kind(value: Any, where: str) -> str:
+    _check(isinstance(value, str) and value in _KINDS,
+           f"{where} must be one of {sorted(_KINDS)}, got {value!r}")
+    return value
+
+
+def _initial_data(value: Any, where: str) -> InitialDataSpec:
+    # The kind picks the table of the other keys.
+    kind = value.get("kind") if isinstance(value, dict) else None
+    table = _KINDS.get(kind, {}) if isinstance(kind, str) else {}
+    values = _read(value, {"kind": (_REQUIRED, _kind), **table}, where)
+    return _build(where, getattr(InitialDataSpec, values.pop("kind")), **values)
+
+
+def _parameters(value: Any, where: str) -> dict:
+    # Dotted configuration path -> the list of values the sweep gives it.
+    _check(isinstance(value, dict) and bool(value),
+           f"{where} must be a non-empty object, got {value!r}")
+    for key, values in value.items():
+        _check(isinstance(values, list) and bool(values), f"{where}.{key} must be a non-empty list")
+    return value
+
+
+_SWEEP = {"parameters": (_REQUIRED, _parameters)}
+
+#: The file: key -> (default, parser), or key -> the table of a section.
+_SCHEMA = {
+    # A grid dim of None follows from the extents or modes, else 1.
+    "grid": {"dim": (None, _integer), "extents": (None, parse_numbers),
+             "modes": (None, partial(parse_numbers, integer=True))},
+    "initial": {"psi0": (InitialDataSpec.zero(), _initial_data),
+                "psi1": (InitialDataSpec.zero(), _initial_data)},
     "medium": {"c": (1.0, parse_number), "b": (1.0, parse_number),
                "k": (0.0, parse_number), "sigma": (0.0, parse_number)},
     "gammas": {"gamma1": (0.1, parse_number), "gamma2": (0.01, parse_number),
                "gamma3": (0.05, parse_number)},
     "integrator": {"scheme": ("imex2", _string), "dt": (1e-3, parse_number),
-                   "T": (20.0, parse_number), "sample_every": (1, _integer),
+                   "T": (20.0, parse_number), "sample_every": (1, _positive),
                    "picard_tol": (1e-10, parse_number), "picard_max_iter": (50, _integer)},
     "fit": {"series_csv": (None, _string), "window": (None, partial(parse_numbers, length=2))},
     "threshold": {"lo": (0.01, parse_number), "hi": (100.0, parse_number),
-                  "iters": (12, _integer), "window": (None, partial(parse_numbers, length=2))},
+                  "iters": (12, _nonnegative), "window": (None, partial(parse_numbers, length=2))},
     # A study dt of None is the integrator's.
     "study": {"resolutions": ((64, 128, 256), partial(parse_numbers, integer=True)),
               "T": (4.0, parse_number), "dt": (None, parse_number),
               "scheme": ("imex1", _string), "amplitude": (0.01, parse_number),
               "exponent": (2.0, parse_number)},
-    "inequalities": {"samples": (2000, _integer), "gronwall_draws": (100, _integer)},
+    "inequalities": {"samples": (2000, _positive), "gronwall_draws": (100, _positive)},
+    "seed": (0, _nonnegative),
+    "output_dir": (None, _string),
+    "sweep": (None, lambda value, where: _read(value, _SWEEP, where)),
 }
-_TOP_LEVEL_KEYS = {"grid", "initial", "seed", "output_dir", "sweep", *_SECTIONS}
 
 
-def _parse_sections(raw: dict) -> dict[str, dict]:
-    sections = {}
-    for name, table in _SECTIONS.items():
-        section = raw.get(name, {})
-        _reject_unknown(section, set(table), name)
-        sections[name] = {
-            key: parser(section[key], f"{name}.{key}") if key in section else default
-            for key, (default, parser) in table.items()
-        }
-    return sections
+def _grid(dim: int | None, extents: tuple | None, modes: tuple | None) -> Grid:
+    if dim is None:
+        if extents is not None:
+            dim = len(extents)
+        elif modes is not None:
+            dim = len(modes)
+        else:
+            dim = 1
+    _check(dim in DEFAULT_MODES, f"grid.dim must be 1, 2 or 3, got {dim}")
+    if extents is None:
+        extents = (math.pi,) * dim
+    if modes is None:
+        modes = (DEFAULT_MODES[dim],) * dim
+    return _build("grid", Grid, extents=extents, modes=modes)
 
 
-def _expand_sweep(raw: dict) -> tuple[tuple[str, RunConfig], ...]:
-    # Every point of the cartesian product of sweep.parameters, each a
-    # labelled copy of the configuration without its sweep, parsed.
-    if "sweep" not in raw:
-        return ()
-    _reject_unknown(raw["sweep"], {"parameters"}, "sweep")
-    params = raw["sweep"].get("parameters")
-    _check(isinstance(params, dict) and bool(params),
-           f"sweep.parameters must be a non-empty object, got {params!r}")
-    keys = sorted(params)
-    for key in keys:
-        _check(isinstance(params[key], list) and bool(params[key]),
-               f"sweep.parameters.{key} must be a non-empty list")
+def _expand_sweep(raw: dict, parameters: dict) -> tuple[tuple[str, RunConfig], ...]:
+    # Every point of the cartesian product of the parameters, each a labelled
+    # copy of the configuration without its sweep, parsed.
+    keys = sorted(parameters)
     variants = []
-    for combo in itertools.product(*(params[k] for k in keys)):
+    for combo in itertools.product(*(parameters[k] for k in keys)):
         variant = copy.deepcopy(raw)
         del variant["sweep"]
         label_parts = []
@@ -289,33 +289,17 @@ def _expand_sweep(raw: dict) -> tuple[tuple[str, RunConfig], ...]:
 
 def parse_config(raw: dict) -> RunConfig:
     """Validate a parsed JSON object into a RunConfig."""
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be a JSON object")
-    _reject_unknown(raw, _TOP_LEVEL_KEYS, "configuration")
-    grid = _parse_grid(raw.get("grid", {}))
-    initial = raw.get("initial", {})
-    _reject_unknown(initial, {"psi0", "psi1"}, "initial")
-    psi0 = (
-        _parse_initial_one(initial["psi0"], "initial.psi0")
-        if "psi0" in initial
-        else InitialDataSpec.zero()
-    )
-    psi1 = (
-        _parse_initial_one(initial["psi1"], "initial.psi1")
-        if "psi1" in initial
-        else InitialDataSpec.zero()
-    )
-    sections = _parse_sections(raw)
+    sections = _read(raw, _SCHEMA)
+    grid = _grid(**sections.pop("grid"))
+    psi0, psi1 = sections.pop("initial").values()
     medium = _build("medium", MediumParams, **sections.pop("medium"))
     gammas = _build("gammas", GammaWeights, **sections.pop("gammas"))
     integrator = sections.pop("integrator")
     T, sample_every = integrator.pop("T"), integrator.pop("sample_every")
     step = _build("integrator", StepConfig, **integrator)
     _build("integrator", step.steps_to, T=T)
-    _check(sample_every >= 1, "invalid integrator: sample_every must be at least 1")
     threshold = sections["threshold"]
     lo, hi, window = threshold["lo"], threshold["hi"], threshold["window"]
-    _check(threshold["iters"] >= 0, f"threshold.iters must be nonnegative, got {threshold['iters']}")
     _check(0 < lo < hi, f"threshold.lo and threshold.hi need 0 < lo < hi, got {lo}, {hi}")
     # The search's runs start at time 0 and end at T.
     _check(window is None or 0 <= window[0] < window[1] <= T,
@@ -331,18 +315,13 @@ def parse_config(raw: dict) -> RunConfig:
         for N in study["resolutions"]:
             _build("study.resolutions", Grid, extents=grid.extents[:1], modes=(N,))
         _build("study.T", study_step.steps_to, T=study["T"])
-    for key, value in sections["inequalities"].items():
-        _check(value >= 1, f"inequalities.{key} must be at least 1, got {value}")
-    seed = parse_number(raw.get("seed", 0), "seed", integer=True)
-    output_dir = raw.get("output_dir")
-    if output_dir is not None:
-        _string(output_dir, "output_dir")
     # Mode indices must exist on the grid; realize once to surface errors now.
     try:
         psi0.realize(grid)
         psi1.realize(grid)
     except IndexError as exc:
         raise ConfigError(f"invalid initial data: {exc}") from exc
+    sweep = sections.pop("sweep")
     return RunConfig(
         grid=grid,
         medium=medium,
@@ -352,9 +331,7 @@ def parse_config(raw: dict) -> RunConfig:
         T=T,
         sample_every=sample_every,
         gammas=gammas,
-        seed=seed,
-        output_dir=output_dir,
-        sweep=_expand_sweep(raw),
+        sweep=_expand_sweep(raw, sweep["parameters"]) if sweep else (),
         **sections,
     )
 

@@ -2,7 +2,8 @@
 
 The series CSV carries the fixed column set
 ``t,E,E1,E2,F1,F2,F3,L,D_cum,w_ptt,w_lap_vt`` with ``.``-decimal values at 17
-significant digits, so identical runs produce bit-identical files.
+significant digits, so identical runs produce bit-identical files.  Report
+JSON is standard JSON: a float that is not finite is written as ``null``.
 
 Checkpoints are a versioned binary format: an 8-byte magic, a little-endian
 uint32 header length, a JSON header (grid geometry, time, dtype) and the raw
@@ -12,6 +13,7 @@ coefficient arrays of ``psi`` and ``v`` as little-endian 64-bit floats.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import warnings
@@ -59,8 +61,10 @@ def _write_atomically(path: str | Path, data: str | bytes) -> None:
 
 def write_series_csv(path: str | Path, series: TimeSeries) -> None:
     table = np.column_stack([series.column(c) for c in CSV_COLUMNS])
+    row_format = ",".join(["%.17g"] * len(CSV_COLUMNS))
     lines = [",".join(CSV_COLUMNS)]
-    lines.extend(",".join(f"{x:.17g}" for x in row.tolist()) for row in table)
+    # Row by row: a list of every row's floats would raise the peak memory.
+    lines.extend(row_format % tuple(row.tolist()) for row in table)
     _write_atomically(path, "\n".join(lines) + "\n")
 
 
@@ -84,8 +88,21 @@ def read_series_csv(path: str | Path) -> TimeSeries:
     return TimeSeries(header, rows)
 
 
+def _finite_or_null(value):
+    # JSON has no NaN or infinity: a float that is not finite becomes None.
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def write_json(path: str | Path, payload: dict) -> None:
-    _write_atomically(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write ``payload`` as JSON, with ``null`` for a float that is not finite."""
+    text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
+    _write_atomically(path, text + "\n")
 
 
 def save_checkpoint(path: str | Path, state: SimState) -> None:

@@ -157,6 +157,19 @@ class TestConfigLoading:
         cfg = parse_config({"grid": {"dim": 3}})
         assert cfg.grid.modes == (32, 32, 32)
 
+    @pytest.mark.parametrize(
+        "terms,message",
+        [
+            ([{"mode": [1]}], "missing required key 'amplitude' in initial.psi0.terms"),
+            ({"mode": [1], "amplitude": 0.01}, "initial.psi0.terms must be a list"),
+        ],
+    )
+    def test_multi_mode_terms_rejected(self, terms, message):
+        bad = json.loads(json.dumps(MINIMAL))
+        bad["initial"]["psi0"] = {"kind": "multi_mode", "terms": terms}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config(bad)
+
 
 def short_config(**overrides):
     payload = {
@@ -258,6 +271,11 @@ class TestSimulateCommand:
             ("fit", {"fit": {"series_csv": 5}}, "fit.series_csv"),
             ("threshold", {"threshold": {"window": [0.4, 0.1]}}, "threshold.window"),
             ("threshold", {"threshold": {"window": [0.1, 0.6]}}, "threshold.window"),
+            # A dim of 0 is not an omitted dim, and a seed must be nonnegative.
+            ("simulate", {"grid": {"dim": 0}}, "grid.dim"),
+            ("simulate", {"grid": {"dim": 0, "modes": [8, 8]}, "initial": {}}, "grid.dim"),
+            ("simulate", {"seed": -1}, "seed"),
+            ("verify-inequalities", {"seed": -1}, "seed"),
         ],
     )
     def test_values_that_cannot_be_honoured_exit_1_before_any_run(
@@ -293,6 +311,62 @@ class TestSimulateCommand:
         code = main(["simulate", "--config", str(path), "--output", str(tmp_path / "o")])
         assert code == 1
         assert "BLACKSTOCK_SEED" in capsys.readouterr().err
+
+    def test_negative_seed_env_exits_1(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, short_config())
+        out = tmp_path / "o"
+        monkeypatch.setenv("BLACKSTOCK_SEED", "-1")
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 1
+        assert "BLACKSTOCK_SEED" in capsys.readouterr().err
+        assert not out.exists()
+
+    # Every documented key of the file: a value of the wrong JSON type is
+    # rejected by name.  The initial-data keys are those of psi0's ``kind``.
+    KINDS = {
+        "single_mode": {"kind": "single_mode", "mode": [1], "amplitude": 0.01},
+        "multi_mode": {"kind": "multi_mode", "terms": [{"mode": [1], "amplitude": 0.01}]},
+        "power_law": {"kind": "power_law", "exponent": 2.0, "amplitude": 0.01},
+    }
+    STRING_KEYS = {"integrator.scheme", "study.scheme", "fit.series_csv", "output_dir",
+                   "initial.psi0.kind"}
+
+    @pytest.mark.parametrize(
+        "kind,key",
+        [
+            *(("single_mode", key) for key in (
+                "grid.dim", "grid.extents", "grid.modes",
+                "medium.c", "medium.b", "medium.k", "medium.sigma",
+                "gammas.gamma1", "gammas.gamma2", "gammas.gamma3",
+                "integrator.scheme", "integrator.dt", "integrator.T", "integrator.sample_every",
+                "integrator.picard_tol", "integrator.picard_max_iter",
+                "fit.series_csv", "fit.window",
+                "threshold.lo", "threshold.hi", "threshold.iters", "threshold.window",
+                "study.resolutions", "study.T", "study.dt", "study.scheme", "study.amplitude",
+                "study.exponent",
+                "inequalities.samples", "inequalities.gronwall_draws",
+                "sweep.parameters", "seed", "output_dir",
+                "initial.psi0.kind", "initial.psi0.mode", "initial.psi0.amplitude",
+            )),
+            ("multi_mode", "initial.psi0.terms"),
+            ("multi_mode", "initial.psi0.terms.mode"),
+            ("multi_mode", "initial.psi0.terms.amplitude"),
+            ("power_law", "initial.psi0.exponent"),
+            ("power_law", "initial.psi0.amplitude"),
+        ],
+    )
+    def test_value_of_the_wrong_type_exits_1_naming_its_key(self, tmp_path, capsys, kind, key):
+        cfg = short_config()
+        cfg["initial"]["psi0"] = json.loads(json.dumps(self.KINDS[kind]))
+        node = cfg
+        *parents, leaf = key.split(".")
+        for part in parents:
+            node = node["terms"][0] if part == "terms" else node.setdefault(part, {})
+        node[leaf] = 5 if key in self.STRING_KEYS else "x"
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFitCommand:
@@ -338,6 +412,34 @@ class TestFitCommand:
         fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
         assert fit["classification"] == "diverges"
         assert fit["window"] == [0.0, end]
+
+    def test_reports_of_a_diverged_run_are_standard_json(self, tmp_path):
+        # The fit of a diverged run has no finite c_factor; JSON has no NaN.
+        cfg = short_config(
+            integrator={"T": 20.0, "dt": 1e-3},
+            initial={
+                "psi0": {"kind": "single_mode", "mode": [1], "amplitude": 100.0},
+                "psi1": {"kind": "single_mode", "mode": [1], "amplitude": 100.0},
+            },
+            fit={"series_csv": "run/series.csv"},
+        )
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "run")]) == 2
+        assert main(["fit", "--config", str(path), "--output", str(tmp_path / "fit")]) == 0
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        for report in (tmp_path / "run" / "summary.json", tmp_path / "fit" / "fit.json"):
+            json.loads(report.read_text(), parse_constant=reject)
+        fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
+        assert fit["classification"] == "diverges" and fit["c_factor"] is None
+
+    def test_non_finite_floats_are_written_as_null(self, tmp_path):
+        write_json(tmp_path / "r.json", {"a": [np.nan, (np.inf, 1.5)], "b": {"c": -np.inf}})
+        assert json.loads((tmp_path / "r.json").read_text()) == {
+            "a": [None, [None, 1.5]], "b": {"c": None}
+        }
 
     def test_fit_without_series_is_config_error(self, tmp_path):
         path = write_config(tmp_path, short_config())
