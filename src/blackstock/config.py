@@ -31,6 +31,7 @@ import copy
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -170,8 +171,12 @@ _positive = partial(_integer, low=1)
 
 
 def _mode(value: Any, where: str) -> tuple:
-    # A mode index, or the list of a multi-index.
-    return parse_numbers(value if isinstance(value, list) else [value], where, integer=True)
+    # A mode index, or the list of a multi-index; an index outside
+    # 1..sys.maxsize (the largest array index) fits no grid.
+    mode = parse_numbers(value if isinstance(value, list) else [value], where, integer=True)
+    _check(all(1 <= m <= sys.maxsize for m in mode),
+           f"{where} must hold indices in 1..{sys.maxsize}, got {value!r}")
+    return mode
 
 
 _TERM = {"mode": (_REQUIRED, _mode), "amplitude": (_REQUIRED, parse_number)}
@@ -246,6 +251,13 @@ _SCHEMA = {
 }
 
 
+def _formed(grid: Grid) -> Grid:
+    # The grid with its Laplacian eigenvalues formed, and cached for the run:
+    # numpy refuses a size it cannot index with a ValueError.
+    grid.laplacian_eigenvalues
+    return grid
+
+
 def _grid(dim: int | None, extents: tuple | None, modes: tuple | None) -> Grid:
     if dim is None:
         if extents is not None:
@@ -259,7 +271,7 @@ def _grid(dim: int | None, extents: tuple | None, modes: tuple | None) -> Grid:
         extents = (math.pi,) * dim
     if modes is None:
         modes = (DEFAULT_MODES[dim],) * dim
-    return _build("grid", Grid, extents=extents, modes=modes)
+    return _build("grid.modes", _formed, grid=_build("grid", Grid, extents=extents, modes=modes))
 
 
 def _expand_sweep(raw: dict, parameters: dict) -> tuple[tuple[str, RunConfig], ...]:
@@ -313,7 +325,8 @@ def parse_config(raw: dict) -> RunConfig:
     if "study" in raw:
         _check(bool(study["resolutions"]), "study.resolutions must not be empty")
         for N in study["resolutions"]:
-            _build("study.resolutions", Grid, extents=grid.extents[:1], modes=(N,))
+            study_grid = _build("study.resolutions", Grid, extents=grid.extents[:1], modes=(N,))
+            _build("study.resolutions", _formed, grid=study_grid)
         _build("study.T", study_step.steps_to, T=study["T"])
     # Mode indices must exist on the grid; realize once to surface errors now.
     try:

@@ -28,16 +28,18 @@ Every quantity above is diagonal in the sine basis, so it is a fixed linear
 combination of a few entries of one Gram table: the coefficient products
 ``psi psi``, ``psi v``, ``v v``, ``psi_tt psi_tt`` and ``f v``, each summed
 against the weights ``1``, ``-lambda`` and ``lambda^2`` (``Grid.gram_weights``)
-and scaled by the basis mass.  ``instantaneous_diagnostics`` forms the table
-in one matrix product and maps it in a second one, by a coefficient matrix
-built once per medium and Lyapunov weights, to every value of
-``DIAGNOSTIC_COLUMNS`` except ``t`` and the three time-weighted ones, which
-are formed from single table entries.  A row of the table with an overflowed
-entry is mapped column by column instead, so that only the values that read
-the entry become infinite (a product would turn ``0 * inf`` into NaN in every
-value).  Leading axes of the state carry through: members of a batch, and
-samples at several times, with ``t`` a column of times that broadcasts over
-them.  The rows of each time are those of a call for that time alone.
+and scaled by the basis mass.  ``instantaneous_diagnostics`` forms ``psi_tt``
+from a run's states and sources, the table in one matrix product, and maps
+it in a second one, by a coefficient matrix built once per medium and
+Lyapunov weights, to every value of ``DIAGNOSTIC_COLUMNS`` except ``t`` and
+the three time-weighted ones, which are formed from single table entries.  A
+row of the table with an overflowed entry is mapped column by column instead,
+so that only the values that read the entry become infinite (a product would
+turn ``0 * inf`` into NaN in every value).  Leading axes of the state carry
+through: members of a batch, and samples at several times, with ``t`` a
+column of times that broadcasts over them.  The rows of each time are those
+of a call for that time alone.  ``energy_weights`` (a run's per-step energy)
+and ``running_integrals`` read the table here too, so no other module does.
 """
 
 from __future__ import annotations
@@ -55,8 +57,10 @@ __all__ = [
     "DIAGNOSTIC_COLUMNS",
     "SERIES_COLUMNS",
     "GammaWeights",
+    "energy_weights",
     "identity_residual",
     "instantaneous_diagnostics",
+    "running_integrals",
 ]
 
 #: The values ``instantaneous_diagnostics`` returns, in order.
@@ -78,8 +82,8 @@ SERIES_COLUMNS = DIAGNOSTIC_COLUMNS + ("D_cum", "w_grad_ptt")
 # entries they read (row pair psi psi, psi v, v v, accel accel, f v; column
 # weight 1, -lambda, lambda^2).  ``w_ptt`` and ``w_lap_vt`` are adjacent and
 # read the adjacent entries ``aa0``, ``vv2`` in reverse order.
-_T, _W_PTT, _W_LAP_VT, _WGP_INTEGRAND = (
-    DIAGNOSTIC_COLUMNS.index(name) for name in ("t", "w_ptt", "w_lap_vt", "wgp_integrand")
+_T, _E, _W_PTT, _W_LAP_VT, _WGP_INTEGRAND = (
+    DIAGNOSTIC_COLUMNS.index(name) for name in ("t", "E", "w_ptt", "w_lap_vt", "wgp_integrand")
 )
 _VV2, _AA0 = 8, 9
 
@@ -128,33 +132,36 @@ def _combination(p: MediumParams, g: GammaWeights) -> np.ndarray:
     return combination
 
 
+def energy_weights(grid: Grid, p: MediumParams) -> np.ndarray:
+    """Weights ``w`` of the energy ``(U U) . w`` of a flat state ``U[(psi, v), *modes]``.
+
+    ``w`` is positive, so a non-finite state has a non-finite energy.
+    """
+    e_psi, _, e_v, *_ = grid.coeff_weight * _combination(p, GammaWeights())[:, _E].reshape(5, 3)
+    return np.concatenate((grid.gram_weights @ e_psi, grid.gram_weights @ e_v))
+
+
 def instantaneous_diagnostics(
-    grid: Grid,
-    t: float | np.ndarray,
-    psi: np.ndarray,
-    v: np.ndarray,
-    f: np.ndarray | None,
-    accel: np.ndarray | None,
-    p: MediumParams,
-    g: GammaWeights,
+    grid: Grid, t: float | np.ndarray, U: np.ndarray, f: np.ndarray, p: MediumParams, g: GammaWeights
 ) -> np.ndarray:
     """The diagnostics at time ``t``, in the order of ``DIAGNOSTIC_COLUMNS``.
 
-    ``psi``, ``v``, the source ``f`` and the evaluated acceleration ``accel``
-    are coefficient arrays of shape ``(..., *grid.modes)``; ``None`` for ``f``
-    or ``accel`` reads as zero.  Leading axes are evaluated together: the
-    result has shape ``(..., len(DIAGNOSTIC_COLUMNS))``.  ``t`` is one time or
-    an array of times that broadcasts over the leading axes, such as a column
-    ``(samples, 1)`` for states ``(samples, members, *grid.modes)``.  The
-    rows of each time equal those of a call for that time alone, bit for bit.
+    ``U`` holds states ``(..., (psi, v), *grid.modes)`` and ``f`` their
+    sources ``(..., *grid.modes)``; the acceleration is
+    ``psi_tt = lambda (c^2 psi + b v) + f``.  Leading axes are evaluated
+    together: the result has shape ``(..., len(DIAGNOSTIC_COLUMNS))``.  ``t``
+    is one time or an array of times that broadcasts over the leading axes,
+    such as a column ``(samples, 1)`` for states ``(samples, members, 2,
+    *grid.modes)``.  The rows of each time equal those of a call for that
+    time alone, bit for bit.
     """
-    lead = psi.shape[: psi.ndim - grid.dim]
-    size = lead + (math.prod(grid.modes),)
-    pairs = ((psi, psi), (psi, v), (v, v), (accel, accel), (f, v))
-    products = np.zeros(lead + (len(pairs), size[-1]))
-    for k, (x, y) in enumerate(pairs):
-        if x is not None:
-            np.multiply(x.reshape(size), y.reshape(size), out=products[..., k, :])
+    lead, n = f.shape[: f.ndim - grid.dim], math.prod(grid.modes)
+    psi, v = np.moveaxis(U.reshape(lead + (2, n)), -2, 0)
+    f = f.reshape(lead + (n,))
+    accel = grid.laplacian_eigenvalues.reshape(n) * (p.c**2 * psi + p.b * v) + f
+    products = np.empty(lead + (5, n))
+    for k, (x, y) in enumerate(((psi, psi), (psi, v), (v, v), (accel, accel), (f, v))):
+        np.multiply(x, y, out=products[..., k, :])
     combination = _combination(p, g)
     # An overflowed entry can raise the invalid flag in the matrix products;
     # the rows that have one are redone below.
@@ -175,6 +182,19 @@ def instantaneous_diagnostics(
         gram[..., _AA0 : _VV2 - 1 : -1]
     )
     return out
+
+
+def running_integrals(rows: np.ndarray) -> np.ndarray:
+    """Fill in ``D_cum`` and ``w_grad_ptt`` of series rows, in place, and return the rows.
+
+    They are the trapezoid integrals of ``d_integrand`` and ``wgp_integrand``
+    over the sample times, accumulated sample by sample.
+    """
+    n = len(DIAGNOSTIC_COLUMNS)  # the integrands are the last two diagnostics
+    y = rows[:, n - 2 : n]
+    steps = 0.5 * np.diff(rows[:, _T])[:, None] * (y[1:] + y[:-1])
+    rows[:, n:] = np.cumsum(np.concatenate((np.zeros((1, 2)), steps)), axis=0)
+    return rows
 
 
 def identity_residual(series, p: MediumParams) -> np.ndarray:

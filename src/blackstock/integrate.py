@@ -6,7 +6,7 @@ is stiff: explicit schemes would be limited to steps of order
 it is diagonal in the sine basis, so a step of it is a 2x2 map per mode,
 ``U+ = A psi + B v + Q f``, whose propagator tensors ``A, B, Q`` of shape
 ``(2, *modes)`` are the closed-form solution of the implicit system, formed
-once per run and scheme.
+once per run.
 
 Schemes
 -------
@@ -37,10 +37,10 @@ the step configuration, and returns one ``TimeSeries`` per member.
 
 *State layout.*  The live state is one array ``U[member, (psi, v), *modes]``,
 so a finiteness check, the removal of ended members, a sample and the energy
-``(U U) . w`` (``w`` formed once per run) each cost one array operation.  The
-propagators broadcast over the member axis, and the source is the run's
-source operator (:func:`blackstock.dynamics._source_operator`, which forms
-the Laplacian scalings once), evaluated on slices of at most
+``(U U) . w`` (:func:`blackstock.energy.energy_weights`) each cost one array
+operation.  The run's one propagator broadcasts over the member axis, and the
+source is the run's source operator (:func:`blackstock.dynamics._source_operator`,
+which forms the Laplacian scalings once), evaluated on slices of at most
 ``_SOURCE_SLICE_COEFFICIENTS`` coefficients, which bounds a large batch's
 temporaries.  A step therefore costs a fixed number of array operations
 whatever the batch size: about 45 for an ``imex2`` step, half of them in
@@ -63,29 +63,30 @@ arrays, so later steps cost only the survivors.
 
 *Blocks of samples.*  A sample only keeps the live arrays ``(t, U, f)``
 in a block; the loop replaces them every step and never writes into them, so
-this needs no copy.  One ``instantaneous_diagnostics`` call, with the sample
-times as a column, maps the block to rows when it holds
-``_BLOCK_COEFFICIENTS`` state coefficients, before any member retires, and
-at the end of the run.  The rows are those of one call per sample, bit for
-bit.
+this needs no copy.  One :func:`blackstock.energy.instantaneous_diagnostics`
+call, with the sample times as a column, maps the block's states and sources
+to rows when it holds ``_BLOCK_COEFFICIENTS`` state coefficients, before any
+member retires, and at the end of the run; it forms ``psi_tt`` itself.  The
+rows are those of one call per sample, bit for bit.
 
 *Rows.*  Each member's rows live in an array of their own, sized for the
 whole run.  Pages that are never written, the rest of a member that ends
-early, are never made resident.  The two running integrals ``D_cum`` and
-``w_grad_ptt`` are summed over a member's rows when it ends.
+early, are never made resident.  :func:`blackstock.energy.running_integrals`
+fills in ``D_cum`` and ``w_grad_ptt`` when the member ends.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .dynamics import MediumParams, _source_operator
-from .energy import SERIES_COLUMNS, GammaWeights, _combination, instantaneous_diagnostics
+from .energy import (
+    SERIES_COLUMNS, GammaWeights, energy_weights, instantaneous_diagnostics, running_integrals,
+)
 from .fields import SimState
 from .grid import Grid, SpectralField
 
@@ -114,11 +115,6 @@ _BLOCK_COEFFICIENTS = 2**12
 _SOURCE_SLICE_COEFFICIENTS = 2**11
 
 _SCHEMES = ("imex1", "imex2", "picard")
-
-_COL_T, _COL_E, _COL_D_INTEGRAND, _COL_WGP_INTEGRAND, _COL_D_CUM, _COL_W_GRAD_PTT = (
-    SERIES_COLUMNS.index(name)
-    for name in ("t", "E", "d_integrand", "wgp_integrand", "D_cum", "w_grad_ptt")
-)
 
 
 @dataclass(frozen=True)
@@ -184,48 +180,32 @@ class TimeSeries:
         return self.data[:, self.columns.index(name)]
 
 
-class _ModalSolver:
-    """Per-mode propagators of the linear part, for one grid, medium and step.
+def _propagator(grid: Grid, p: MediumParams, dt: float, theta: float):
+    """The per-mode propagator of one theta step of the linear part.
 
     A theta step ``(I - theta dt L) U+ = (I + (1 - theta) dt L) U + dt f e_v``
     with ``L = [[0, 1], [c^2 lam, b lam]]`` per mode is ``U+ = A psi + B v +
-    Q f``, with tensors ``A, B, Q`` of shape ``(2, *modes)`` in closed form.
-    ``trapezoid`` (theta = 1/2) and ``backward_euler`` (theta = 1) form them
-    on first use and map states ``U[member, (psi, v), *modes]`` and sources
+    Q f``, with tensors ``A, B, Q`` of shape ``(2, *modes)`` in closed form:
+    backward Euler for theta = 1, the trapezoidal rule for theta = 1/2.
+    Returns the map of states ``U[member, (psi, v), *modes]`` and sources
     ``f[member, *modes]`` to the next states.
     """
+    lam = grid.laplacian_eigenvalues
+    kappa, beta = p.c**2 * lam, p.b * lam
+    # (I - theta dt L)^-1 = [[1 - theta dt beta, theta dt], [theta dt kappa, 1]] / det.
+    s = theta * (1.0 - theta) * dt * dt * kappa
+    det = 1.0 - theta * dt * beta - theta * theta * dt * dt * kappa
+    A = np.stack((1.0 - theta * dt * beta + s, dt * kappa)) / det
+    B = np.stack((np.full_like(det, dt), 1.0 + (1.0 - theta) * dt * beta + s)) / det
+    Q = np.stack((np.full_like(det, theta * dt * dt), np.full_like(det, dt))) / det
+    return lambda U, f: A * U[:, :1] + B * U[:, 1:] + Q * f[:, None]
 
-    def __init__(self, grid: Grid, p: MediumParams, dt: float):
-        self.grid, self.cc, self.b, self.dt = grid, p.c**2, p.b, dt
 
-    @cached_property
-    def trapezoid(self):
-        return self._propagator(0.5)
-
-    @cached_property
-    def backward_euler(self):
-        return self._propagator(1.0)
-
-    def _propagator(self, theta: float):
-        h, lam = self.dt, self.grid.laplacian_eigenvalues
-        kappa, beta = self.cc * lam, self.b * lam
-        # (I - theta h L)^-1 = [[1 - theta h beta, theta h], [theta h kappa, 1]] / det.
-        s = theta * (1.0 - theta) * h * h * kappa
-        det = 1.0 - theta * h * beta - theta * theta * h * h * kappa
-        A = np.stack((1.0 - theta * h * beta + s, h * kappa)) / det
-        B = np.stack((np.full_like(det, h), 1.0 + (1.0 - theta) * h * beta + s)) / det
-        Q = np.stack((np.full_like(det, theta * h * h), np.full_like(det, h))) / det
-        return lambda U, f: A * U[:, :1] + B * U[:, 1:] + Q * f[:, None]
-
-    @cached_property
-    def _norm_weights(self):
-        ones = np.ones(math.prod(self.grid.modes))
-        lam = self.grid.laplacian_eigenvalues.ravel()
-        return self.grid.coeff_weight * np.concatenate((ones - lam, ones))
-
-    def norm(self, U: np.ndarray) -> np.ndarray:
-        """The discrete H1 x L2 norm of each member of ``U`` (picard's contraction test)."""
-        return np.sqrt((U * U).reshape(len(U), -1) @ self._norm_weights)
+def _h1_l2_norm(grid: Grid):
+    # Picard's contraction test: the discrete H1 x L2 norm of each member of U.
+    lam = grid.laplacian_eigenvalues.ravel()
+    w = grid.coeff_weight * np.concatenate((1.0 - lam, np.ones_like(lam)))
+    return lambda U: np.sqrt((U * U).reshape(len(U), -1) @ w)
 
 
 def _finite_members(a: np.ndarray) -> np.ndarray:
@@ -234,23 +214,20 @@ def _finite_members(a: np.ndarray) -> np.ndarray:
 
 
 def _picard_step(
-    U0: np.ndarray,
-    f_old: np.ndarray,
-    solver: _ModalSolver,
-    operator,
-    cfg: StepConfig,
+    U0: np.ndarray, f_old: np.ndarray, step, norm, operator, cfg: StepConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One picard step of every member of ``U0``, whose source is ``f_old``.
 
-    ``operator`` is the run's source operator
-    (:func:`blackstock.dynamics._source_operator`).  Returns the new states,
-    each member's iteration count and a mask of the members that converged.
-    The others failed: an iterate was not finite (counted at that iteration)
-    or the budget ran out.  A converged member is frozen and takes no further
-    iterations.
+    ``step`` is the run's trapezoid propagator (:func:`_propagator`),
+    ``norm`` its contraction norm (:func:`_h1_l2_norm`) and ``operator`` its
+    source operator (:func:`blackstock.dynamics._source_operator`).  Returns
+    the new states, each member's iteration count and a mask of the members
+    that converged.  The others failed: an iterate was not finite (counted at
+    that iteration) or the budget ran out.  A converged member is frozen and
+    takes no further iterations.
     """
     # Initial iterate: trapezoid step with the source frozen at the step start.
-    U = solver.trapezoid(U0, f_old)
+    U = step(U0, f_old)
     its = np.full(len(U), cfg.picard_max_iter)
     converged = np.zeros(len(U), dtype=bool)
     # The members still iterating: indices, iterates and step-start data.
@@ -265,9 +242,9 @@ def _picard_step(
             live = tuple(a[finite] for a in live)
             idx, U_j, U_0, f_0 = live
         with np.errstate(over="ignore", invalid="ignore"):
-            U_n = solver.trapezoid(U_0, 0.5 * (f_0 + _source(operator, U_j)))
-            update = solver.norm(U_n - U_j)
-            scale = solver.norm(U_n)
+            U_n = step(U_0, 0.5 * (f_0 + _source(operator, U_j)))
+            update = norm(U_n - U_j)
+            scale = norm(U_n)
         done = update <= cfg.picard_tol * np.maximum(scale, 1e-300)
         live = (idx, U_n, U_0, f_0)
         if done.any():
@@ -291,17 +268,9 @@ def _source(operator, U: np.ndarray) -> np.ndarray:
     return f
 
 
-def _series(data: np.ndarray, termination, final, max_its: int) -> TimeSeries:
-    # One member's series on its sampled rows, with the running integrals
-    # filled in.
-    t = data[:, _COL_T]
-    integrals = ((_COL_D_CUM, _COL_D_INTEGRAND), (_COL_W_GRAD_PTT, _COL_WGP_INTEGRAND))
-    for integral, integrand in integrals:
-        y = data[:, integrand]
-        # Trapezoid rule over the sample times; cumsum adds sequentially, so
-        # the roundings are those of accumulating sample by sample.
-        data[:, integral] = np.cumsum(np.append(0.0, 0.5 * np.diff(t) * (y[1:] + y[:-1])))
-    return TimeSeries(SERIES_COLUMNS, data, final, termination, int(max_its))
+def _series(rows: np.ndarray, termination, final, max_its: int) -> TimeSeries:
+    # One member's series on its sampled rows.
+    return TimeSeries(SERIES_COLUMNS, running_integrals(rows), final, termination, int(max_its))
 
 
 def simulate(
@@ -360,20 +329,12 @@ def simulate_batch(
         if state.grid != grid or state.time != t0:
             raise ValueError("batch members must share one grid and start time")
     g = gammas or GammaWeights()
-    lam = grid.laplacian_eigenvalues
-    cc = p.c**2
-    solver = _ModalSolver(grid, p, cfg.dt)
     operator = _source_operator(grid, p)
     n_members = len(initials)
     n_coeffs = math.prod(grid.modes)
     results: list[TimeSeries | None] = [None] * n_members
     max_its = np.zeros(n_members, dtype=int)
-    # E = (U U) . w per member, with the positive weights w = gram_weights @ e
-    # for psi and for v, so a non-finite state gives a non-finite energy.  e
-    # is the E column of the diagnostics' map on the Gram table rows psi psi
-    # and v v.
-    e_psi, _, e_v, *_ = grid.coeff_weight * _combination(p, g)[:, _COL_E].reshape(5, 3)
-    w = np.concatenate((grid.gram_weights @ e_psi, grid.gram_weights @ e_v))
+    w = energy_weights(grid, p)
 
     # Live state U[member, (psi, v), *modes]: one entry per surviving member.
     # ``members`` maps it to the member's position in ``initials``.
@@ -395,11 +356,7 @@ def simulate_batch(
         times, *arrays = zip(*block)
         # A block of one sample is a view of its arrays, not a copy.
         U_b, f_b = (a[0][None] if len(a) == 1 else np.array(a) for a in arrays)
-        psi_b, v_b = U_b[:, :, 0], U_b[:, :, 1]
-        accel = lam * (cc * psi_b + p.b * v_b) + f_b
-        rows = instantaneous_diagnostics(
-            grid, np.array(times)[:, None], psi_b, v_b, f_b, accel, p, g
-        )
+        rows = instantaneous_diagnostics(grid, np.array(times)[:, None], U_b, f_b, p, g)
         end = n_rows + len(block)
         for j, m in enumerate(members):
             rows_of[m][n_rows:end, : rows.shape[-1]] = rows[:, j]
@@ -451,22 +408,25 @@ def simulate_batch(
     if not checked(t0, True):
         return results
 
+    # Formed after the first source evaluation: before it, they slowed 3D picard steps.
+    step = _propagator(grid, p, cfg.dt, 1.0 if cfg.scheme == "imex1" else 0.5)
+    norm = _h1_l2_norm(grid)
     for n in range(n_steps):
         t_next = t0 + (n + 1) * cfg.dt
         if cfg.scheme == "imex1":
-            U = solver.backward_euler(U, f_curr)
+            U = step(U, f_curr)
         elif cfg.scheme == "imex2":
             if n == 0:
                 # Predictor-corrector startup keeps the global order at two.
-                fhat = 0.5 * (f_curr + _source(operator, solver.trapezoid(U, f_curr)))
+                fhat = 0.5 * (f_curr + _source(operator, step(U, f_curr)))
                 if not np.isfinite(fhat).all():
                     bad = ~_finite_members(fhat)
                     fhat[bad] = f_curr[bad]
             else:
                 fhat = 1.5 * f_curr - 0.5 * f_prev
-            U = solver.trapezoid(U, fhat)
+            U = step(U, fhat)
         else:
-            U, its, converged = _picard_step(U, f_curr, solver, operator, cfg)
+            U, its, converged = _picard_step(U, f_curr, step, norm, operator, cfg)
             max_its[members] = np.maximum(max_its[members], its)
             if not converged.all() and not retire(~converged, "picard_failed", t_next):
                 break

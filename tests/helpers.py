@@ -229,21 +229,20 @@ def series_from_energy(t, E):
     return TimeSeries(("t", "E"), np.column_stack([t, E]).astype(float))
 
 
-def diagnostics(state, p, g=GammaWeights(), accel=None):
+def diagnostics(state, p, g=GammaWeights(), source=None):
     """The diagnostics of one state by column name, from the table runs record.
 
-    No source is given (``f_dot_v`` reads 0); ``accel`` is an optional
-    acceleration field for the columns that read ``psi_tt``.
+    ``source`` is an optional source field, zero when omitted; ``psi_tt`` is
+    formed from it as a run forms it.
     """
-    row = instantaneous_diagnostics(
-        state.grid, state.time, state.psi.coeffs, state.v.coeffs, None,
-        None if accel is None else accel.coeffs, p, g,
-    )
+    f = np.zeros(state.grid.modes) if source is None else source.coeffs
+    U = np.stack((state.psi.coeffs, state.v.coeffs))
+    row = instantaneous_diagnostics(state.grid, state.time, U, f, p, g)
     return dict(zip(DIAGNOSTIC_COLUMNS, row.tolist()))
 
 
 def acceleration(state, p, alpha=None):
-    """``psi_tt = c^2 Delta psi + b Delta v + f``, formed as the run loop forms it.
+    """``psi_tt = c^2 Delta psi + b Delta v + f``, formed as the diagnostics form it.
 
     A field ``alpha`` replaces ``v`` inside the quadratic products (the
     frozen-coefficient operator).
@@ -278,9 +277,9 @@ def equivalence_scan(p, g, probes):
     """
     if not probes:
         raise ValueError("probe state list is empty")
-    psi = np.stack([s.psi.coeffs for s in probes])
-    v = np.stack([s.v.coeffs for s in probes])
-    rows = instantaneous_diagnostics(probes[0].grid, 0.0, psi, v, None, None, p, g)
+    grid = probes[0].grid
+    U = np.array([(s.psi.coeffs, s.v.coeffs) for s in probes])
+    rows = instantaneous_diagnostics(grid, 0.0, U, np.zeros((len(probes),) + grid.modes), p, g)
     E, L = (rows[:, DIAGNOSTIC_COLUMNS.index(name)] for name in ("E", "L"))
     if np.any(E <= 0):
         raise ValueError("probe states must be nonzero")

@@ -276,6 +276,11 @@ class TestSimulateCommand:
             ("simulate", {"grid": {"dim": 0, "modes": [8, 8]}, "initial": {}}, "grid.dim"),
             ("simulate", {"seed": -1}, "seed"),
             ("verify-inequalities", {"seed": -1}, "seed"),
+            # Sizes and indices beyond any array: numpy refuses these outright.
+            ("simulate", {"initial": {"psi0": {"kind": "single_mode", "mode": [10**29],
+                                               "amplitude": 0.01}}}, "initial.psi0.mode"),
+            ("simulate", {"grid": {"modes": [10**29]}}, "grid.modes"),
+            ("weighted-study", {"study": {"resolutions": [10**29]}}, "study.resolutions"),
         ],
     )
     def test_values_that_cannot_be_honoured_exit_1_before_any_run(

@@ -18,10 +18,16 @@ from blackstock import (
     norm,
     simulate,
 )
-from blackstock.energy import DIAGNOSTIC_COLUMNS, instantaneous_diagnostics
+from blackstock.dynamics import quadratic_source
+from blackstock.energy import (
+    DIAGNOSTIC_COLUMNS,
+    SERIES_COLUMNS,
+    energy_weights,
+    instantaneous_diagnostics,
+    running_integrals,
+)
 
 from .helpers import (
-    acceleration,
     basis_field,
     calibrated_gammas,
     diagnostics,
@@ -122,14 +128,14 @@ class TestDiagnosticsTable:
         # Every column against the module docstring's formulas: fields.norm
         # for the L2, H1 and H2 terms, node quadrature (exact for products of
         # retained modes) for the cross terms; int grad psi . grad v is
-        # -int Delta psi v by Green's formula.
+        # -int Delta psi v by Green's formula; psi_tt = lambda (c^2 psi + b v) + f.
         rng = np.random.default_rng(seed)
-        psi, v, f, accel = (SpectralField(grid, a) for a in rng.standard_normal((4,) + grid.modes))
+        U, f = rng.standard_normal((2,) + grid.modes), rng.standard_normal(grid.modes)
+        psi, v, f = (SpectralField(grid, a) for a in (*U, f))
         p = MediumParams(c=c, b=b)
         g = GammaWeights(*gammas)
-        row = instantaneous_diagnostics(
-            grid, t, psi.coeffs, v.coeffs, f.coeffs, accel.coeffs, p, g
-        )
+        accel = SpectralField(grid, grid.laplacian_eigenvalues * (c * c * U[0] + b * U[1]) + f.coeffs)
+        row = instantaneous_diagnostics(grid, t, U, f.coeffs, p, g)
         got = dict(zip(DIAGNOSTIC_COLUMNS, row.tolist()))
 
         def quad(x, y):
@@ -173,49 +179,83 @@ class TestDiagnosticsTable:
         overflow=st.booleans(),
     )
     def test_time_column_matches_per_time_calls(self, grid, seed, n_times, n_members, overflow):
-        # States (times, members, *modes) with a column of times give the
+        # States (times, members, 2, *modes) with a column of times give the
         # bits of one call per time; with an overflowed acceleration in one
-        # row, the other rows keep theirs.
+        # row, from its source, the other rows keep theirs.
         rng = np.random.default_rng(seed)
-        psi, v, f, accel = rng.standard_normal((4, n_times, n_members) + grid.modes)
+        U = rng.standard_normal((n_times, n_members, 2) + grid.modes)
+        f = rng.standard_normal((n_times, n_members) + grid.modes)
         if overflow:
-            accel[rng.integers(n_times), rng.integers(n_members)] = 1e200
+            f[rng.integers(n_times), rng.integers(n_members)] = 1e200
         t = rng.uniform(0.0, 10.0, n_times)
         g = GammaWeights()
         with np.errstate(over="ignore"):
-            rows = instantaneous_diagnostics(grid, t[:, None], psi, v, f, accel, NONLIN, g)
+            rows = instantaneous_diagnostics(grid, t[:, None], U, f, NONLIN, g)
             for i in range(n_times):
-                one = instantaneous_diagnostics(grid, t[i], psi[i], v[i], f[i], accel[i], NONLIN, g)
+                one = instantaneous_diagnostics(grid, t[i], U[i], f[i], NONLIN, g)
                 assert np.array_equal(rows[i], one, equal_nan=True)
 
-    def test_missing_source_and_acceleration_read_as_zero(self, unit):
-        row = instantaneous_diagnostics(
-            unit.grid, 1.0, unit.psi.coeffs, unit.v.coeffs, None, None, P11, GammaWeights()
-        )
-        got = dict(zip(DIAGNOSTIC_COLUMNS, row.tolist()))
-        assert got["f_dot_v"] == got["w_ptt"] == got["wgp_integrand"] == 0.0
-        assert got["E"] == diagnostics(unit, P11)["E"]
-
     def test_overflowed_acceleration_reaches_only_its_columns(self, g64):
-        # A blowing-up member's last row: accel^2 overflows while psi and v
-        # stay finite.  Only the values that read ||psi_tt|| become inf;
-        # the others equal those of the same state without an acceleration,
-        # and a finite member of the same batch keeps its finite row.
+        # A blowing-up member's last row: its source, and so accel^2,
+        # overflows while psi and v stay finite.  Only the values that read
+        # ||psi_tt|| become inf; f_dot_v stays finite, the others equal those
+        # of the same state without a source, and a finite member of the same
+        # batch keeps its finite row.
         rng = np.random.default_rng(5)
-        psi, v, f = rng.standard_normal((3, 2) + g64.modes)
-        accel = np.stack([np.full(g64.modes, 1e200), rng.standard_normal(g64.modes)])
+        U = rng.standard_normal((2, 2) + g64.modes)
+        f = np.stack([np.full(g64.modes, 1e200), rng.standard_normal(g64.modes)])
         g = GammaWeights()
         with np.errstate(over="ignore"):
-            rows = instantaneous_diagnostics(g64, 2.0, psi, v, f, accel, NONLIN, g)
-        plain = instantaneous_diagnostics(g64, 2.0, psi, v, f, None, NONLIN, g)
-        solo = instantaneous_diagnostics(g64, 2.0, psi[1], v[1], f[1], accel[1], NONLIN, g)
+            rows = instantaneous_diagnostics(g64, 2.0, U, f, NONLIN, g)
+        plain = instantaneous_diagnostics(g64, 2.0, U, np.zeros_like(f), NONLIN, g)
+        solo = instantaneous_diagnostics(g64, 2.0, U[1], f[1], NONLIN, g)
+        f_dot_v = g64.coeff_weight * np.sum(f[0] * U[0, 1])
         reads_accel = ("w_ptt", "d_integrand", "wgp_integrand")
         for k, name in enumerate(DIAGNOSTIC_COLUMNS):
             if name in reads_accel:
                 assert rows[0, k] == np.inf, name
+            elif name == "f_dot_v":
+                assert rows[0, k] == pytest.approx(f_dot_v, rel=1e-12), name
             else:
                 assert rows[0, k] == pytest.approx(plain[0, k], rel=1e-14, abs=1e-300), name
         np.testing.assert_allclose(rows[1], solo, rtol=1e-14)
+
+
+class TestRunLoopReaders:
+    @given(
+        grid=random_grids(),
+        seed=st.integers(0, 2**32 - 1),
+        n_members=st.integers(1, 3),
+        c=st.floats(0.2, 3.0),
+        b=st.floats(0.2, 3.0),
+    )
+    def test_energy_weights_give_the_energy_column(self, grid, seed, n_members, c, b):
+        # The run loop's per-step energy (U U) . w is the E of the rows.
+        rng = np.random.default_rng(seed)
+        U = rng.standard_normal((n_members, 2) + grid.modes)
+        f = rng.standard_normal((n_members,) + grid.modes)
+        p = MediumParams(c=c, b=b)
+        rows = instantaneous_diagnostics(grid, 1.0, U, f, p, GammaWeights())
+        E = (U * U).reshape(n_members, -1) @ energy_weights(grid, p)
+        np.testing.assert_allclose(E, rows[:, DIAGNOSTIC_COLUMNS.index("E")], rtol=1e-13, atol=0)
+
+    @given(seed=st.integers(0, 2**32 - 1), n_samples=st.integers(1, 20))
+    def test_running_integrals_match_a_sample_by_sample_trapezoid(self, seed, n_samples):
+        # Bit for bit, at uneven sample times.
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((n_samples, len(SERIES_COLUMNS)))
+        t = rows[:, 0] = np.cumsum(rng.uniform(0.0, 1.0, n_samples))
+        want = rows.copy()
+        for integral, integrand in (("D_cum", "d_integrand"), ("w_grad_ptt", "wgp_integrand")):
+            y = rows[:, SERIES_COLUMNS.index(integrand)]
+            total = 0.0
+            for k in range(n_samples):
+                if k:
+                    total += 0.5 * (t[k] - t[k - 1]) * (y[k] + y[k - 1])
+                want[k, SERIES_COLUMNS.index(integral)] = total
+        got = running_integrals(rows)
+        assert got is rows
+        assert np.array_equal(got, want)
 
 
 class TestEquivalenceScan:
@@ -290,24 +330,23 @@ class TestIdentityResidual:
             identity_residual(series, NONLIN)
 
 
-def time_weighted_norms(state, accel):
+def time_weighted_norms(state, p):
     """``(sqrt(t) ||psi_tt||, sqrt(t) ||Delta v||)`` read from the diagnostics table."""
-    d = diagnostics(state, P11, accel=accel)
+    source = quadratic_source(state.grid, state.psi.coeffs, state.v.coeffs, p)
+    d = diagnostics(state, p, source=SpectralField(state.grid, source))
     return d["w_ptt"], d["w_lap_vt"]
 
 
 class TestWeightedNorms:
     def test_zero_time_weight(self, g64):
         state = SimState(psi=basis_field(g64, (1,)), v=basis_field(g64, (2,)), time=0.0)
-        accel = acceleration(state, NONLIN)
-        assert time_weighted_norms(state, accel) == (0.0, 0.0)
+        assert time_weighted_norms(state, NONLIN) == (0.0, 0.0)
 
     def test_homogeneity(self, g64):
         state = SimState(psi=basis_field(g64, (1,)), v=basis_field(g64, (2,)), time=2.0)
-        accel = acceleration(state, P11)
-        w1, w2 = time_weighted_norms(state, accel)
+        w1, w2 = time_weighted_norms(state, P11)
         scaled = SimState(psi=3.0 * state.psi, v=3.0 * state.v, time=2.0)
-        s1, s2 = time_weighted_norms(scaled, acceleration(scaled, P11))
+        s1, s2 = time_weighted_norms(scaled, P11)
         assert (s1, s2) == (pytest.approx(3 * w1, rel=1e-12), pytest.approx(3 * w2, rel=1e-12))
 
     def test_linear_run_matches_modal_derivative(self):
