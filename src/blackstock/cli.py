@@ -15,8 +15,8 @@ CSV, when there is one, for the run's termination: a run that did not
 complete is fitted as ``diverges``.
 
 Exit codes: 0 success, 1 configuration errors, 2 divergence of a simulate
-run, 3 precondition failures (unbracketed thresholds, bad fit windows,
-inadmissible parameters, failed inequality checks).
+run, 3 precondition failures (unbracketed thresholds, bad fit windows or
+inputs, inadmissible parameters, failed inequality checks).
 """
 
 from __future__ import annotations
@@ -143,7 +143,10 @@ def _run_fit(cfg: RunConfig, config_path: Path, out: Path) -> int:
     if summary.is_file():
         # The run's own termination: a run that did not complete diverges,
         # whatever its partial rows would fit.
-        termination = Termination(**json.loads(summary.read_text())["termination"])
+        try:
+            termination = Termination(**json.loads(summary.read_text())["termination"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"malformed summary {summary}: {type(exc).__name__}: {exc}") from exc
         series = dataclasses.replace(series, termination=termination)
     fit = fit_decay(series, cfg.fit["window"])
     write_json(out / "fit.json", dataclasses.asdict(fit))

@@ -153,10 +153,11 @@ def _check(ok: bool, message: str) -> None:
 
 
 def _build(where: str, build, **values):
-    # ``build(**values)``, with its ValueError reported as invalid ``where``.
+    # ``build(**values)``, with its ValueError, or the MemoryError of an
+    # array too large to allocate, reported as invalid ``where``.
     try:
         return build(**values)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
@@ -253,7 +254,8 @@ _SCHEMA = {
 
 def _formed(grid: Grid) -> Grid:
     # The grid with its Laplacian eigenvalues formed, and cached for the run:
-    # numpy refuses a size it cannot index with a ValueError.
+    # numpy refuses a size it cannot index with a ValueError, and one it
+    # cannot allocate with a MemoryError.
     grid.laplacian_eigenvalues
     return grid
 

@@ -5,17 +5,17 @@ The series CSV carries the fixed column set
 significant digits, so identical runs produce bit-identical files.  Report
 JSON is standard JSON: a float that is not finite is written as ``null``.
 
-Checkpoints are a versioned binary format: an 8-byte magic, a little-endian
-uint32 header length, a JSON header (grid geometry, time, dtype) and the raw
-coefficient arrays of ``psi`` and ``v`` as little-endian 64-bit floats.
+A checkpoint is a numpy ``.npy`` file of one 0-d structured record with the
+little-endian float64 fields ``time``, ``extents``, ``psi`` and ``v``, so
+plain ``np.load`` reads it; the grid's modes are the shape of ``psi``.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
-import struct
 import warnings
 from pathlib import Path
 
@@ -33,8 +33,6 @@ __all__ = [
     "save_checkpoint",
     "load_checkpoint",
 ]
-
-CHECKPOINT_MAGIC = b"BLKSTCK1"
 
 #: Column order of the series CSV.
 CSV_COLUMNS = ("t", "E", "E1", "E2", "F1", "F2", "F3", "L", "D_cum", "w_ptt", "w_lap_vt")
@@ -69,7 +67,8 @@ def write_series_csv(path: str | Path, series: TimeSeries) -> None:
 
 
 def read_series_csv(path: str | Path) -> TimeSeries:
-    """The columns of a series CSV; ``ValueError`` for an empty or malformed file."""
+    """The columns of a series CSV; ``ValueError`` for an empty or malformed
+    file, or one without a ``t`` or an ``E`` column."""
     # numpy's C reader parses straight into one array and reads ``inf``,
     # ``nan`` and 17-digit values exactly.  A pure-Python parse makes one
     # float object per value, whose memory the allocator keeps after the call.
@@ -85,6 +84,9 @@ def read_series_csv(path: str | Path) -> TimeSeries:
         raise ValueError(f"empty series CSV {path}")
     if rows.shape[1] != len(header):
         raise ValueError(f"malformed series CSV {path}")
+    missing = [name for name in ("t", "E") if name not in header]
+    if missing:
+        raise ValueError(f"malformed series CSV {path}: no column {', '.join(missing)}")
     return TimeSeries(header, rows)
 
 
@@ -107,48 +109,29 @@ def write_json(path: str | Path, payload: dict) -> None:
 
 def save_checkpoint(path: str | Path, state: SimState) -> None:
     grid = state.grid
-    header = {
-        "version": 1,
-        "dim": grid.dim,
-        "extents": list(grid.extents),
-        "modes": list(grid.modes),
-        "time": state.time,
-        "dtype": "<f8",
-    }
-    header_bytes = json.dumps(header, sort_keys=True).encode()
-    _write_atomically(path, b"".join((
-        CHECKPOINT_MAGIC,
-        struct.pack("<I", len(header_bytes)),
-        header_bytes,
-        np.ascontiguousarray(state.psi.coeffs, dtype="<f8").tobytes(),
-        np.ascontiguousarray(state.v.coeffs, dtype="<f8").tobytes(),
-    )))
-
-
-def _read_exactly(fh, size: int, what: str, path) -> bytes:
-    data = fh.read(size)
-    if len(data) != size:
-        raise ValueError(
-            f"truncated checkpoint {path}: expected {size} bytes of {what}, found {len(data)}"
-        )
-    return data
+    record = np.empty((), [("time", "<f8"), ("extents", "<f8", (grid.dim,)),
+                           ("psi", "<f8", grid.modes), ("v", "<f8", grid.modes)])
+    record["time"], record["extents"] = state.time, grid.extents
+    record["psi"], record["v"] = state.psi.coeffs, state.v.coeffs
+    buffer = io.BytesIO()
+    np.save(buffer, record)
+    _write_atomically(path, buffer.getvalue())
 
 
 def load_checkpoint(path: str | Path) -> SimState:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file: {path}")
-        (header_len,) = struct.unpack("<I", _read_exactly(fh, 4, "header length", path))
-        header = json.loads(_read_exactly(fh, header_len, "header", path).decode())
-        if header.get("version") != 1:
-            raise ValueError(f"unsupported checkpoint version {header.get('version')}")
-        grid = Grid(extents=tuple(header["extents"]), modes=tuple(header["modes"]))
-        count = int(np.prod(grid.modes))
-        payload = _read_exactly(fh, 16 * count, "coefficients", path)
-    psi, v = np.frombuffer(payload, dtype="<f8").reshape((2,) + grid.modes)
+    """The state of a checkpoint; ``ValueError`` for a file that is not one."""
+    # ``read_array`` reads only the .npy format and raises ValueError for
+    # any other or truncated input; read from bytes, its message names the
+    # expected and the found byte counts.
+    try:
+        record = np.lib.format.read_array(io.BytesIO(Path(path).read_bytes()))
+    except ValueError as exc:
+        raise ValueError(f"not a checkpoint file: {path}: {exc}") from exc
+    if record.shape != () or record.dtype.names != ("time", "extents", "psi", "v"):
+        raise ValueError(f"not a checkpoint file: {path}: a {record.shape} array of {record.dtype}")
+    grid = Grid(extents=record["extents"], modes=record["psi"].shape)
     return SimState(
-        psi=SpectralField(grid, psi.copy()),
-        v=SpectralField(grid, v.copy()),
-        time=float(header["time"]),
+        psi=SpectralField(grid, record["psi"]),
+        v=SpectralField(grid, record["v"]),
+        time=float(record["time"]),
     )

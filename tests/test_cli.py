@@ -294,6 +294,32 @@ class TestSimulateCommand:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "subcommand,overrides,field",
+        [
+            ("simulate", {"grid": {"modes": [4096]}}, "grid.modes"),
+            ("weighted-study", {"study": {"resolutions": [16, 4096]}}, "study.resolutions"),
+        ],
+    )
+    def test_sizes_that_cannot_be_allocated_exit_1_before_any_run(
+        self, tmp_path, capsys, monkeypatch, subcommand, overrides, field
+    ):
+        # numpy raises MemoryError for a size it can index but not allocate.
+        # No such size is tried here: the eigenvalues refuse 4096 modes.
+        eigenvalues = Grid.laplacian_eigenvalues.func
+
+        def refusing(grid):
+            if 4096 in grid.modes:
+                raise MemoryError("Unable to allocate 32.0 KiB for an array")
+            return eigenvalues(grid)
+
+        monkeypatch.setattr(Grid, "laplacian_eigenvalues", property(refusing))
+        path = write_config(tmp_path, short_config(**overrides))
+        out = tmp_path / "o"
+        assert main([subcommand, "--config", str(path), "--output", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
     def test_determinism_bit_identical(self, tmp_path):
         path = write_config(tmp_path, short_config(seed=12))
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -461,9 +487,12 @@ class TestFitCommand:
         assert main(["fit", "--config", str(path), "--output", str(tmp_path / "out")]) == 3
         assert "empty series CSV" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("content", ["t,E\n1,2\n3\n", "t,E\n1,2,3\n", "t,E\n1,x\n"])
+    @pytest.mark.parametrize(
+        "content", ["t,E\n1,2\n3\n", "t,E\n1,2,3\n", "t,E\n1,x\n", "time,E\n1,2\n", "t,F1\n1,2\n"]
+    )
     def test_malformed_series_csv_exits_3(self, tmp_path, capsys, content):
-        # A ragged row, a row longer than the header, a value that is not a number.
+        # A ragged row, a row longer than the header, a value that is not a
+        # number, no t column, no E column.
         csv = tmp_path / "series.csv"
         csv.write_text(content)
         with pytest.raises(ValueError, match="malformed series CSV"):
@@ -471,6 +500,23 @@ class TestFitCommand:
         path = write_config(tmp_path, short_config(fit={"series_csv": str(csv)}))
         assert main(["fit", "--config", str(path), "--output", str(tmp_path / "out")]) == 3
         assert "malformed series CSV" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "summary",
+        ['{"final_time": 3.0}', '{"termination": {"kind": "diverged", "t": 1}}',
+         '{"termination": "diverged"}', "{"],
+        ids=["no-termination", "unknown-key", "not-an-object", "not-json"],
+    )
+    def test_malformed_summary_beside_series_csv_exits_3(self, tmp_path, capsys, summary):
+        # fit reads the run's termination from the summary beside the CSV.
+        csv = tmp_path / "series.csv"
+        csv.write_text("t,E\n0,1\n1,0.5\n2,0.25\n3,0.125\n")
+        (tmp_path / "summary.json").write_text(summary)
+        path = write_config(tmp_path, short_config(fit={"series_csv": str(csv)}))
+        out = tmp_path / "out"
+        assert main(["fit", "--config", str(path), "--output", str(out)]) == 3
+        assert f"malformed summary {tmp_path / 'summary.json'}" in capsys.readouterr().err
+        assert not out.exists()
 
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40))
     def test_series_csv_round_trip_is_bit_exact(self, seed, rows):
@@ -694,23 +740,42 @@ class TestCheckpoints:
         assert np.array_equal(loaded.psi.coeffs, state.psi.coeffs)
         assert np.array_equal(loaded.v.coeffs, state.v.coeffs)
 
-    def test_magic_validated(self, tmp_path):
+    @pytest.mark.parametrize(
+        "save",
+        [
+            lambda fh: fh.write(b"NOTACKPT" + b"\x00" * 16),
+            lambda fh: fh.write(b""),
+            lambda fh: np.save(fh, np.arange(16.0)),
+            # The record's fields, but one record per row instead of one record.
+            lambda fh: np.save(fh, np.zeros(2, [(f, "<f8") for f in ("time", "extents", "psi", "v")])),
+            lambda fh: np.savez(fh, psi=np.zeros(16), v=np.zeros(16)),
+        ],
+        ids=["junk", "empty", "npy", "npy-rows", "npz"],
+    )
+    def test_magic_validated(self, tmp_path, save):
         path = tmp_path / "junk.ckpt"
-        path.write_bytes(b"NOTACKPT" + b"\x00" * 16)
+        with open(path, "wb") as fh:
+            save(fh)
         with pytest.raises(ValueError, match="not a checkpoint"):
             load_checkpoint(path)
 
+    STEPS = 40
+
     @pytest.mark.parametrize("scheme", ["imex1", "imex2", "picard"])
-    def test_midrun_restart_matches_uninterrupted(self, tmp_path, scheme):
+    @given(split=st.integers(1, STEPS - 1))
+    def test_midrun_restart_matches_uninterrupted(self, scheme, split):
         # imex1 and picard carry no memory across steps, so a restart is an
         # exact continuation; the imex2 restart re-bootstraps its source
         # extrapolation, perturbing the comparison at third order in dt.
         cfg = StepConfig(dt=1e-3, scheme=scheme)
-        full_final = simulate(self.make_state(), 1.0, cfg, self.P, sample_every=10**9).final
-        first = simulate(self.make_state(), 0.5, cfg, self.P, sample_every=10**9)
-        path = tmp_path / "mid.ckpt"
-        save_checkpoint(path, first.final)
-        second = simulate(load_checkpoint(path), 0.5, cfg, self.P, sample_every=10**9)
+        full_final = simulate(self.make_state(), self.STEPS * cfg.dt, cfg, self.P,
+                              sample_every=10**9).final
+        first = simulate(self.make_state(), split * cfg.dt, cfg, self.P, sample_every=10**9)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mid.ckpt")
+            save_checkpoint(path, first.final)
+            resumed = load_checkpoint(path)
+        second = simulate(resumed, (self.STEPS - split) * cfg.dt, cfg, self.P, sample_every=10**9)
         resumed_final = second.final
         assert resumed_final.time == pytest.approx(full_final.time, abs=1e-12)
         pairs = [(resumed_final.psi.coeffs, full_final.psi.coeffs),
@@ -724,7 +789,8 @@ class TestCheckpoints:
         path = tmp_path / "state.ckpt"
         save_checkpoint(path, self.make_state())
         path.write_bytes(path.read_bytes()[:-6])
-        with pytest.raises(ValueError, match="expected 256 bytes of coefficients, found 250"):
+        # numpy's message: the record is 8 + 8 + 2 * 16 * 8 bytes.
+        with pytest.raises(ValueError, match="expected 272 bytes got 266"):
             load_checkpoint(path)
 
     @given(grid=random_grids(), seed=st.integers(0, 2**32 - 1), time=st.floats(0.0, 1e6))
@@ -735,6 +801,9 @@ class TestCheckpoints:
             path = os.path.join(tmp, "state.ckpt")
             save_checkpoint(path, state)
             loaded = load_checkpoint(path)
+            record = np.load(path)  # plain numpy reads the file
+        assert record.shape == () and record.dtype.names == ("time", "extents", "psi", "v")
+        assert record["psi"].tobytes() == psi.tobytes() and record["v"].tobytes() == v.tobytes()
         assert loaded.time == time
         assert (loaded.grid.extents, loaded.grid.modes) == (grid.extents, grid.modes)
         assert loaded.psi.coeffs.tobytes() == psi.tobytes()
