@@ -2,8 +2,8 @@
 
 Usage: ``blackstock <subcommand> --config <path> [--output <dir>] [--jobs N]``
 with subcommands ``simulate``, ``fit``, ``threshold``, ``weighted-study``,
-``verify-inequalities`` and ``sweep``.  The environment variable
-``BLACKSTOCK_SEED``, a nonnegative integer, overrides the configured seed.
+``verify-inequalities`` and ``sweep``.  The configuration file sets every
+value of a run but the output directory and the sweep's worker count.
 The whole configuration is parsed and checked by :mod:`blackstock.config`
 before a subcommand runs; the subcommands read only parsed values, and the
 output directory is made with the first file written to it.  ``fit.json``,
@@ -29,7 +29,7 @@ import sys
 from multiprocessing import Pool
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, _nonnegative, load_config
+from .config import ConfigError, RunConfig, load_config
 from .experiments import (
     fit_decay,
     threshold_bisection,
@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in SUBCOMMANDS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON run configuration")
-        sp.add_argument("--output", default=None, help="output directory override")
+        sp.add_argument("--output", default=None, help="output directory (default blackstock_out)")
         sp.add_argument(
             "--jobs",
             type=int,
@@ -88,17 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="worker count for sweep (default: logical cores)",
         )
     return parser
-
-
-def _apply_seed_override(cfg: RunConfig) -> RunConfig:
-    env = os.environ.get("BLACKSTOCK_SEED")
-    if env is None:
-        return cfg
-    try:
-        seed = int(env)
-    except ValueError:
-        raise ConfigError(f"BLACKSTOCK_SEED must be an integer, got {env!r}") from None
-    return dataclasses.replace(cfg, seed=_nonnegative(seed, "BLACKSTOCK_SEED"))
 
 
 def _run_simulate(cfg: RunConfig, out: Path) -> int:
@@ -186,7 +175,6 @@ def _run_weighted_study(cfg: RunConfig, out: Path) -> int:
         section["dt"],
         extent=cfg.grid.extents[0],
         spec1=InitialDataSpec.power_law(section["exponent"], section["amplitude"]),
-        scheme=section["scheme"],
     )
     write_json(out / "study.json", dataclasses.asdict(study))
     return EXIT_OK
@@ -229,7 +217,7 @@ def _run_sweep(cfg: RunConfig, out: Path, jobs: int | None) -> int:
     if not cfg.sweep:
         raise ConfigError("sweep requires sweep.parameters in the configuration")
     jobs = jobs or os.cpu_count() or 1
-    work = [(label, _apply_seed_override(variant), str(out)) for label, variant in cfg.sweep]
+    work = [(label, variant, str(out)) for label, variant in cfg.sweep]
     if jobs == 1:
         results = [_sweep_worker(w) for w in work]
     else:
@@ -246,8 +234,7 @@ def run(subcommand: str, config_path: str | Path, output: str | None = None, job
     """Dispatch one subcommand; returns the process exit code."""
     config_path = Path(config_path)
     cfg = load_config(config_path)
-    cfg = _apply_seed_override(cfg)
-    out = Path(output or cfg.output_dir or "blackstock_out")
+    out = Path(output or "blackstock_out")
     if subcommand == "simulate":
         return _run_simulate(cfg, out)
     if subcommand == "fit":

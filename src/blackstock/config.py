@@ -13,7 +13,8 @@ A run is described by one JSON file.  Minimal example::
 
 Defaults for omitted sections: a 1D box of length pi with 64 modes (32 per
 axis in 3D), zero initial data, the second-order IMEX scheme sampling every
-step, Lyapunov weights (0.1, 0.01, 0.05), seed 0.  Every section is parsed
+step, Lyapunov weights (0.1, 0.01, 0.05), seed 0; the dimension is the
+length of ``grid.extents`` or ``grid.modes``.  Every section is parsed
 here, the subcommands' own (``fit``, ``threshold``, ``study``,
 ``inequalities``, ``sweep``) included, so a subcommand reads only checked
 values.  Every JSON object of the file is read by ``_read`` through one
@@ -74,7 +75,6 @@ class RunConfig:
     sample_every: int
     gammas: GammaWeights
     seed: int
-    output_dir: str | None = None
     fit: dict = field(default_factory=dict)
     threshold: dict = field(default_factory=dict)
     study: dict = field(default_factory=dict)
@@ -161,7 +161,7 @@ def _build(where: str, build, **values):
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
-def _integer(value: Any, where: str, low: float = -math.inf) -> int:
+def _integer(value: Any, where: str, low: int) -> int:
     number = parse_number(value, where, integer=True)
     _check(number >= low, f"{where} must be at least {low}, got {number}")
     return number
@@ -225,8 +225,7 @@ _SWEEP = {"parameters": (_REQUIRED, _parameters)}
 
 #: The file: key -> (default, parser), or key -> the table of a section.
 _SCHEMA = {
-    # A grid dim of None follows from the extents or modes, else 1.
-    "grid": {"dim": (None, _integer), "extents": (None, parse_numbers),
+    "grid": {"extents": (None, parse_numbers),
              "modes": (None, partial(parse_numbers, integer=True))},
     "initial": {"psi0": (InitialDataSpec.zero(), _initial_data),
                 "psi1": (InitialDataSpec.zero(), _initial_data)},
@@ -235,19 +234,15 @@ _SCHEMA = {
     "gammas": {"gamma1": (0.1, parse_number), "gamma2": (0.01, parse_number),
                "gamma3": (0.05, parse_number)},
     "integrator": {"scheme": ("imex2", _string), "dt": (1e-3, parse_number),
-                   "T": (20.0, parse_number), "sample_every": (1, _positive),
-                   "picard_tol": (1e-10, parse_number), "picard_max_iter": (50, _integer)},
+                   "T": (20.0, parse_number), "sample_every": (1, _positive)},
     "fit": {"series_csv": (None, _string), "window": (None, partial(parse_numbers, length=2))},
     "threshold": {"lo": (0.01, parse_number), "hi": (100.0, parse_number),
                   "iters": (12, _nonnegative), "window": (None, partial(parse_numbers, length=2))},
-    # A study dt of None is the integrator's.
     "study": {"resolutions": ((64, 128, 256), partial(parse_numbers, integer=True)),
-              "T": (4.0, parse_number), "dt": (None, parse_number),
-              "scheme": ("imex1", _string), "amplitude": (0.01, parse_number),
-              "exponent": (2.0, parse_number)},
+              "T": (4.0, parse_number), "dt": (1e-3, parse_number),
+              "amplitude": (0.01, parse_number), "exponent": (2.0, parse_number)},
     "inequalities": {"samples": (2000, _positive), "gronwall_draws": (100, _positive)},
     "seed": (0, _nonnegative),
-    "output_dir": (None, _string),
     "sweep": (None, lambda value, where: _read(value, _SWEEP, where)),
 }
 
@@ -260,15 +255,12 @@ def _formed(grid: Grid) -> Grid:
     return grid
 
 
-def _grid(dim: int | None, extents: tuple | None, modes: tuple | None) -> Grid:
-    if dim is None:
-        if extents is not None:
-            dim = len(extents)
-        elif modes is not None:
-            dim = len(modes)
-        else:
-            dim = 1
-    _check(dim in DEFAULT_MODES, f"grid.dim must be 1, 2 or 3, got {dim}")
+def _grid(extents: tuple | None, modes: tuple | None) -> Grid:
+    # The dimension is the length of the extents, else of the modes, else 1.
+    given = extents if extents is not None else modes
+    dim = 1 if given is None else len(given)
+    _check(dim in DEFAULT_MODES,
+           f"grid.extents and grid.modes need 1, 2 or 3 entries, got {dim}")
     if extents is None:
         extents = (math.pi,) * dim
     if modes is None:
@@ -319,17 +311,15 @@ def parse_config(raw: dict) -> RunConfig:
     _check(window is None or 0 <= window[0] < window[1] <= T,
            f"threshold.window needs 0 <= lo < hi <= T = {T}, got {window}")
     study = sections["study"]
-    if study["dt"] is None:
-        study["dt"] = step.dt
-    study_step = _build("study.scheme or study.dt", StepConfig, dt=study["dt"], scheme=study["scheme"])
-    # Only a file's own study section is checked: the default T need not
-    # divide every integrator dt.
-    if "study" in raw:
-        _check(bool(study["resolutions"]), "study.resolutions must not be empty")
-        for N in study["resolutions"]:
-            study_grid = _build("study.resolutions", Grid, extents=grid.extents[:1], modes=(N,))
-            _build("study.resolutions", _formed, grid=study_grid)
-        _build("study.T", study_step.steps_to, T=study["T"])
+    resolutions = study["resolutions"]
+    # The study compares its last resolution with its first.
+    _check(bool(resolutions) and all(a < b for a, b in zip(resolutions, resolutions[1:])),
+           f"study.resolutions must be non-empty and strictly increasing, got {resolutions}")
+    for N in resolutions:
+        study_grid = _build("study.resolutions", Grid, extents=grid.extents[:1], modes=(N,))
+        _build("study.resolutions", _formed, grid=study_grid)
+    study_step = _build("study.dt", StepConfig, dt=study["dt"])
+    _build("study.T", study_step.steps_to, T=study["T"])
     # Mode indices must exist on the grid; realize once to surface errors now.
     try:
         psi0.realize(grid)

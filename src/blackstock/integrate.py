@@ -78,6 +78,7 @@ fills in ``D_cum`` and ``w_grad_ptt`` when the member ends.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,6 +117,11 @@ _SOURCE_SLICE_COEFFICIENTS = 2**11
 
 _SCHEMES = ("imex1", "imex2", "picard")
 
+#: A picard iteration's relative tolerance in the H1 x L2 norm, and its budget.
+PICARD_TOL, PICARD_MAX_ITER = 1e-10, 50
+
+_TERMINATIONS = ("completed", "diverged", "picard_failed")
+
 
 @dataclass(frozen=True)
 class StepConfig:
@@ -123,18 +129,12 @@ class StepConfig:
 
     dt: float
     scheme: str = "imex2"
-    picard_tol: float = 1e-10
-    picard_max_iter: int = 50
 
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {_SCHEMES}")
-        if self.picard_tol <= 0:
-            raise ValueError("picard_tol must be positive")
-        if self.picard_max_iter < 1:
-            raise ValueError("picard_max_iter must be at least 1")
 
     def steps_to(self, T: float) -> int:
         """Number of steps that reach ``T``; ``T`` must be a positive whole multiple of ``dt``."""
@@ -152,6 +152,13 @@ class Termination:
 
     kind: str
     time: float | None = None
+
+    def __post_init__(self):
+        # The time is None or a finite number; a boolean is not a time.
+        t = self.time
+        number = isinstance(t, numbers.Integral) or (isinstance(t, numbers.Real) and math.isfinite(t))
+        if self.kind not in _TERMINATIONS or not (t is None or (number and not isinstance(t, bool))):
+            raise ValueError(f"not a termination: kind {self.kind!r}, time {t!r}")
 
     @property
     def completed(self) -> bool:
@@ -214,7 +221,7 @@ def _finite_members(a: np.ndarray) -> np.ndarray:
 
 
 def _picard_step(
-    U0: np.ndarray, f_old: np.ndarray, step, norm, operator, cfg: StepConfig
+    U0: np.ndarray, f_old: np.ndarray, step, norm, operator
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One picard step of every member of ``U0``, whose source is ``f_old``.
 
@@ -228,11 +235,11 @@ def _picard_step(
     """
     # Initial iterate: trapezoid step with the source frozen at the step start.
     U = step(U0, f_old)
-    its = np.full(len(U), cfg.picard_max_iter)
+    its = np.full(len(U), PICARD_MAX_ITER)
     converged = np.zeros(len(U), dtype=bool)
     # The members still iterating: indices, iterates and step-start data.
     live = (np.arange(len(U)), U, U0, f_old)
-    for it in range(1, cfg.picard_max_iter + 1):
+    for it in range(1, PICARD_MAX_ITER + 1):
         idx, U_j, U_0, f_0 = live
         if not np.isfinite(U_j).all():
             finite = _finite_members(U_j)
@@ -245,7 +252,7 @@ def _picard_step(
             U_n = step(U_0, 0.5 * (f_0 + _source(operator, U_j)))
             update = norm(U_n - U_j)
             scale = norm(U_n)
-        done = update <= cfg.picard_tol * np.maximum(scale, 1e-300)
+        done = update <= PICARD_TOL * np.maximum(scale, 1e-300)
         live = (idx, U_n, U_0, f_0)
         if done.any():
             U[idx[done]] = U_n[done]
@@ -426,7 +433,7 @@ def simulate_batch(
                 fhat = 1.5 * f_curr - 0.5 * f_prev
             U = step(U, fhat)
         else:
-            U, its, converged = _picard_step(U, f_curr, step, norm, operator, cfg)
+            U, its, converged = _picard_step(U, f_curr, step, norm, operator)
             max_its[members] = np.maximum(max_its[members], its)
             if not converged.all() and not retire(~converged, "picard_failed", t_next):
                 break

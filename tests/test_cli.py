@@ -29,6 +29,7 @@ from blackstock import (
     write_json,
     write_series_csv,
 )
+import blackstock.config as config
 import blackstock.storage as storage
 from blackstock.cli import main
 from blackstock.integrate import TimeSeries
@@ -45,6 +46,17 @@ MINIMAL = {
     },
     "integrator": {"T": 20.0, "dt": 1e-3},
 }
+
+
+def set_key(cfg, key, value):
+    # Set the dotted ``key`` of ``cfg`` to ``value``; a ``terms`` part steps
+    # into the first term.  Returns ``cfg``.
+    *parents, leaf = key.split(".")
+    node = cfg
+    for part in parents:
+        node = node["terms"][0] if part == "terms" else node.setdefault(part, {})
+    node[leaf] = value
+    return cfg
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -121,7 +133,6 @@ class TestConfigLoading:
         [
             ("seed", "abc"),
             ("seed", 2.5),
-            ("grid.dim", "three"),
             ("grid.modes", [16.5]),
             ("grid.modes", 16),
             ("grid.extents", 3.0),
@@ -132,29 +143,21 @@ class TestConfigLoading:
             ("integrator.dt", None),
             ("integrator.dt", float("nan")),
             ("integrator.sample_every", 2.5),
-            ("integrator.picard_tol", "tiny"),
-            ("integrator.picard_max_iter", 2.7),
         ],
     )
     def test_numeric_fields_rejected(self, path, value):
-        bad = json.loads(json.dumps(MINIMAL))
-        *parents, leaf = path.split(".")
-        node = bad
-        for part in parents:
-            node = node.setdefault(part, {})
-        node[leaf] = value
         with pytest.raises(ConfigError, match=re.escape(path)):
-            parse_config(bad)
+            parse_config(set_key(json.loads(json.dumps(MINIMAL)), path, value))
 
     def test_integral_floats_accepted(self):
         cfg = dict(MINIMAL, seed=7.0)
-        cfg["integrator"] = {"T": 20.0, "dt": 1e-3, "sample_every": 2.0, "picard_max_iter": 3.0}
+        cfg["integrator"] = {"T": 20.0, "dt": 1e-3, "sample_every": 2.0}
         parsed = parse_config(cfg)
-        assert (parsed.seed, parsed.sample_every, parsed.step.picard_max_iter) == (7, 2, 3)
+        assert (parsed.seed, parsed.sample_every) == (7, 2)
         assert all(type(n) is int for n in (parsed.seed, parsed.sample_every))
 
     def test_3d_default_modes(self):
-        cfg = parse_config({"grid": {"dim": 3}})
+        cfg = parse_config({"grid": {"extents": [1.0, 1.0, 1.0]}})
         assert cfg.grid.modes == (32, 32, 32)
 
     @pytest.mark.parametrize(
@@ -235,7 +238,7 @@ class TestSimulateCommand:
             ("weighted-study", {"study": {"resolutions": 64}}),
             ("verify-inequalities", {"inequalities": {"samples": "many"}}),
             ("verify-inequalities", {"inequalities": {"gronwall_draws": 1.5}}),
-            # Sections, sweep paths and output_dir of the wrong JSON type.
+            # Sections and sweep paths of the wrong JSON type.
             ("simulate", {"grid": 5}),
             ("simulate", {"integrator": None}),
             ("simulate", {"initial": 3}),
@@ -243,7 +246,6 @@ class TestSimulateCommand:
             ("simulate", {"threshold": 5}),
             ("sweep", {"sweep": {"parameters": 5}}),
             ("sweep", {"sweep": {"parameters": {"medium.k.x": [1.0]}}}),
-            ("simulate", {"output_dir": 5}),
         ],
     )
     def test_non_numeric_or_fractional_config_exits_1(self, tmp_path, subcommand, overrides):
@@ -258,8 +260,11 @@ class TestSimulateCommand:
              "inequalities.gronwall_draws"),
             ("threshold", {"threshold": {"lo": 5.0, "hi": 1.0}}, "threshold.lo"),
             ("threshold", {"threshold": {"lo": 0.0}}, "threshold.lo"),
-            ("weighted-study", {"study": {"scheme": "bogus"}}, "study.scheme"),
             ("weighted-study", {"study": {"resolutions": [16, 2]}}, "study.resolutions"),
+            ("weighted-study", {"study": {"resolutions": [2, 16]}}, "study.resolutions"),
+            # The study compares its last resolution with its first.
+            ("weighted-study", {"study": {"resolutions": [32, 16]}}, "study.resolutions"),
+            ("weighted-study", {"study": {"resolutions": [16, 16]}}, "study.resolutions"),
             ("weighted-study", {"study": {"resolutions": []}}, "study.resolutions"),
             ("weighted-study", {"study": {"T": 0.1005}}, "study.T"),
             # A misspelled key in a subcommand's section, not a run on its defaults.
@@ -271,9 +276,11 @@ class TestSimulateCommand:
             ("fit", {"fit": {"series_csv": 5}}, "fit.series_csv"),
             ("threshold", {"threshold": {"window": [0.4, 0.1]}}, "threshold.window"),
             ("threshold", {"threshold": {"window": [0.1, 0.6]}}, "threshold.window"),
-            # A dim of 0 is not an omitted dim, and a seed must be nonnegative.
-            ("simulate", {"grid": {"dim": 0}}, "grid.dim"),
-            ("simulate", {"grid": {"dim": 0, "modes": [8, 8]}, "initial": {}}, "grid.dim"),
+            # An empty list is dimension 0, not an omitted key, and a seed
+            # must be nonnegative.
+            ("simulate", {"grid": {"modes": []}}, "grid.modes"),
+            ("simulate", {"grid": {"extents": []}, "initial": {}}, "grid.extents"),
+            ("simulate", {"grid": {"modes": [8, 8, 8, 8]}, "initial": {}}, "grid.modes"),
             ("simulate", {"seed": -1}, "seed"),
             ("verify-inequalities", {"seed": -1}, "seed"),
             # Sizes and indices beyond any array: numpy refuses these outright.
@@ -328,56 +335,59 @@ class TestSimulateCommand:
         assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
         assert (out1 / "state.ckpt").read_bytes() == (out2 / "state.ckpt").read_bytes()
 
-    def test_seed_env_override(self, tmp_path, monkeypatch):
-        path = write_config(tmp_path, short_config(seed=12))
+    @pytest.mark.parametrize(
+        "key,value",
+        [("grid.dim", 1), ("output_dir", "elsewhere"), ("integrator.picard_tol", 1e-10),
+         ("integrator.picard_max_iter", 50), ("study.scheme", "imex1")],
+    )
+    def test_removed_keys_exit_1_as_unknown_keys(self, tmp_path, capsys, key, value):
+        # Keys a file cannot set: their values are fixed or set by another
+        # key.  Each value here is one a run could honour, so the key alone
+        # is the fault.
+        path = write_config(tmp_path, set_key(short_config(), key, value))
         out = tmp_path / "o"
-        monkeypatch.setenv("BLACKSTOCK_SEED", "99")
-        main(["simulate", "--config", str(path), "--output", str(out)])
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["seed"] == 99
-
-    def test_non_integer_seed_env_exits_1(self, tmp_path, monkeypatch, capsys):
-        path = write_config(tmp_path, short_config())
-        monkeypatch.setenv("BLACKSTOCK_SEED", "abc")
-        code = main(["simulate", "--config", str(path), "--output", str(tmp_path / "o")])
-        assert code == 1
-        assert "BLACKSTOCK_SEED" in capsys.readouterr().err
-
-    def test_negative_seed_env_exits_1(self, tmp_path, monkeypatch, capsys):
-        path = write_config(tmp_path, short_config())
-        out = tmp_path / "o"
-        monkeypatch.setenv("BLACKSTOCK_SEED", "-1")
         assert main(["simulate", "--config", str(path), "--output", str(out)]) == 1
-        assert "BLACKSTOCK_SEED" in capsys.readouterr().err
+        section, _, leaf = key.rpartition(".")
+        message = f"unknown keys in {section or 'configuration'}: ['{leaf}']"
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
-    # Every documented key of the file: a value of the wrong JSON type is
-    # rejected by name.  The initial-data keys are those of psi0's ``kind``.
+    # Every key of the file: a value of the wrong JSON type is rejected by
+    # name.  SCHEMA_KEYS are the leaves of the schema, DEEPER_KEYS some keys
+    # of their values; the initial-data keys are those of psi0's ``kind``.
+    SCHEMA_KEYS = (
+        "grid.extents", "grid.modes", "initial.psi0", "initial.psi1",
+        "medium.c", "medium.b", "medium.k", "medium.sigma",
+        "gammas.gamma1", "gammas.gamma2", "gammas.gamma3",
+        "integrator.scheme", "integrator.dt", "integrator.T", "integrator.sample_every",
+        "fit.series_csv", "fit.window",
+        "threshold.lo", "threshold.hi", "threshold.iters", "threshold.window",
+        "study.resolutions", "study.T", "study.dt", "study.amplitude", "study.exponent",
+        "inequalities.samples", "inequalities.gronwall_draws", "seed", "sweep",
+    )
+    DEEPER_KEYS = (
+        "sweep.parameters", "initial.psi0.kind", "initial.psi0.mode", "initial.psi0.amplitude",
+    )
     KINDS = {
         "single_mode": {"kind": "single_mode", "mode": [1], "amplitude": 0.01},
         "multi_mode": {"kind": "multi_mode", "terms": [{"mode": [1], "amplitude": 0.01}]},
         "power_law": {"kind": "power_law", "exponent": 2.0, "amplitude": 0.01},
     }
-    STRING_KEYS = {"integrator.scheme", "study.scheme", "fit.series_csv", "output_dir",
-                   "initial.psi0.kind"}
+    STRING_KEYS = {"integrator.scheme", "fit.series_csv", "initial.psi0.kind"}
+
+    def test_schema_keys_are_the_leaves_of_the_schema(self):
+        # A key added to or removed from the schema without its case here fails.
+        def leaves(table, where=""):
+            for key, entry in table.items():
+                path = f"{where}.{key}" if where else key
+                yield from leaves(entry, path) if isinstance(entry, dict) else [path]
+
+        assert sorted(self.SCHEMA_KEYS) == sorted(leaves(config._SCHEMA))
 
     @pytest.mark.parametrize(
         "kind,key",
         [
-            *(("single_mode", key) for key in (
-                "grid.dim", "grid.extents", "grid.modes",
-                "medium.c", "medium.b", "medium.k", "medium.sigma",
-                "gammas.gamma1", "gammas.gamma2", "gammas.gamma3",
-                "integrator.scheme", "integrator.dt", "integrator.T", "integrator.sample_every",
-                "integrator.picard_tol", "integrator.picard_max_iter",
-                "fit.series_csv", "fit.window",
-                "threshold.lo", "threshold.hi", "threshold.iters", "threshold.window",
-                "study.resolutions", "study.T", "study.dt", "study.scheme", "study.amplitude",
-                "study.exponent",
-                "inequalities.samples", "inequalities.gronwall_draws",
-                "sweep.parameters", "seed", "output_dir",
-                "initial.psi0.kind", "initial.psi0.mode", "initial.psi0.amplitude",
-            )),
+            *(("single_mode", key) for key in SCHEMA_KEYS + DEEPER_KEYS),
             ("multi_mode", "initial.psi0.terms"),
             ("multi_mode", "initial.psi0.terms.mode"),
             ("multi_mode", "initial.psi0.terms.amplitude"),
@@ -388,12 +398,7 @@ class TestSimulateCommand:
     def test_value_of_the_wrong_type_exits_1_naming_its_key(self, tmp_path, capsys, kind, key):
         cfg = short_config()
         cfg["initial"]["psi0"] = json.loads(json.dumps(self.KINDS[kind]))
-        node = cfg
-        *parents, leaf = key.split(".")
-        for part in parents:
-            node = node["terms"][0] if part == "terms" else node.setdefault(part, {})
-        node[leaf] = 5 if key in self.STRING_KEYS else "x"
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, set_key(cfg, key, 5 if key in self.STRING_KEYS else "x"))
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(path), "--output", str(out)]) == 1
         assert f"{key} must be" in capsys.readouterr().err
@@ -504,8 +509,12 @@ class TestFitCommand:
     @pytest.mark.parametrize(
         "summary",
         ['{"final_time": 3.0}', '{"termination": {"kind": "diverged", "t": 1}}',
-         '{"termination": "diverged"}', "{"],
-        ids=["no-termination", "unknown-key", "not-an-object", "not-json"],
+         '{"termination": "diverged"}', "{",
+         '{"termination": {"kind": "finished", "time": null}}',
+         '{"termination": {"kind": "diverged", "time": "late"}}',
+         '{"termination": {"kind": "diverged", "time": true}}'],
+        ids=["no-termination", "unknown-key", "not-an-object", "not-json", "unknown-kind",
+             "time-not-a-number", "time-boolean"],
     )
     def test_malformed_summary_beside_series_csv_exits_3(self, tmp_path, capsys, summary):
         # fit reads the run's termination from the summary beside the CSV.
@@ -602,6 +611,13 @@ class TestThresholdCommand:
 
 
 class TestWeightedStudyCommand:
+    def test_study_steps_with_its_own_dt(self, tmp_path):
+        # The study's default T of 4 is no multiple of this integrator's dt.
+        path = write_config(tmp_path, {"integrator": {"T": 0.9, "dt": 0.003}})
+        out = tmp_path / "study"
+        assert main(["weighted-study", "--config", str(path), "--output", str(out)]) == 0
+        assert json.loads((out / "study.json").read_text())["resolutions"] == [64, 128, 256]
+
     def test_study_report(self, tmp_path):
         cfg = short_config(
             study={"resolutions": [16, 32], "T": 1.0, "dt": 2e-3, "amplitude": 0.01},
@@ -615,13 +631,13 @@ class TestWeightedStudyCommand:
 
 
 class TestSweepCommand:
-    def test_two_point_sweep(self, tmp_path, monkeypatch):
+    def test_two_point_sweep(self, tmp_path):
         cfg = short_config(
+            seed=99,
             sweep={"parameters": {"medium.k": [0.0, 1.0]}},
         )
         path = write_config(tmp_path, cfg)
         out = tmp_path / "sweep"
-        monkeypatch.setenv("BLACKSTOCK_SEED", "99")
         assert main(["sweep", "--config", str(path), "--output", str(out), "--jobs", "1"]) == 0
         report = json.loads((out / "sweep.json").read_text())
         labels = {run["label"] for run in report["runs"]}

@@ -300,6 +300,12 @@ class TestWeightedRegularityStudy:
         oracle = np.max(np.sqrt(t) * np.sqrt(total * np.pi / 2))
         assert study.sup_weighted_lap_v[0] == pytest.approx(oracle, rel=2e-2)
 
+    @pytest.mark.parametrize("resolutions", [(), (64, 32), (32, 32)])
+    def test_resolutions_must_increase(self, resolutions):
+        # The verdict compares the last resolution with the first.
+        with pytest.raises(ValueError, match="strictly increasing"):
+            weighted_regularity_study(NONLIN, resolutions, T=2.0, dt=2e-3)
+
     def test_conclusions_stable_under_dt_halving(self):
         runs = [
             weighted_regularity_study(
