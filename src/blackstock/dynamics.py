@@ -80,6 +80,13 @@ def _source_operator(grid: Grid, p: MediumParams):
 
     The Laplacian scalings are formed once, so a run that keeps the returned
     function forms them once; it maps ``U`` to ``f[..., *modes]``.
+
+    A member's numbers must not depend on the batch size: a batched run
+    matches each member's solo run.  numpy sends a one-row matrix product to
+    gemv, and OpenBLAS rounds the entries of small row counts differently
+    from the same row in a larger product, so no dense product here may drop
+    to one row per call (the four fields of all members go through each
+    per-axis product together).
     """
     dim = grid.dim
     if p.k == 0.0 and p.sigma == 0.0:
@@ -95,9 +102,9 @@ def _source_operator(grid: Grid, p: MediumParams):
     def products(values: np.ndarray) -> np.ndarray:
         # The two pointwise products, stacked first; ``values`` is a fresh
         # array, so u lap_a is formed in place.
-        u, a, lap_u, lap_a = (values[j] for j in parts)
+        u, a, lap_u, lap_a = [values[j] for j in parts]
         out = np.empty((2,) + u.shape)
-        first, second = out
+        first, second = out[0], out[1]
         np.multiply(a, lap_u, out=first)
         first += np.multiply(u, lap_a, out=lap_a)
         np.multiply(u, a, out=second)

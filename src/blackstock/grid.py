@@ -146,6 +146,11 @@ class Grid:
         return tuple(2 * N for N in self.modes)
 
     @cached_property
+    def padded_shape(self) -> tuple[int, ...]:
+        """Shape ``(K_1 + 1, ..., K_d + 1)`` of the padded grid, boundaries included."""
+        return tuple(K + 1 for K in self.padded_sizes)
+
+    @cached_property
     def padded_quad_weight(self) -> float:
         """Trapezoid weight ``prod_i L_i / K_i`` on the padded grid."""
         w = 1.0
@@ -239,7 +244,6 @@ def project_padded_to_sine(grid: Grid, values: np.ndarray) -> np.ndarray:
     shape ``(..., *grid.modes)``.
     """
     values = np.asarray(values, dtype=float)
-    expected = tuple(K + 1 for K in grid.padded_sizes)
-    if values.shape[values.ndim - grid.dim:] != expected:
-        raise ValueError(f"padded value shape {values.shape} does not end in {expected}")
+    if values.shape[values.ndim - grid.dim:] != grid.padded_shape:
+        raise ValueError(f"padded value shape {values.shape} does not end in {grid.padded_shape}")
     return _apply_per_axis(grid._projection_matrices, values)

@@ -36,30 +36,35 @@ It integrates a batch of initial states that share a grid, a start time and
 the step configuration, and returns one ``TimeSeries`` per member.
 
 *State layout.*  The live state is one array ``U[member, (psi, v), *modes]``,
-so a finiteness check, the removal of ended members, a sample and the energy
+so a finiteness test, the removal of ended members, a sample and the energy
 ``(U U) . w`` (:func:`blackstock.energy.energy_weights`) each cost one array
-operation.  The run's one propagator broadcasts over the member axis, and the
-source is the run's source operator (:func:`blackstock.dynamics._source_operator`,
-which forms the Laplacian scalings once), evaluated on slices of at most
-``_SOURCE_SLICE_COEFFICIENTS`` coefficients, which bounds a large batch's
-temporaries.  A step therefore costs a fixed number of array operations
-whatever the batch size: about 45 for an ``imex2`` step, half of them in
-the source.  The source is evaluated and checked once at every new state,
-for every scheme; a ``picard`` step starts its fixed-point iteration from
-it.  Under ``picard`` a member that has converged is frozen and takes no
-further iterations.  ``SimState`` objects are built only for the final
-states of the members that complete.
+operation.  The run's one propagator is the tensor ``(A, B, Q)``, applied to
+``(psi, v, f)`` by one ``einsum`` that broadcasts over the member axis, and
+the source is the run's source operator
+(:func:`blackstock.dynamics._source_operator`, which forms the Laplacian
+scalings once), evaluated on slices of at most ``_SOURCE_SLICE_COEFFICIENTS``
+coefficients, which bounds a large batch's temporaries.  The scheme, the
+propagator and the slicing are resolved once per run.  A step therefore
+costs a fixed number of array operations whatever the batch size: about 20
+for an ``imex2`` step, more than half of them in the source.  The source is
+evaluated and checked once at every new state, for every scheme; a
+``picard`` step starts its fixed-point iteration from it.  Under ``picard``
+a member that has converged is frozen and takes no further iterations.
+``SimState`` objects are built only for the final states of the members
+that complete.
 
 *Per-member termination.*  Each member ends on its own, with its own
 ``Termination``: a non-finite state, a non-finite source or an energy above
 ``ENERGY_BLOWUP_CUTOFF`` is ``diverged``, an iteration that does not converge
 is ``picard_failed``.  The initial state takes the checks of a sample, so a
-member that starts out of bounds ends at the start time without a step.  The
-energy is formed every step as a weighted sum of squares; its weights are
-positive, so a non-finite state shows as a non-finite energy.  Each
-finiteness check is one test of the whole batch; only when it fails are the
-members looked at one by one.  An ended member is removed from the live
-arrays, so later steps cost only the survivors.
+member that starts out of bounds ends at the start time without a step.
+Each step tests the state and the source of the whole batch at once: the sum
+of their entries is finite only when every entry is.  Only when the sum is
+not finite are the members looked at one by one; a sum of finite entries
+that overflows sends the test there too, and every member passes.  The
+energy is formed only at samples, where the cutoff reads it.  An ended
+member is removed from the live arrays, so later steps cost only the
+survivors.
 
 *Blocks of samples.*  A sample only keeps the live arrays ``(t, U, f)``
 in a block; the loop replaces them every step and never writes into them, so
@@ -195,7 +200,9 @@ def _propagator(grid: Grid, p: MediumParams, dt: float, theta: float):
     Q f``, with tensors ``A, B, Q`` of shape ``(2, *modes)`` in closed form:
     backward Euler for theta = 1, the trapezoidal rule for theta = 1/2.
     Returns the map of states ``U[member, (psi, v), *modes]`` and sources
-    ``f[member, *modes]`` to the next states.
+    ``f[member, *modes]`` to the next states: one ``einsum`` with the tensor
+    ``(A, B, Q)`` of shape ``(2, 3, *modes)``, whose sum over its second axis
+    is ``(A psi + B v) + Q f`` in that order.
     """
     lam = grid.laplacian_eigenvalues
     kappa, beta = p.c**2 * lam, p.b * lam
@@ -205,7 +212,8 @@ def _propagator(grid: Grid, p: MediumParams, dt: float, theta: float):
     A = np.stack((1.0 - theta * dt * beta + s, dt * kappa)) / det
     B = np.stack((np.full_like(det, dt), 1.0 + (1.0 - theta) * dt * beta + s)) / det
     Q = np.stack((np.full_like(det, theta * dt * dt), np.full_like(det, dt))) / det
-    return lambda U, f: A * U[:, :1] + B * U[:, 1:] + Q * f[:, None]
+    T = np.stack((A, B, Q), axis=1)
+    return lambda U, f: np.einsum("ij...,mj...->mi...", T, np.concatenate((U, f[:, None]), axis=1))
 
 
 def _h1_l2_norm(grid: Grid):
@@ -220,13 +228,16 @@ def _finite_members(a: np.ndarray) -> np.ndarray:
     return np.isfinite(a.reshape(len(a), -1)).all(axis=1)
 
 
+# Overflow and invalid values in a failing iterate are expected: the finiteness
+# test acts on what they leave.
+@np.errstate(over="ignore", invalid="ignore")
 def _picard_step(
-    U0: np.ndarray, f_old: np.ndarray, step, norm, operator
+    U0: np.ndarray, f_old: np.ndarray, step, norm, source
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One picard step of every member of ``U0``, whose source is ``f_old``.
 
     ``step`` is the run's trapezoid propagator (:func:`_propagator`),
-    ``norm`` its contraction norm (:func:`_h1_l2_norm`) and ``operator`` its
+    ``norm`` its contraction norm (:func:`_h1_l2_norm`) and ``source`` its
     source operator (:func:`blackstock.dynamics._source_operator`).  Returns
     the new states, each member's iteration count and a mask of the members
     that converged.  The others failed: an iterate was not finite (counted at
@@ -241,17 +252,17 @@ def _picard_step(
     live = (np.arange(len(U)), U, U0, f_old)
     for it in range(1, PICARD_MAX_ITER + 1):
         idx, U_j, U_0, f_0 = live
-        if not np.isfinite(U_j).all():
+        # A sum is finite only when every entry is.
+        if not math.isfinite(U_j.sum()):
             finite = _finite_members(U_j)
             its[idx[~finite]] = it
             if not finite.any():
                 break
             live = tuple(a[finite] for a in live)
             idx, U_j, U_0, f_0 = live
-        with np.errstate(over="ignore", invalid="ignore"):
-            U_n = step(U_0, 0.5 * (f_0 + _source(operator, U_j)))
-            update = norm(U_n - U_j)
-            scale = norm(U_n)
+        U_n = step(U_0, 0.5 * (f_0 + source(U_j)))
+        update = norm(U_n - U_j)
+        scale = norm(U_n)
         done = update <= PICARD_TOL * np.maximum(scale, 1e-300)
         live = (idx, U_n, U_0, f_0)
         if done.any():
@@ -264,15 +275,22 @@ def _picard_step(
     return U, its, converged
 
 
-def _source(operator, U: np.ndarray) -> np.ndarray:
-    # The source operator on every member, a slice of members at a time.
-    size = max(1, _SOURCE_SLICE_COEFFICIENTS // math.prod(U.shape[2:]))
-    if len(U) <= size:
-        return operator(U)
-    f = np.empty(U.shape[:1] + U.shape[2:])
-    for i in range(0, len(U), size):
-        f[i : i + size] = operator(U[i : i + size])
-    return f
+def _sliced(operator, n_members: int, n_coeffs: int):
+    # The source operator on every member, a slice of members at a time; the
+    # operator itself when the whole batch fits in one slice (a batch only shrinks).
+    size = max(1, _SOURCE_SLICE_COEFFICIENTS // n_coeffs)
+    if n_members <= size:
+        return operator
+
+    def source(U: np.ndarray) -> np.ndarray:
+        if len(U) <= size:
+            return operator(U)
+        f = np.empty(U.shape[:1] + U.shape[2:])
+        for i in range(0, len(U), size):
+            f[i : i + size] = operator(U[i : i + size])
+        return f
+
+    return source
 
 
 def _series(rows: np.ndarray, termination, final, max_its: int) -> TimeSeries:
@@ -336,9 +354,9 @@ def simulate_batch(
         if state.grid != grid or state.time != t0:
             raise ValueError("batch members must share one grid and start time")
     g = gammas or GammaWeights()
-    operator = _source_operator(grid, p)
     n_members = len(initials)
     n_coeffs = math.prod(grid.modes)
+    source = _sliced(_source_operator(grid, p), n_members, n_coeffs)
     results: list[TimeSeries | None] = [None] * n_members
     max_its = np.zeros(n_members, dtype=int)
     w = energy_weights(grid, p)
@@ -380,14 +398,13 @@ def simulate_batch(
     def retire(leaving: np.ndarray, kind: str, t: float) -> bool:
         # End the runs of the live members in the mask ``leaving`` and drop
         # them from the live arrays; False when no member is left.
-        nonlocal members, U, f_curr, f_prev, E
+        nonlocal members, U, f_curr, f_prev
         flush()
         for j in np.flatnonzero(leaving):
             m = members[j]
             results[m] = _series(rows_of[m][:n_rows], Termination(kind, t), None, max_its[m])
         keep = ~leaving
-        members, U, E = members[keep], U[keep], E[keep]
-        f_curr = None if f_curr is None else f_curr[keep]
+        members, U, f_curr = members[keep], U[keep], f_curr[keep]
         f_prev = None if f_prev is None else f_prev[keep]
         return members.size > 0
 
@@ -396,36 +413,40 @@ def simulate_batch(
         # state or source ends there without a row; one whose energy is above
         # the cutoff at a sample ends with that row as its last.  False when
         # no member is left.
-        nonlocal E, f_curr, f_prev
-        E = (U * U).reshape(len(U), -1) @ w
-        if not np.isfinite(E).all() and not retire(~_finite_members(U), "diverged", t):
-            return False
-        f_prev, f_curr = f_curr, _source(operator, U)
-        if not np.isfinite(f_curr).all() and not retire(~_finite_members(f_curr), "diverged", t):
-            return False
+        nonlocal f_curr, f_prev
+        f_prev, f_curr = f_curr, source(U)
+        # One test of the batch: the sum is finite only when every entry is.
+        # A sum of finite entries that overflows only sends the test to the
+        # members, which all pass it.
+        if not math.isfinite(U.sum() + f_curr.sum()):
+            finite = _finite_members(U) & _finite_members(f_curr)
+            if not finite.all() and not retire(~finite, "diverged", t):
+                return False
         if is_sample:
             sample(t)
-            # A NaN energy is not below the cutoff either.
-            below = E <= ENERGY_BLOWUP_CUTOFF
+            # The cutoff is the only reader of the energy.  A NaN energy is
+            # not below the cutoff either.
+            below = (U * U).reshape(len(U), -1) @ w <= ENERGY_BLOWUP_CUTOFF
             if not below.all() and not retire(~below, "diverged", t):
                 return False
         return True
 
-    E = f_curr = f_prev = None
+    f_curr = f_prev = None
     if not checked(t0, True):
         return results
 
     # Formed after the first source evaluation: before it, they slowed 3D picard steps.
-    step = _propagator(grid, p, cfg.dt, 1.0 if cfg.scheme == "imex1" else 0.5)
+    dt, scheme = cfg.dt, cfg.scheme
+    step = _propagator(grid, p, dt, 1.0 if scheme == "imex1" else 0.5)
     norm = _h1_l2_norm(grid)
     for n in range(n_steps):
-        t_next = t0 + (n + 1) * cfg.dt
-        if cfg.scheme == "imex1":
+        t_next = t0 + (n + 1) * dt
+        if scheme == "imex1":
             U = step(U, f_curr)
-        elif cfg.scheme == "imex2":
+        elif scheme == "imex2":
             if n == 0:
                 # Predictor-corrector startup keeps the global order at two.
-                fhat = 0.5 * (f_curr + _source(operator, step(U, f_curr)))
+                fhat = 0.5 * (f_curr + source(step(U, f_curr)))
                 if not np.isfinite(fhat).all():
                     bad = ~_finite_members(fhat)
                     fhat[bad] = f_curr[bad]
@@ -433,7 +454,7 @@ def simulate_batch(
                 fhat = 1.5 * f_curr - 0.5 * f_prev
             U = step(U, fhat)
         else:
-            U, its, converged = _picard_step(U, f_curr, step, norm, operator)
+            U, its, converged = _picard_step(U, f_curr, step, norm, source)
             max_its[members] = np.maximum(max_its[members], its)
             if not converged.all() and not retire(~converged, "picard_failed", t_next):
                 break
@@ -443,7 +464,7 @@ def simulate_batch(
             break
     else:
         flush()
-        final_t = t0 + n_steps * cfg.dt
+        final_t = t0 + n_steps * dt
         for j, m in enumerate(members):
             final = SimState(
                 SpectralField(grid, U[j, 0].copy()), SpectralField(grid, U[j, 1].copy()), final_t

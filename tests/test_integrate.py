@@ -27,7 +27,7 @@ from blackstock.energy import (
 )
 from blackstock.integrate import _h1_l2_norm, _picard_step, _propagator
 
-from .helpers import modal_solution, zero_field
+from .helpers import modal_solution, random_grids, zero_field
 
 
 @pytest.fixture
@@ -130,6 +130,32 @@ class TestPropagators:
         want = want.transpose(0, 2, 1)
         for member, expected in zip(got, want):
             assert np.max(np.abs(member - expected)) <= 1e-12 * np.linalg.norm(expected)
+
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    @given(
+        grid=random_grids(),
+        seed=st.integers(0, 2**32 - 1),
+        c=st.floats(0.1, 10.0),
+        b=st.floats(0.1, 10.0),
+        decades=st.floats(-4.0, 3.0),
+        members=st.integers(1, 3),
+    )
+    def test_step_is_the_three_term_sum_bit_for_bit(self, theta, grid, seed, c, b, decades, members):
+        # The one-einsum step is (A psi + B v) + Q f in that order, bit for
+        # bit.  A, B and Q are read off the step itself: a coefficient times
+        # one plus zeros is exact.
+        step = _propagator(grid, MediumParams(c=c, b=b), 10.0**decades, theta)
+        one, zero = np.ones((1,) + grid.modes), np.zeros((1,) + grid.modes)
+        A, B, Q = (
+            step(np.stack((psi, v), axis=1), f)
+            for psi, v, f in ((one, zero, zero), (zero, one, zero), (zero, zero, one))
+        )
+        rng = np.random.default_rng(seed)
+        U = rng.standard_normal((members, 2) + grid.modes)
+        f = rng.standard_normal((members,) + grid.modes)
+        want = A * U[:, :1] + B * U[:, 1:] + Q * f[:, None]
+        assert np.array_equal(step(U, f), want)
 
 
 class TestModalAccuracy:
@@ -504,6 +530,96 @@ class TestBatch:
         every, third = (simulate_batch(states, 0.5, cfg, NONLIN, n) for n in (1, 3))
         assert [s.termination for s in third] == [s.termination for s in every]
         assert third[3].termination == integrate.Termination("diverged", 0.01)
+
+    #: A fault's entries: a NaN, an infinity, or two finite entries near 1e308
+    #: whose sum overflows.  1.5 times the latter is still finite, so imex2's
+    #: extrapolation of an overflowing source stays finite too.
+    FAULTS = {"nan": [np.nan], "inf": [np.inf], "-inf": [-np.inf], "overflow": [1.1e308, 9e307]}
+
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2", "picard"])
+    @given(
+        faults=st.lists(
+            st.tuples(
+                st.sampled_from([None, *FAULTS]),
+                st.sampled_from(["state", "source"]),
+                st.integers(1, 8),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        linear=st.booleans(),
+        sample_every=st.integers(1, 3),
+    )
+    @example(
+        faults=[(None, "state", 1), ("overflow", "state", 1), ("overflow", "source", 3),
+                ("nan", "source", 4)],
+        linear=True, sample_every=2,
+    )
+    @example(
+        faults=[(None, "state", 1), ("-inf", "state", 1), ("overflow", "state", 1),
+                ("inf", "source", 1)],
+        linear=False, sample_every=1,
+    )
+    def test_sum_check_ends_each_member_as_alone(self, scheme, faults, linear, sample_every):
+        # The run tests the sum of the batch's state and source for
+        # finiteness, and the members one by one only when that fails.  Member
+        # j owns modes 2j and 2j+1.  A fault is in its initial state, or in
+        # the source of its k-th source evaluation.  Under the linear medium
+        # the source is zero and no mode couples to another, so the source
+        # evaluation knows each member by its modes and injects the fault;
+        # under the nonlinear one a fault in the source is an initial state
+        # of 1e200, whose quadratic source overflows.  The energy cutoff is
+        # off, so that only the finiteness checks end a member.
+        grid = Grid(extents=(np.pi,), modes=(16,))
+        cfg = StepConfig(dt=1e-2, scheme=scheme)
+        medium = LINEAR if linear else NONLIN
+        states = []
+        for j, (fault, where, _k) in enumerate(faults):
+            psi, v = np.zeros(grid.modes), np.zeros(grid.modes)
+            psi[2 * j : 2 * j + 2] = v[2 * j : 2 * j + 2] = 0.3
+            if fault == "overflow" and where == "state":
+                psi[2 * j : 2 * j + 2], v[2 * j : 2 * j + 2] = 0.0, self.FAULTS[fault]
+            elif fault and where == "state":
+                psi[2 * j] = self.FAULTS[fault][0]
+            elif fault and not linear:
+                psi[2 * j : 2 * j + 2] = v[2 * j : 2 * j + 2] = 1e200
+            states.append(SimState(SpectralField(grid, psi), SpectralField(grid, v)))
+
+        def faulty_operator(grid, p):
+            operator = _source_operator(grid, p)
+            evaluations = [0] * len(faults)
+
+            def source(U):
+                f = operator(U)
+                for row, (psi, v) in enumerate(U):
+                    j = np.flatnonzero((psi != 0) | (v != 0))[0] // 2
+                    evaluations[j] += 1
+                    fault, where, k = faults[j]
+                    if fault and where == "source" and evaluations[j] == k:
+                        values = self.FAULTS[fault]
+                        f[row, 2 * j : 2 * j + len(values)] = values
+                return f
+
+            return source
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrate, "ENERGY_BLOWUP_CUTOFF", np.inf)
+            if linear:
+                patch.setattr(integrate, "_source_operator", faulty_operator)
+            batch = simulate_batch(states, 0.1, cfg, medium, sample_every)
+            solos = [simulate(state, 0.1, cfg, medium, sample_every) for state in states]
+        for (fault, where, k), member, solo in zip(faults, batch, solos):
+            assert member.termination == solo.termination
+            assert member.max_picard_iterations == solo.max_picard_iterations
+            assert member.column("t").tolist() == solo.column("t").tolist()
+            assert_columns_close(member.data, solo.data, 1e-13)
+            if fault is None or (fault == "overflow" and linear):
+                assert member.termination.completed
+            elif where == "state" or not linear:
+                assert member.termination == integrate.Termination("diverged", 0.0)
+                assert member.data.shape[0] == 0
+            elif scheme == "imex1" and fault != "overflow":
+                assert member.termination == integrate.Termination("diverged", (k - 1) * cfg.dt)
 
     def test_members_must_share_grid_and_start_time(self, g8):
         cfg = StepConfig(dt=1e-2)
