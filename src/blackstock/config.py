@@ -270,7 +270,8 @@ def _grid(extents: tuple | None, modes: tuple | None) -> Grid:
 
 def _expand_sweep(raw: dict, parameters: dict) -> tuple[tuple[str, RunConfig], ...]:
     # Every point of the cartesian product of the parameters, each a labelled
-    # copy of the configuration without its sweep, parsed.
+    # copy of the configuration without its sweep, parsed.  A label names the
+    # variant's output directory, so two variants may not share one.
     keys = sorted(parameters)
     variants = []
     for combo in itertools.product(*(parameters[k] for k in keys)):
@@ -286,6 +287,7 @@ def _expand_sweep(raw: dict, parameters: dict) -> tuple[tuple[str, RunConfig], .
             node[leaf] = value
             label_parts.append(f"{leaf}={value}")
         label = "__".join(label_parts)
+        _check(all(label != seen for seen, _ in variants), f"sweep variant {label} appears twice")
         try:
             variants.append((label, parse_config(variant)))
         except ConfigError as exc:

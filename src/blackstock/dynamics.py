@@ -10,10 +10,11 @@ with ``v = psi_t`` and the quadratic source
 
     f = -2 k c^2 v Delta psi - 2 sigma grad psi . grad v.
 
-:func:`quadratic_source` forms the products with a coefficient field
-``alpha`` in place of ``v`` (``alpha = v`` gives ``f``).  The linear part
-``c^2 Delta psi + b Delta v`` is diagonal in the sine basis, and
-:mod:`blackstock.integrate` solves it mode by mode.
+:func:`assemble_f` forms ``f`` of one state; the run loop keeps the operator
+behind it, which maps stacked states ``(psi, alpha)`` to the source with a
+coefficient field ``alpha`` in place of ``v`` (``alpha = v`` gives ``f``).
+The linear part ``c^2 Delta psi + b Delta v`` is diagonal in the sine basis,
+and :mod:`blackstock.integrate` solves it mode by mode.
 
 The quadratic terms are computed in gradient-free form.  Pointwise,
 
@@ -41,7 +42,7 @@ import numpy as np
 from .fields import SimState
 from .grid import Grid, SpectralField, padded_field_values, project_padded_to_sine
 
-__all__ = ["MediumParams", "quadratic_source", "assemble_f"]
+__all__ = ["MediumParams", "assemble_f"]
 
 
 @dataclass(frozen=True)
@@ -63,30 +64,24 @@ class MediumParams:
             raise ValueError("sound diffusivity must be positive")
 
 
-def quadratic_source(
-    grid: Grid, psi: np.ndarray, alpha: np.ndarray, p: MediumParams
-) -> np.ndarray:
-    """Coefficients of ``-2 k c^2 alpha Delta psi - 2 sigma grad psi . grad alpha``.
-
-    Projected exactly, in the gradient-free form of the module docstring;
-    ``alpha = v`` gives the source ``f`` of the nonlinear equation.  Leading
-    axes of ``psi`` and ``alpha`` are members evaluated together.
-    """
-    return _source_operator(grid, p)(np.stack((psi, alpha), axis=-grid.dim - 1))
-
-
 def _source_operator(grid: Grid, p: MediumParams):
-    """:func:`quadratic_source` of stacked states ``U[..., (psi, alpha), *modes]``.
+    """The source operator: stacked states ``U[..., (psi, alpha), *modes]`` to ``f[..., *modes]``.
 
+    It forms the coefficients of ``-2 k c^2 alpha Delta psi - 2 sigma grad
+    psi . grad alpha``, projected exactly, in the gradient-free form of the
+    module docstring; leading axes of ``U`` are members evaluated together.
     The Laplacian scalings are formed once, so a run that keeps the returned
-    function forms them once; it maps ``U`` to ``f[..., *modes]``.
+    function forms them once.
 
-    A member's numbers must not depend on the batch size: a batched run
-    matches each member's solo run.  numpy sends a one-row matrix product to
-    gemv, and OpenBLAS rounds the entries of small row counts differently
-    from the same row in a larger product, so no dense product here may drop
-    to one row per call (the four fields of all members go through each
-    per-axis product together).
+    A batched run matches each member's solo run to rounding.  numpy sends a
+    one-row matrix product to gemv, and OpenBLAS rounds the entries of small
+    row counts differently from the same row in a larger product, so no dense
+    product here may drop to one row per call (the four fields of all members
+    go through each per-axis product together).  A wide batch may still round
+    differently from a solo run, at the level of an ulp: an AVX-512 OpenBLAS
+    takes a product to its small-matrix kernel only up to a size (rows times
+    columns at most 1200 when the inner size is at least 32), which a solo
+    run's products stay under and a batch of 3 members at N=64 exceeds.
     """
     dim = grid.dim
     if p.k == 0.0 and p.sigma == 0.0:
@@ -124,6 +119,5 @@ def _source_operator(grid: Grid, p: MediumParams):
 
 def assemble_f(state: SimState, p: MediumParams) -> SpectralField:
     """Quadratic source ``f = -2 k c^2 psi_t Delta psi - 2 sigma grad psi . grad psi_t``."""
-    return SpectralField(
-        state.grid, quadratic_source(state.grid, state.psi.coeffs, state.v.coeffs, p)
-    )
+    U = np.stack((state.psi.coeffs, state.v.coeffs))
+    return SpectralField(state.grid, _source_operator(state.grid, p)(U))

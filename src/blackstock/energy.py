@@ -102,8 +102,8 @@ class GammaWeights:
     gamma3: float = 0.05
 
     def __post_init__(self):
-        if min(self.gamma1, self.gamma2, self.gamma3) < 0:
-            raise ValueError("gamma weights must be nonnegative")
+        if not all(0 <= g < np.inf for g in (self.gamma1, self.gamma2, self.gamma3)):
+            raise ValueError("gamma weights must be nonnegative and finite")
 
 
 @functools.lru_cache(maxsize=16)

@@ -135,6 +135,9 @@ def fit_decay(series: TimeSeries, window: tuple[float, float] | None = None) -> 
 #: members x state coefficients: 255 members at N=64, 127 at N=128, 15 on a
 #: 32^2 grid and one on a 32^3 grid.  It bounds the memory of that batch (its
 #: states, sources and their temporaries), which is all that limits a round.
+#: The run loop evaluates the source of the whole batch at once, so this is
+#: also the only bound on the source's temporaries: about seven times the
+#: state, 1.8 MB at the bound.
 _ROUND_COEFFICIENTS = 2**14
 
 

@@ -41,7 +41,7 @@ class SimState:
     Attributes:
         psi: velocity potential.
         v: time derivative ``psi_t``.
-        time: nonnegative simulation time.
+        time: nonnegative finite simulation time.
     """
 
     psi: SpectralField
@@ -54,8 +54,8 @@ class SimState:
             or self.psi.grid.modes != self.v.grid.modes
         ):
             raise ValueError("psi and v must share one grid")
-        if self.time < 0:
-            raise ValueError("time must be nonnegative")
+        if not 0 <= self.time < np.inf:
+            raise ValueError("time must be nonnegative and finite")
 
     @property
     def grid(self) -> Grid:

@@ -101,8 +101,8 @@ class Grid:
             raise ValueError("extents and modes must have the same length")
         if not 1 <= len(extents) <= 3:
             raise ValueError("dimension must be 1, 2 or 3")
-        if any(L <= 0 for L in extents):
-            raise ValueError("box extents must be positive")
+        if not all(0 < L < np.inf for L in extents):
+            raise ValueError("box extents must be positive and finite")
         if any(N < _MIN_MODES for N in modes):
             raise ValueError(f"minimum {_MIN_MODES} modes per axis")
         object.__setattr__(self, "extents", extents)

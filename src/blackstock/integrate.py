@@ -42,9 +42,10 @@ operation.  The run's one propagator is the tensor ``(A, B, Q)``, applied to
 ``(psi, v, f)`` by one ``einsum`` that broadcasts over the member axis, and
 the source is the run's source operator
 (:func:`blackstock.dynamics._source_operator`, which forms the Laplacian
-scalings once), evaluated on slices of at most ``_SOURCE_SLICE_COEFFICIENTS``
-coefficients, which bounds a large batch's temporaries.  The scheme, the
-propagator and the slicing are resolved once per run.  A step therefore
+scalings once), evaluated on the whole live batch at once.  Its temporaries
+are several times the batch's state; the caller bounds them by the batch it
+passes (the threshold search by its round width).  The scheme and the
+propagator are resolved once per run.  A step therefore
 costs a fixed number of array operations whatever the batch size: about 20
 for an ``imex2`` step, more than half of them in the source.  The source is
 evaluated and checked once at every new state, for every scheme; a
@@ -113,12 +114,6 @@ ENERGY_BLOWUP_CUTOFF = 1e12
 #: in temporaries; a block of 2^14 raises the peak memory of a 64-member
 #: N=64 batch by about 2 MB.
 _BLOCK_COEFFICIENTS = 2**12
-
-#: A batch evaluates its quadratic source on slices of at most this many state
-#: coefficients (32 members at N=64, one member from 2048 coefficients on).
-#: The evaluation's temporaries are several times the state, so a wide probe
-#: of the threshold search would otherwise hold them for all its members at once.
-_SOURCE_SLICE_COEFFICIENTS = 2**11
 
 _SCHEMES = ("imex1", "imex2", "picard")
 
@@ -275,24 +270,6 @@ def _picard_step(
     return U, its, converged
 
 
-def _sliced(operator, n_members: int, n_coeffs: int):
-    # The source operator on every member, a slice of members at a time; the
-    # operator itself when the whole batch fits in one slice (a batch only shrinks).
-    size = max(1, _SOURCE_SLICE_COEFFICIENTS // n_coeffs)
-    if n_members <= size:
-        return operator
-
-    def source(U: np.ndarray) -> np.ndarray:
-        if len(U) <= size:
-            return operator(U)
-        f = np.empty(U.shape[:1] + U.shape[2:])
-        for i in range(0, len(U), size):
-            f[i : i + size] = operator(U[i : i + size])
-        return f
-
-    return source
-
-
 def _series(rows: np.ndarray, termination, final, max_its: int) -> TimeSeries:
     # One member's series on its sampled rows.
     return TimeSeries(SERIES_COLUMNS, running_integrals(rows), final, termination, int(max_its))
@@ -356,7 +333,7 @@ def simulate_batch(
     g = gammas or GammaWeights()
     n_members = len(initials)
     n_coeffs = math.prod(grid.modes)
-    source = _sliced(_source_operator(grid, p), n_members, n_coeffs)
+    source = _source_operator(grid, p)
     results: list[TimeSeries | None] = [None] * n_members
     max_its = np.zeros(n_members, dtype=int)
     w = energy_weights(grid, p)

@@ -119,7 +119,8 @@ def save_checkpoint(path: str | Path, state: SimState) -> None:
 
 
 def load_checkpoint(path: str | Path) -> SimState:
-    """The state of a checkpoint; ``ValueError`` for a file that is not one."""
+    """The state of a checkpoint; ``ValueError`` for a file that is not one,
+    or whose grid or time a state cannot have."""
     # ``read_array`` reads only the .npy format and raises ValueError for
     # any other or truncated input; read from bytes, its message names the
     # expected and the found byte counts.
@@ -129,9 +130,12 @@ def load_checkpoint(path: str | Path) -> SimState:
         raise ValueError(f"not a checkpoint file: {path}: {exc}") from exc
     if record.shape != () or record.dtype.names != ("time", "extents", "psi", "v"):
         raise ValueError(f"not a checkpoint file: {path}: a {record.shape} array of {record.dtype}")
-    grid = Grid(extents=record["extents"], modes=record["psi"].shape)
-    return SimState(
-        psi=SpectralField(grid, record["psi"]),
-        v=SpectralField(grid, record["v"]),
-        time=float(record["time"]),
-    )
+    try:
+        grid = Grid(extents=record["extents"], modes=record["psi"].shape)
+        return SimState(
+            psi=SpectralField(grid, record["psi"]),
+            v=SpectralField(grid, record["v"]),
+            time=float(record["time"]),
+        )
+    except ValueError as exc:
+        raise ValueError(f"not a checkpoint file: {path}: {exc}") from exc

@@ -18,7 +18,7 @@ from scipy.fft import dstn
 from scipy.integrate import simpson
 
 from blackstock import GammaWeights, Grid, SimState, SpectralField
-from blackstock.dynamics import quadratic_source
+from blackstock.dynamics import _source_operator
 from blackstock.energy import DIAGNOSTIC_COLUMNS, instantaneous_diagnostics
 from blackstock.integrate import TimeSeries
 
@@ -249,7 +249,8 @@ def acceleration(state, p, alpha=None):
     """
     grid = state.grid
     psi, v = state.psi.coeffs, state.v.coeffs
-    source = quadratic_source(grid, psi, v if alpha is None else alpha.coeffs, p)
+    U = np.stack((psi, v if alpha is None else alpha.coeffs))
+    source = _source_operator(grid, p)(U)
     return SpectralField(grid, grid.laplacian_eigenvalues * (p.c**2 * psi + p.b * v) + source)
 
 

@@ -646,6 +646,19 @@ class TestSweepCommand:
             assert (out / label / "series.csv").exists()
             assert json.loads((out / label / "summary.json").read_text())["seed"] == 99
 
+    def test_process_pool_matches_one_job(self, tmp_path):
+        # Two workers give the report and the series files of one job.
+        cfg = short_config(sweep={"parameters": {"medium.k": [0.0, 1.0]}})
+        path = write_config(tmp_path, cfg)
+        outs = {jobs: tmp_path / f"sweep{jobs}" for jobs in ("1", "2")}
+        for jobs, out in outs.items():
+            assert main(["sweep", "--config", str(path), "--output", str(out), "--jobs", jobs]) == 0
+        report = (outs["1"] / "sweep.json").read_text()
+        assert (outs["2"] / "sweep.json").read_text() == report
+        for run in json.loads(report)["runs"]:
+            series = [(out / run["label"] / "series.csv").read_bytes() for out in outs.values()]
+            assert series[0] == series[1]
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
         path = write_config(tmp_path, short_config(sweep={"parameters": {"medium.k": [0.0]}}))
@@ -660,6 +673,15 @@ class TestSweepCommand:
         out = tmp_path / "sweep"
         assert main(["sweep", "--config", str(path), "--output", str(out), "--jobs", "1"]) == 1
         assert "medium" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_shared_label_stops_the_sweep_before_any_run(self, tmp_path, capsys):
+        # Two variants with one label would run into one output directory.
+        cfg = short_config(sweep={"parameters": {"medium.b": [1.0], "medium.k": [0.5, 0.5]}})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--config", str(path), "--output", str(out), "--jobs", "1"]) == 1
+        assert "b=1.0__k=0.5 appears twice" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("values", [1.0, []])
@@ -773,6 +795,23 @@ class TestCheckpoints:
         with open(path, "wb") as fh:
             save(fh)
         with pytest.raises(ValueError, match="not a checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [("time", np.inf, "time"), ("time", np.nan, "time"), ("time", -1.0, "time"),
+         ("extents", np.nan, "extents"), ("extents", np.inf, "extents")],
+    )
+    def test_out_of_range_record_rejected(self, tmp_path, field, value, reason):
+        # A record of the right layout whose time or grid no state can have:
+        # loading it fails here, not later inside a run.
+        path = tmp_path / "state.ckpt"
+        save_checkpoint(path, self.make_state())
+        record = np.load(path)
+        record[field] = value
+        with open(path, "wb") as fh:
+            np.save(fh, record)
+        with pytest.raises(ValueError, match=f"not a checkpoint file: {path}: .*{reason}"):
             load_checkpoint(path)
 
     STEPS = 40

@@ -13,12 +13,12 @@ from blackstock import (
     SimState,
     SpectralField,
     StepConfig,
+    assemble_f,
     build_initial,
     identity_residual,
     norm,
     simulate,
 )
-from blackstock.dynamics import quadratic_source
 from blackstock.energy import (
     DIAGNOSTIC_COLUMNS,
     SERIES_COLUMNS,
@@ -113,6 +113,12 @@ class TestLyapunov:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             GammaWeights(gamma1=-0.1)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["gamma1", "gamma2", "gamma3"])
+    def test_non_finite_weights_rejected(self, name, weight):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            GammaWeights(**{name: weight})
 
 
 class TestDiagnosticsTable:
@@ -332,8 +338,7 @@ class TestIdentityResidual:
 
 def time_weighted_norms(state, p):
     """``(sqrt(t) ||psi_tt||, sqrt(t) ||Delta v||)`` read from the diagnostics table."""
-    source = quadratic_source(state.grid, state.psi.coeffs, state.v.coeffs, p)
-    d = diagnostics(state, p, source=SpectralField(state.grid, source))
+    d = diagnostics(state, p, source=assemble_f(state, p))
     return d["w_ptt"], d["w_lap_vt"]
 
 

@@ -145,6 +145,13 @@ class TestSimState:
         with pytest.raises(ValueError):
             SimState(psi=zero_field(g64), v=zero_field(g64), time=-1.0)
 
+    @pytest.mark.parametrize("time", [np.nan, np.inf])
+    def test_non_finite_time_rejected(self, g64, time):
+        # A NaN start time would otherwise reach simulate, which reports it
+        # as batch members that do not share a start time.
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            SimState(psi=zero_field(g64), v=zero_field(g64), time=time)
+
 
 class TestInitialData:
     def test_single_mode(self, g64):

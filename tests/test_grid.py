@@ -40,6 +40,13 @@ class TestGridConstruction:
         with pytest.raises(ValueError):
             Grid(extents=(0.0,), modes=(8,))
 
+    @pytest.mark.parametrize("extent", [np.nan, np.inf])
+    def test_finite_extents(self, extent):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid(extents=(extent,), modes=(8,))
+        with pytest.raises(ValueError, match="positive and finite"):
+            Grid(extents=(1.0, extent), modes=(8, 8))
+
 
 class TestLaplacianSymbol:
     # Mode (m_1, ..., m_d) sits at index (m_1 - 1, ..., m_d - 1).
