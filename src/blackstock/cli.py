@@ -100,14 +100,23 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         sample_every=cfg.sample_every,
         gammas=cfg.gammas,
     )
+    # A checkpoint beside a series is always that run's final state: a run
+    # that does not complete leaves none, not an earlier run's.
+    (out / "state.ckpt").unlink(missing_ok=True)
     write_series_csv(out / "series.csv", series)
+
+    def last(name: str) -> float | None:
+        # None for a run that ended at its start time, without a row.
+        column = series.column(name)
+        return float(column[-1]) if len(column) else None
+
     summary = {
         "termination": dataclasses.asdict(series.termination),
-        "final_time": float(series.column("t")[-1]),
-        "final_energy": float(series.column("E")[-1]),
-        "final_lyapunov": float(series.column("L")[-1]),
-        "cumulative_dissipation": float(series.column("D_cum")[-1]),
-        "weighted_grad_accel_integral": float(series.column("w_grad_ptt")[-1]),
+        "final_time": last("t") if len(series.data) else series.termination.time,
+        "final_energy": last("E"),
+        "final_lyapunov": last("L"),
+        "cumulative_dissipation": last("D_cum"),
+        "weighted_grad_accel_integral": last("w_grad_ptt"),
         "max_picard_iterations": series.max_picard_iterations,
         "seed": cfg.seed,
     }

@@ -2,8 +2,10 @@
 
 The series CSV carries the fixed column set
 ``t,E,E1,E2,F1,F2,F3,L,D_cum,w_ptt,w_lap_vt`` with ``.``-decimal values at 17
-significant digits, so identical runs produce bit-identical files.  Report
-JSON is standard JSON: a float that is not finite is written as ``null``.
+significant digits, so identical runs produce bit-identical files.  It is
+written block by block, ``_CSV_BLOCK_ROWS`` rows at a time, so writing it
+needs memory for one block's text, not for the whole table's.  Report JSON is
+standard JSON: a float that is not finite is written as ``null``.
 
 A checkpoint is a numpy ``.npy`` file of one 0-d structured record with the
 little-endian float64 fields ``time``, ``extents``, ``psi`` and ``v``, so
@@ -18,6 +20,7 @@ import math
 import os
 import warnings
 from pathlib import Path
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -37,18 +40,22 @@ __all__ = [
 #: Column order of the series CSV.
 CSV_COLUMNS = ("t", "E", "E1", "E2", "F1", "F2", "F3", "L", "D_cum", "w_ptt", "w_lap_vt")
 
+#: Rows of the series CSV formatted and written at a time.
+_CSV_BLOCK_ROWS = 1024
 
-def _write_atomically(path: str | Path, data: str | bytes) -> None:
-    # Write to a temporary file next to ``path``, flush it to disk and only
-    # then move it into place, so ``path`` never holds a partial output, also
-    # after a crash on a filesystem that may reorder the rename before the data.
+
+def _write_atomically(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
+    # ``write`` writes the output to a temporary binary file next to ``path``,
+    # which is flushed to disk and only then moved into place, so ``path``
+    # never holds a partial output, also after a crash on a filesystem that
+    # may reorder the rename before the data, or after ``write`` fails midway.
     # The directory is made here, so a run that writes nothing leaves none.
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
-            fh.write(data)
+        with open(tmp, "wb") as fh:
+            write(fh)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -58,12 +65,22 @@ def _write_atomically(path: str | Path, data: str | bytes) -> None:
 
 
 def write_series_csv(path: str | Path, series: TimeSeries) -> None:
-    table = np.column_stack([series.column(c) for c in CSV_COLUMNS])
-    row_format = ",".join(["%.17g"] * len(CSV_COLUMNS))
-    lines = [",".join(CSV_COLUMNS)]
-    # Row by row: a list of every row's floats would raise the peak memory.
-    lines.extend(row_format % tuple(row.tolist()) for row in table)
-    _write_atomically(path, "\n".join(lines) + "\n")
+    for name in CSV_COLUMNS:
+        series.column(name)  # KeyError for a column the series does not have
+    columns = [series.columns.index(name) for name in CSV_COLUMNS]
+    row_format = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+    block_format = row_format * _CSV_BLOCK_ROWS
+
+    def write(fh: BinaryIO) -> None:
+        fh.write((",".join(CSV_COLUMNS) + "\n").encode())
+        # One block's rows at a time, formatted by one ``%``: neither a copy
+        # of the table nor the whole file's text is ever held.
+        for start in range(0, len(series.data), _CSV_BLOCK_ROWS):
+            block = series.data[start : start + _CSV_BLOCK_ROWS, columns]
+            fmt = block_format if len(block) == _CSV_BLOCK_ROWS else row_format * len(block)
+            fh.write((fmt % tuple(block.ravel().tolist())).encode())
+
+    _write_atomically(path, write)
 
 
 def read_series_csv(path: str | Path) -> TimeSeries:
@@ -104,7 +121,7 @@ def _finite_or_null(value):
 def write_json(path: str | Path, payload: dict) -> None:
     """Write ``payload`` as JSON, with ``null`` for a float that is not finite."""
     text = json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False)
-    _write_atomically(path, text + "\n")
+    _write_atomically(path, lambda fh: fh.write((text + "\n").encode()))
 
 
 def save_checkpoint(path: str | Path, state: SimState) -> None:
@@ -113,9 +130,7 @@ def save_checkpoint(path: str | Path, state: SimState) -> None:
                            ("psi", "<f8", grid.modes), ("v", "<f8", grid.modes)])
     record["time"], record["extents"] = state.time, grid.extents
     record["psi"], record["v"] = state.psi.coeffs, state.v.coeffs
-    buffer = io.BytesIO()
-    np.save(buffer, record)
-    _write_atomically(path, buffer.getvalue())
+    _write_atomically(path, lambda fh: np.save(fh, record))
 
 
 def load_checkpoint(path: str | Path) -> SimState:

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from blackstock import (
 import blackstock.config as config
 import blackstock.storage as storage
 from blackstock.cli import main
+from blackstock.energy import SERIES_COLUMNS
 from blackstock.integrate import TimeSeries
 from blackstock.storage import CSV_COLUMNS
 
@@ -188,6 +190,13 @@ def short_config(**overrides):
     return payload
 
 
+#: A short run that diverges a few dozen steps in.
+DIVERGING = short_config(initial={
+    "psi0": {"kind": "single_mode", "mode": [1], "amplitude": 100.0},
+    "psi1": {"kind": "single_mode", "mode": [1], "amplitude": 100.0},
+})
+
+
 class TestSimulateCommand:
     def test_zero_data_run(self, tmp_path):
         cfg = short_config(initial={})
@@ -218,6 +227,35 @@ class TestSimulateCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["termination"]["kind"] == "diverged"
         assert summary["termination"]["time"] is not None
+
+    def test_run_that_ends_at_its_start_time_exits_2(self, tmp_path):
+        # The state is finite but its source overflows: the run ends at t=0
+        # without a row, and the summary's row values are null.
+        amplitude = {"kind": "single_mode", "mode": [1], "amplitude": 1e200}
+        path = write_config(tmp_path, short_config(initial={"psi0": amplitude, "psi1": amplitude}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"] == {"kind": "diverged", "time": 0.0}
+        assert summary["final_time"] == 0.0
+        for key in ("final_energy", "final_lyapunov", "cumulative_dissipation",
+                    "weighted_grad_accel_integral"):
+            assert summary[key] is None, key
+        assert (out / "series.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
+        assert sorted(os.listdir(out)) == ["series.csv", "summary.json"]
+
+    def test_diverging_rerun_leaves_no_checkpoint(self, tmp_path):
+        # A checkpoint beside a series is that run's final state: a rerun
+        # into the same directory that diverges removes the earlier one.
+        out = tmp_path / "out"
+        completing = write_config(tmp_path, short_config(), "completing.json")
+        assert main(["simulate", "--config", str(completing), "--output", str(out)]) == 0
+        assert (out / "state.ckpt").exists()
+        diverging = write_config(tmp_path, DIVERGING, "diverging.json")
+        assert main(["simulate", "--config", str(diverging), "--output", str(out)]) == 2
+        assert not (out / "state.ckpt").exists()
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["termination"]["kind"] == "diverged" and "checkpoint_time" not in summary
 
     def test_bad_config_exits_1(self, tmp_path):
         path = write_config(tmp_path, {"medium": {"b": -1.0}})
@@ -659,6 +697,17 @@ class TestSweepCommand:
             series = [(out / run["label"] / "series.csv").read_bytes() for out in outs.values()]
             assert series[0] == series[1]
 
+    def test_diverging_rerun_leaves_no_checkpoint(self, tmp_path):
+        # As for simulate: a label whose rerun diverges keeps no checkpoint.
+        sweep = {"parameters": {"medium.k": [0.0, 1.0]}}
+        out = tmp_path / "sweep"
+        for cfg, code in ((short_config(sweep=sweep), 0), ({**DIVERGING, "sweep": sweep}, 2)):
+            path = write_config(tmp_path, cfg)
+            assert main(["sweep", "--config", str(path), "--output", str(out), "--jobs", "1"]) == code
+        for label in ("k=0.0", "k=1.0"):
+            assert json.loads((out / label / "summary.json").read_text())["termination"]["kind"] == "diverged"
+            assert not (out / label / "state.ckpt").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
         path = write_config(tmp_path, short_config(sweep={"parameters": {"medium.k": [0.0]}}))
@@ -934,3 +983,84 @@ def test_write_reaches_disk_before_rename(tmp_path, monkeypatch, write):
     write(path, 1)
     size = path.stat().st_size
     assert events == [("fsync", size), ("replace", size)]
+
+
+def test_writer_failing_on_third_block_keeps_previous_output(tmp_path, monkeypatch):
+    # The CSV is streamed in blocks: a write that fails after two blocks have
+    # reached the temporary file still leaves the previous output and no
+    # temporary file.
+    path = tmp_path / "output"
+    _csv_output(path, 1)
+    before = path.read_bytes()
+    rows = 3 * storage._CSV_BLOCK_ROWS + 1
+    series = TimeSeries(CSV_COLUMNS, np.full((rows, len(CSV_COLUMNS)), 2.0))
+    writes = []
+
+    def third_block_failing_open(file, mode="r"):
+        fh = open(file, mode)
+
+        class FailingWriter:
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                fh.close()
+
+            def write(self, data):
+                writes.append(len(data))
+                if len(writes) == 4:  # the header, two blocks, then the third
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return fh.write(data)
+
+        return FailingWriter()
+
+    monkeypatch.setattr(storage, "open", third_block_failing_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        write_series_csv(path, series)
+    monkeypatch.undo()
+    assert len(writes) == 4
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["output"]
+
+
+class TestSeriesCsvBlocks:
+    # The series CSV is formatted and written a block of rows at a time.
+    B = storage._CSV_BLOCK_ROWS
+    SPECIAL = (np.inf, -np.inf, np.nan, -0.0, 5e-324, np.finfo(float).max)
+
+    @staticmethod
+    def reference(series):
+        # One "%.17g" per value, one line per row: the file's definition.
+        table = np.column_stack([series.column(c) for c in CSV_COLUMNS])
+        lines = [",".join(CSV_COLUMNS)] + [",".join("%.17g" % x for x in row) for row in table]
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 2 * B + 1])
+    def test_bytes_match_per_row_reference(self, tmp_path, rows):
+        # Columns the CSV leaves out sit between the ones it keeps, and the
+        # special values lie in the first and in the last block.
+        columns = SERIES_COLUMNS
+        data = np.random.default_rng(rows).standard_normal((rows, len(columns))) * 1e3
+        for row in (0, rows - 1):
+            for j, value in enumerate(self.SPECIAL):
+                data[row, columns.index(CSV_COLUMNS[(j + row) % len(CSV_COLUMNS)])] = value
+        series = TimeSeries(columns, data)
+        path = tmp_path / "series.csv"
+        write_series_csv(path, series)
+        assert path.read_bytes() == self.reference(series)
+
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        # The traced peak is one block's text and values, whatever the length:
+        # neither a copy of the table nor the whole file's text is held.
+        peaks = []
+        for rows in (20_000, 100_000):
+            data = np.random.default_rng(rows).standard_normal((rows, len(SERIES_COLUMNS)))
+            series = TimeSeries(SERIES_COLUMNS, data)
+            tracemalloc.start()
+            try:
+                write_series_csv(tmp_path / "series.csv", series)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2_000_000, peaks
+        assert peaks[1] < peaks[0] + 200_000, peaks
