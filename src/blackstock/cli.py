@@ -1,9 +1,9 @@
 """Command-line runner.
 
-Usage: ``blackstock <subcommand> --config <path> [--output <dir>] [--jobs N]``
-with subcommands ``simulate``, ``fit``, ``threshold``, ``weighted-study``,
-``verify-inequalities`` and ``sweep``.  The configuration file sets every
-value of a run but the output directory and the sweep's worker count.
+Usage: ``blackstock <subcommand> --config <path> [--output <dir>]``, plus
+``--jobs N`` for ``sweep``; the subcommands are ``simulate``, ``fit``,
+``threshold``, ``weighted-study``, ``verify-inequalities`` and ``sweep``.
+The configuration file sets every value of a run but ``--output`` and ``--jobs``.
 The whole configuration is parsed and checked by :mod:`blackstock.config`
 before a subcommand runs; the subcommands read only parsed values, and the
 output directory is made with the first file written to it.  ``fit.json``,
@@ -12,11 +12,11 @@ output directory is made with the first file written to it.  ``fit.json``,
 ``amplitude``/``classification`` object), and the summary's ``termination``
 is that of the run.  ``fit`` reads the ``summary.json`` beside the series
 CSV, when there is one, for the run's termination: a run that did not
-complete is fitted as ``diverges``.
+complete is fitted as ``diverges`` without reading its rows.
 
-Exit codes: 0 success, 1 configuration errors, 2 divergence of a simulate
-run, 3 precondition failures (unbracketed thresholds, bad fit windows or
-inputs, inadmissible parameters, failed inequality checks).
+Exit codes: 0 success, 1 configuration and usage errors, 2 divergence of a
+simulate run, 3 precondition failures (unbracketed thresholds, bad fit
+windows or inputs, inadmissible parameters, failed inequality checks).
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ import os
 import sys
 from multiprocessing import Pool
 from pathlib import Path
+
+import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .experiments import (
@@ -45,7 +47,7 @@ from .inequalities import (
     random_admissible_gronwall,
     random_trig_fields,
 )
-from .integrate import Termination, simulate
+from .integrate import Termination, TimeSeries, simulate
 from .storage import (
     read_series_csv,
     save_checkpoint,
@@ -81,12 +83,8 @@ def _build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="JSON run configuration")
         sp.add_argument("--output", default=None, help="output directory (default blackstock_out)")
-        sp.add_argument(
-            "--jobs",
-            type=int,
-            default=None,
-            help="worker count for sweep (default: logical cores)",
-        )
+        if name == "sweep":
+            sp.add_argument("--jobs", type=int, default=None, help="worker count (default: logical cores)")
     return parser
 
 
@@ -136,16 +134,19 @@ def _run_fit(cfg: RunConfig, config_path: Path, out: Path) -> int:
         csv_path = config_path.parent / csv_path
     if not csv_path.is_file():
         raise ConfigError(f"fit.series_csv not found: {csv_path}")
-    series = read_series_csv(csv_path)
+    termination = Termination("completed")
     summary = csv_path.with_name("summary.json")
     if summary.is_file():
         # The run's own termination: a run that did not complete diverges,
-        # whatever its partial rows would fit.
+        # and its rows, if it has any, are not read.
         try:
             termination = Termination(**json.loads(summary.read_text())["termination"])
         except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"malformed summary {summary}: {type(exc).__name__}: {exc}") from exc
-        series = dataclasses.replace(series, termination=termination)
+    if termination.completed:
+        series = read_series_csv(csv_path)
+    else:
+        series = TimeSeries((), np.empty((0, 0)), termination=termination)
     fit = fit_decay(series, cfg.fit["window"])
     write_json(out / "fit.json", dataclasses.asdict(fit))
     return EXIT_OK
@@ -260,9 +261,13 @@ def run(subcommand: str, config_path: str | Path, output: str | None = None, job
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        return run(args.subcommand, args.config, args.output, args.jobs)
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of divergence here.
+        return EXIT_CONFIG if exc.code == 2 else exc.code
+    try:
+        return run(args.subcommand, args.config, args.output, getattr(args, "jobs", None))
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

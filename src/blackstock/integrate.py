@@ -424,9 +424,6 @@ def simulate_batch(
             if n == 0:
                 # Predictor-corrector startup keeps the global order at two.
                 fhat = 0.5 * (f_curr + source(step(U, f_curr)))
-                if not np.isfinite(fhat).all():
-                    bad = ~_finite_members(fhat)
-                    fhat[bad] = f_curr[bad]
             else:
                 fhat = 1.5 * f_curr - 0.5 * f_prev
             U = step(U, fhat)

@@ -203,15 +203,6 @@ def modal_solution(lam, c, b, psi0, v0, t):
     return w, wp
 
 
-def gronwall_closed_form(g, t):
-    """Exact Bernoulli solution of ``u' = a u + c2 u^(1+kappa)``, ``u(0) = u0``."""
-    t = np.asarray(t, dtype=float)
-    if g.u0 == 0.0:
-        return np.zeros_like(t)
-    bracket = 1.0 + (g.c2 / g.a) * g.u0**g.kappa * (1.0 - np.exp(g.kappa * g.a * t))
-    return np.exp(g.a * t) * g.u0 * bracket ** (-1.0 / g.kappa)
-
-
 def zero_field(grid):
     """The zero field on a grid."""
     return SpectralField(grid, np.zeros(grid.modes))

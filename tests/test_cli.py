@@ -487,6 +487,19 @@ class TestFitCommand:
         assert fit["classification"] == "diverges"
         assert fit["window"] == [0.0, end]
 
+    def test_fit_of_run_that_diverged_at_its_start_time(self, tmp_path):
+        # The run has no row, only the CSV header: fit reads the summary's
+        # termination first and never reads the empty CSV.
+        amplitude = {"kind": "single_mode", "mode": [1], "amplitude": 1e200}
+        cfg = short_config(initial={"psi0": amplitude, "psi1": amplitude},
+                           fit={"series_csv": "run/series.csv"})
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "run")]) == 2
+        assert (tmp_path / "run" / "series.csv").read_text() == ",".join(CSV_COLUMNS) + "\n"
+        assert main(["fit", "--config", str(path), "--output", str(tmp_path / "fit")]) == 0
+        fit = json.loads((tmp_path / "fit" / "fit.json").read_text())
+        assert fit["classification"] == "diverges" and fit["window"] == [0.0, 0.0]
+
     def test_reports_of_a_diverged_run_are_standard_json(self, tmp_path):
         # The fit of a diverged run has no finite c_factor; JSON has no NaN.
         cfg = short_config(
@@ -520,10 +533,14 @@ class TestFitCommand:
         assert main(["fit", "--config", str(path), "--output", str(tmp_path / "out")]) == 1
 
 
+    @pytest.mark.parametrize("completed_summary", [False, True])
     @pytest.mark.parametrize("content", ["", "t,E\n"])
-    def test_empty_series_csv_exits_3(self, tmp_path, capsys, content):
+    def test_empty_series_csv_exits_3(self, tmp_path, capsys, content, completed_summary):
+        # Beside a summary, too, a completed run's CSV must have rows.
         csv = tmp_path / "series.csv"
         csv.write_text(content)
+        if completed_summary:
+            (tmp_path / "summary.json").write_text('{"termination": {"kind": "completed", "time": null}}')
         with pytest.raises(ValueError, match="empty series CSV"):
             read_series_csv(csv)
         path = write_config(tmp_path, short_config(fit={"series_csv": str(csv)}))
@@ -581,6 +598,31 @@ class TestFitCommand:
             series = read_series_csv(csv)
         assert series.columns == CSV_COLUMNS
         assert series.data.tobytes() == data.tobytes()
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["simulate"], ["nosuch", "--config", "{cfg}"],
+         ["simulate", "--config", "{cfg}", "--bogus"],
+         ["simulate", "--config", "{cfg}", "--jobs", "1"],
+         ["fit", "--config", "{cfg}", "--jobs", "0"],
+         ["sweep", "--config", "{cfg}", "--jobs", "x"]],
+        ids=["no-subcommand", "no-config", "unknown-subcommand", "unknown-flag",
+             "simulate-jobs", "fit-jobs", "jobs-not-an-integer"],
+    )
+    def test_usage_error_exits_1(self, tmp_path, capsys, argv):
+        # A usage error is a configuration error; 2 is the code of divergence.
+        path = write_config(tmp_path, short_config(sweep={"parameters": {"medium.k": [0.0]}}))
+        argv = [arg.format(cfg=path) for arg in argv] + ["--output", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "usage: blackstock" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0_and_only_sweep_offers_jobs(self, capsys):
+        for argv in (["--help"], ["simulate", "--help"], ["sweep", "--help"]):
+            assert main(argv) == 0
+            assert ("--jobs" in capsys.readouterr().out) == (argv[0] == "sweep"), argv
 
 
 class TestVerifyInequalitiesCommand:
