@@ -42,7 +42,8 @@ evaluation table ``E`` with ``K = 2 N`` and the projection ``M = S C`` of
 shape ``N x (K+1)``, the coupling ``S`` composed with the DCT-I ``C``.
 :func:`padded_field_values` and :func:`project_padded_to_sine` apply them
 axis by axis as one matrix product per axis, to a whole stack of fields at
-once.  The cost is ``O(N^(d+1))`` per field against ``O(N^d log N)`` for
+once, and write the passes into a caller's pair of work arrays by turns when
+given one.  The cost is ``O(N^(d+1))`` per field against ``O(N^d log N)`` for
 FFTs.  At the default sizes (64 modes per axis in 1D and 2D, 32 in 3D) one
 matrix product per axis beats the FFT passes with their padding copies, but
 a 1D grid of 1024 modes pays about four times the FFT cost.
@@ -205,7 +206,16 @@ class SpectralField:
     __rmul__ = __mul__
 
 
-def _apply_per_axis(mats: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+def _pass_output(out, i: int, shape: tuple[int, int]) -> np.ndarray | None:
+    # Where pass i writes: ``out[i % 2]`` when it has the product's shape,
+    # else the leading part of it.
+    if out is None:
+        return None
+    o = out[i % 2]
+    return o if o.shape == shape else o.reshape(-1)[: shape[0] * shape[1]].reshape(shape)
+
+
+def _apply_per_axis(mats: tuple[np.ndarray, ...], x: np.ndarray, out=None) -> np.ndarray:
     # Contract axis i of the trailing len(mats) axes with mats[i]; leading
     # stack axes pass through.  ``M @ X.T`` contracts the last axis and puts
     # the new one first, so after d passes the spatial axes are back in order
@@ -214,36 +224,48 @@ def _apply_per_axis(mats: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
     if d == 1:
         # One product, which leaves the stack axes first and contiguous.
         (M,) = mats
-        return (x.reshape(-1, x.shape[-1]) @ M.T).reshape(x.shape[:-1] + M.shape[:1])
-    for M in reversed(mats):
-        x = (M @ x.reshape(-1, x.shape[-1]).T).reshape((M.shape[0],) + x.shape[:-1])
+        rows = x if x.ndim == 2 else x.reshape(-1, x.shape[-1])
+        y = np.matmul(rows, M.T, out=_pass_output(out, 0, (len(rows), len(M))))
+        return y if x.ndim == 2 else y.reshape(x.shape[:-1] + M.shape[:1])
+    for i, M in enumerate(reversed(mats)):
+        cols = x.reshape(-1, x.shape[-1]).T
+        y = np.matmul(M, cols, out=_pass_output(out, i, (len(M), cols.shape[1])))
+        x = y.reshape((len(M),) + x.shape[:-1])
     return x.transpose(tuple(range(d, x.ndim)) + tuple(range(d)))
 
 
-def padded_field_values(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+def padded_field_values(grid: Grid, coeffs: np.ndarray, out=None) -> np.ndarray:
     """Values of sine series on the padded product grid (boundaries included).
 
     ``coeffs`` has shape ``(..., *grid.modes)``; leading axes are a stack of
     fields evaluated together.  Returns shape ``(..., K_1 + 1, ..., K_d + 1)``.
+    ``out``, when given, is a pair of contiguous float arrays that the
+    per-axis passes write by turns: pass ``i`` of ``d`` writes its matrix
+    product into ``out[i % 2]`` when that has the product's shape, else into
+    its leading part, which must hold it.  The values returned are then a
+    view of ``out[(d - 1) % 2]``; on a 1D grid, 2-D ``coeffs`` and an
+    ``out[0]`` of the result's shape return ``out[0]`` itself.  ``coeffs``
+    may sit in ``out[1]`` but not in ``out[0]``.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape[coeffs.ndim - grid.dim:] != grid.modes:
         raise ValueError(
             f"coefficient shape {coeffs.shape} does not end in grid modes {grid.modes}"
         )
-    return _apply_per_axis(grid._evaluation_matrices, coeffs)
+    return _apply_per_axis(grid._evaluation_matrices, coeffs, out)
 
 
-def project_padded_to_sine(grid: Grid, values: np.ndarray) -> np.ndarray:
+def project_padded_to_sine(grid: Grid, values: np.ndarray, out=None) -> np.ndarray:
     """Exact L2 projection of padded-grid values onto the retained sine span.
 
     The values must be samples of a function that is, per axis, an even
     trigonometric polynomial of degree at most ``K_i`` (true for pointwise
     products of two retained sine expansions).  ``values`` has shape
     ``(..., K_1 + 1, ..., K_d + 1)``; the sine coefficients returned have
-    shape ``(..., *grid.modes)``.
+    shape ``(..., *grid.modes)``.  ``out`` is a pair of work arrays, as for
+    :func:`padded_field_values`.
     """
     values = np.asarray(values, dtype=float)
     if values.shape[values.ndim - grid.dim:] != grid.padded_shape:
         raise ValueError(f"padded value shape {values.shape} does not end in {grid.padded_shape}")
-    return _apply_per_axis(grid._projection_matrices, values)
+    return _apply_per_axis(grid._projection_matrices, values, out)

@@ -45,6 +45,7 @@ import numpy as np
 
 from .fields import full_h_norm, norm
 from .grid import Grid, SpectralField
+from .integrate import StepConfig
 
 __all__ = [
     "GronwallParams",
@@ -169,13 +170,16 @@ class GronwallCheck:
 
 
 def gronwall_verify(g: GronwallParams, T: float, dt: float = 1e-4) -> GronwallCheck:
-    """Compare the exact extremal trace with the bound at the times ``0, dt, ..., T``
-    (``dt`` only spaces the samples)."""
+    """Compare the exact extremal trace with the bound at the times ``0, dt, ..., T``.
+
+    ``dt`` only spaces the samples; ``T`` must be a positive whole multiple
+    of it (``ValueError`` otherwise), as for a run's final time.
+    """
     if not g.admissible:
         raise ValueError(
             f"inadmissible Gronwall parameters: smallness value {g.smallness:.6g} >= 0"
         )
-    n = int(round(T / dt))
+    n = StepConfig(dt=dt).steps_to(T)
     times = np.linspace(0.0, n * dt, n + 1)
     decay = np.exp(g.a * times)
     # 1 - e^(kappa a t) = -expm1(kappa a t), without cancellation at small t.

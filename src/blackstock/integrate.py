@@ -35,24 +35,31 @@ The run loop
 It integrates a batch of initial states that share a grid, a start time and
 the step configuration, and returns one ``TimeSeries`` per member.
 
-*State layout.*  The live state is one array ``U[member, (psi, v), *modes]``,
-so a finiteness test, the removal of ended members, a sample and the energy
-``(U U) . w`` (:func:`blackstock.energy.energy_weights`) each cost one array
-operation.  The run's one propagator is the tensor ``(A, B, Q)``, applied to
-``(psi, v, f)`` by one ``einsum`` that broadcasts over the member axis, and
-the source is the run's source operator
-(:func:`blackstock.dynamics._source_operator`, which forms the Laplacian
-scalings once), evaluated on the whole live batch at once.  Its temporaries
-are several times the batch's state; the caller bounds them by the batch it
-passes (the threshold search by its round width).  The scheme and the
-propagator are resolved once per run.  A step therefore
-costs a fixed number of array operations whatever the batch size: about 20
-for an ``imex2`` step, more than half of them in the source.  The source is
-evaluated and checked once at every new state, for every scheme; a
-``picard`` step starts its fixed-point iteration from it.  Under ``picard``
-a member that has converged is frozen and takes no further iterations.
-``SimState`` objects are built only for the final states of the members
-that complete.
+*State layout.*  The live states and their sources are one array
+``X[(psi, v, f), member, *modes]``, so a finiteness test of both, a sample
+and the removal of ended members each cost one array operation, and the
+energy ``(U U) . w`` (:func:`blackstock.energy.energy_weights`) two.  The
+run's one propagator is the tensor ``(A, B, Q)``, applied to all of ``X`` by
+one ``einsum`` that broadcasts over the member axis, and the source is the
+run's source operator (:func:`blackstock.dynamics._source_operator`, which
+forms the Laplacian scalings once), evaluated on the whole live batch at
+once.  The scheme and the propagator are resolved once per run.
+
+*Work arrays.*  Each run allocates its arrays once, sized for its batch:
+``X`` and a second such array that a step writes the next states into (the
+two swap: an ``out`` that overlapped an operand would make numpy copy), the
+scheme's scratch, the energy's squares and a block of samples; the source
+operator keeps its own.  The source writes ``f`` into ``X``, and imex2
+writes its extrapolated source over it once it has kept ``0.5 f`` for the
+next step, so the ``einsum`` reads the source it applies.  When members
+end, the survivors move to the front and later steps use leading views, so
+they cost only the survivors.  A step costs a fixed number of array
+operations whatever the batch size, and allocates nothing: 13 for an
+``imex2`` step, 8 of them in the source.  The source is evaluated and
+checked once at every new state, for every scheme; a ``picard`` step starts
+its fixed-point iteration from it, and a member that has converged is
+frozen.  ``SimState`` objects are built only for the final states of the
+members that complete, from copies.
 
 *Per-member termination.*  Each member ends on its own, with its own
 ``Termination``: a non-finite state, a non-finite source or an energy above
@@ -63,17 +70,14 @@ Each step tests the state and the source of the whole batch at once: the sum
 of their entries is finite only when every entry is.  Only when the sum is
 not finite are the members looked at one by one; a sum of finite entries
 that overflows sends the test there too, and every member passes.  The
-energy is formed only at samples, where the cutoff reads it.  An ended
-member is removed from the live arrays, so later steps cost only the
-survivors.
+energy is formed only at samples, where the cutoff reads it.
 
-*Blocks of samples.*  A sample only keeps the live arrays ``(t, U, f)``
-in a block; the loop replaces them every step and never writes into them, so
-this needs no copy.  One :func:`blackstock.energy.instantaneous_diagnostics`
-call, with the sample times as a column, maps the block's states and sources
-to rows when it holds ``_BLOCK_COEFFICIENTS`` state coefficients, before any
-member retires, and at the end of the run; it forms ``psi_tt`` itself.  The
-rows are those of one call per sample, bit for bit.
+*Blocks of samples.*  A sample copies ``X`` and its time into a block
+preallocated for about ``_BLOCK_COEFFICIENTS`` state coefficients.  One
+:func:`blackstock.energy.instantaneous_diagnostics` call, with the sample
+times as a column, maps the block's states and sources to rows when it is
+full, before any member retires, and at the end of the run; it forms
+``psi_tt`` itself.  The rows are those of one call per sample, bit for bit.
 
 *Rows.*  Each member's rows live in an array of their own, sized for the
 whole run.  Pages that are never written, the rest of a member that ends
@@ -194,10 +198,12 @@ def _propagator(grid: Grid, p: MediumParams, dt: float, theta: float):
     with ``L = [[0, 1], [c^2 lam, b lam]]`` per mode is ``U+ = A psi + B v +
     Q f``, with tensors ``A, B, Q`` of shape ``(2, *modes)`` in closed form:
     backward Euler for theta = 1, the trapezoidal rule for theta = 1/2.
-    Returns the map of states ``U[member, (psi, v), *modes]`` and sources
-    ``f[member, *modes]`` to the next states: one ``einsum`` with the tensor
-    ``(A, B, Q)`` of shape ``(2, 3, *modes)``, whose sum over its second axis
-    is ``(A psi + B v) + Q f`` in that order.
+    Returns the map ``step(X, out=None)`` of states and sources stacked
+    field-major, ``X[(psi, v, f), member, *modes]``, to the next states
+    ``[(psi, v), member, *modes]``, written into ``out`` when given (it must
+    not overlap ``X``): one ``einsum`` with the tensor ``(A, B, Q)`` of shape
+    ``(2, 3, *modes)``, whose sum over its second axis is ``(A psi + B v) +
+    Q f`` in that order.
     """
     lam = grid.laplacian_eigenvalues
     kappa, beta = p.c**2 * lam, p.b * lam
@@ -208,14 +214,21 @@ def _propagator(grid: Grid, p: MediumParams, dt: float, theta: float):
     B = np.stack((np.full_like(det, dt), 1.0 + (1.0 - theta) * dt * beta + s)) / det
     Q = np.stack((np.full_like(det, theta * dt * dt), np.full_like(det, dt))) / det
     T = np.stack((A, B, Q), axis=1)
-    return lambda U, f: np.einsum("ij...,mj...->mi...", T, np.concatenate((U, f[:, None]), axis=1))
+    return lambda X, out=None: np.einsum("ij...,jm...->im...", T, X, out=out)
 
 
 def _h1_l2_norm(grid: Grid):
-    # Picard's contraction test: the discrete H1 x L2 norm of each member of U.
+    # Picard's contraction test: the discrete H1 x L2 norm of each member of
+    # U[member, (psi, v), *modes], whose squares go into ``square``, an
+    # array of that shape (U itself when it is not needed again).
     lam = grid.laplacian_eigenvalues.ravel()
     w = grid.coeff_weight * np.concatenate((1.0 - lam, np.ones_like(lam)))
-    return lambda U: np.sqrt((U * U).reshape(len(U), -1) @ w)
+
+    def norm(U: np.ndarray, square: np.ndarray) -> np.ndarray:
+        np.multiply(U, U, out=square)
+        return np.sqrt(square.reshape(len(U), -1) @ w)
+
+    return norm
 
 
 def _finite_members(a: np.ndarray) -> np.ndarray:
@@ -223,51 +236,78 @@ def _finite_members(a: np.ndarray) -> np.ndarray:
     return np.isfinite(a.reshape(len(a), -1)).all(axis=1)
 
 
+def _planes(X: np.ndarray) -> tuple[np.ndarray, ...]:
+    # X[(psi, v, f), member, *modes] with views of it: the states (as the
+    # propagator writes them and the source reads them), the states member
+    # by member (as the energy reads them) and the sources.
+    return X, X[:2], X[:2].swapaxes(0, 1), X[2]
+
+
+def _compact(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
+    # Move the members in the mask ``keep`` to the front of each array, in
+    # order, and return the leading views that hold them.
+    n = np.count_nonzero(keep)
+    for a in arrays:
+        a[:n] = a[keep]
+    return [a[:n] for a in arrays]
+
+
 # Overflow and invalid values in a failing iterate are expected: the finiteness
 # test acts on what they leave.
 @np.errstate(over="ignore", invalid="ignore")
 def _picard_step(
-    U0: np.ndarray, f_old: np.ndarray, step, norm, source
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One picard step of every member of ``U0``, whose source is ``f_old``.
+    X: np.ndarray, out: np.ndarray, step, norm, source, work: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One picard step of every member of ``X[(psi, v, f), member, *modes]``.
 
-    ``step`` is the run's trapezoid propagator (:func:`_propagator`),
-    ``norm`` its contraction norm (:func:`_h1_l2_norm`) and ``source`` its
-    source operator (:func:`blackstock.dynamics._source_operator`).  Returns
-    the new states, each member's iteration count and a mask of the members
-    that converged.  The others failed: an iterate was not finite (counted at
-    that iteration) or the budget ran out.  A converged member is frozen and
-    takes no further iterations.
+    ``X`` holds the step-start states and their sources; ``step`` is the
+    run's trapezoid propagator (:func:`_propagator`), ``norm`` its
+    contraction norm (:func:`_h1_l2_norm`) and ``source`` its source operator
+    (:func:`blackstock.dynamics._source_operator`).  The new states go into
+    ``out[:2]``, and ``out[2]`` keeps the step-start sources.  ``work`` is two
+    arrays ``[member, (psi, v), *modes]`` for the iterates; they and ``X``
+    are overwritten.  Returns each member's iteration count and a mask of
+    the members that converged.  The others failed: an iterate was not
+    finite (counted at that iteration) or the budget ran out; their states
+    in ``out`` are not meaningful.  A converged member is frozen and takes
+    no further iterations.
     """
+    U, U_new = work
+    f_0 = out[2]
+    np.copyto(f_0, X[2])
     # Initial iterate: trapezoid step with the source frozen at the step start.
-    U = step(U0, f_old)
+    step(X, out=U.swapaxes(0, 1))
     its = np.full(len(U), PICARD_MAX_ITER)
     converged = np.zeros(len(U), dtype=bool)
-    # The members still iterating: indices, iterates and step-start data.
-    live = (np.arange(len(U)), U, U0, f_old)
+    # The members still iterating lead each array; ``idx`` maps them to X's.
+    idx = np.arange(len(U))
+    X_m = X.swapaxes(0, 1)
     for it in range(1, PICARD_MAX_ITER + 1):
-        idx, U_j, U_0, f_0 = live
         # A sum is finite only when every entry is.
-        if not math.isfinite(U_j.sum()):
-            finite = _finite_members(U_j)
+        if not math.isfinite(U.sum()):
+            finite = _finite_members(U)
             its[idx[~finite]] = it
             if not finite.any():
                 break
-            live = tuple(a[finite] for a in live)
-            idx, U_j, U_0, f_0 = live
-        U_n = step(U_0, 0.5 * (f_0 + source(U_j)))
-        update = norm(U_n - U_j)
-        scale = norm(U_n)
+            idx, X_m, f_0, U, U_new = _compact(finite, idx, X_m, f_0, U, U_new)
+        X = X_m.swapaxes(0, 1)
+        g = X[2]
+        np.add(f_0, source(U.swapaxes(0, 1), out=g), out=g)
+        g *= 0.5
+        step(X, out=U_new.swapaxes(0, 1))
+        # U is not needed again: it takes the difference and the squares.
+        update = norm(np.subtract(U_new, U, out=U), U)
+        scale = norm(U_new, U)
         done = update <= PICARD_TOL * np.maximum(scale, 1e-300)
-        live = (idx, U_n, U_0, f_0)
+        U, U_new = U_new, U
         if done.any():
-            U[idx[done]] = U_n[done]
+            out[:2, idx[done]] = U[done].swapaxes(0, 1)
             its[idx[done]] = it
             converged[idx[done]] = True
             if done.all():
                 break
-            live = tuple(a[~done] for a in live)
-    return U, its, converged
+            idx, X_m, f_0, U, U_new = _compact(~done, idx, X_m, f_0, U, U_new)
+    return its, converged
 
 
 def _series(rows: np.ndarray, termination, final, max_its: int) -> TimeSeries:
@@ -337,98 +377,140 @@ def simulate_batch(
     results: list[TimeSeries | None] = [None] * n_members
     max_its = np.zeros(n_members, dtype=int)
     w = energy_weights(grid, p)
+    dt, scheme = cfg.dt, cfg.scheme
 
-    # Live state U[member, (psi, v), *modes]: one entry per surviving member.
-    # ``members`` maps it to the member's position in ``initials``.
+    # The run's work arrays, sized for the whole batch.  The live members
+    # lead their member axes, and ``members`` maps them to positions in
+    # ``initials``.  The states and their sources live in X[(psi, v, f),
+    # member, *modes] (see _planes); a step writes the next states into
+    # another such array, and the two swap.
     members = np.arange(n_members)
-    U = np.array([(s.psi.coeffs, s.v.coeffs) for s in initials])
+    cur, nxt = (_planes(X) for X in np.empty((2, 3, n_members) + grid.modes))
+    for j, state in enumerate(initials):
+        cur[2][j] = state.psi.coeffs, state.v.coeffs
+    # ``square`` takes U U for the energy, and is one of picard's iterates
+    # too (see _picard_step); imex2 keeps 0.5 f of the previous step.
+    square = np.empty((n_members, 2) + grid.modes)
+    scratch = {
+        "imex1": [],
+        "imex2": list(np.empty((2, n_members) + grid.modes)),
+        "picard": [np.empty_like(square)],
+    }[scheme]
     n_rows_max = 1 + -(-n_steps // sample_every)
     rows_of = [np.empty((n_rows_max, len(SERIES_COLUMNS))) for _ in initials]
     n_rows = 0
-    # The samples not yet mapped to rows: their times and the live arrays
-    # (U, f) at each.  The loop replaces these arrays every step and never
-    # writes into them, so keeping them needs no copy.
-    block: list[tuple[float, np.ndarray, np.ndarray]] = []
+    # The samples not yet mapped to rows: copies of X in a block that holds
+    # samples of about _BLOCK_COEFFICIENTS state coefficients, and their
+    # times.  Such a block of more than one sample is less than twice that.
+    block_memory = np.empty(3 * 2 * _BLOCK_COEFFICIENTS)
+    times = np.empty(-(-_BLOCK_COEFFICIENTS // n_coeffs))
+    n_block = 0
+
+    def block_for(n: int) -> np.ndarray | None:
+        # The block of samples of n live members, or None when it would hold
+        # one sample: that is mapped from X itself, as it is taken.
+        samples = -(-_BLOCK_COEFFICIENTS // (n * n_coeffs))
+        if samples == 1:
+            return None
+        return block_memory[: samples * 3 * n * n_coeffs].reshape((samples, 3, n) + grid.modes)
+
+    block = block_for(n_members)
 
     def flush() -> None:
         # Map the block to rows with one diagnostics call.
-        nonlocal n_rows
-        if not block:
+        nonlocal n_rows, n_block
+        if not n_block:
             return
-        times, *arrays = zip(*block)
-        # A block of one sample is a view of its arrays, not a copy.
-        U_b, f_b = (a[0][None] if len(a) == 1 else np.array(a) for a in arrays)
-        rows = instantaneous_diagnostics(grid, np.array(times)[:, None], U_b, f_b, p, g)
-        end = n_rows + len(block)
+        X_b = cur[0][None] if block is None else block[:n_block]
+        U_b, f_b = X_b[:, :2].swapaxes(1, 2), X_b[:, 2]
+        rows = instantaneous_diagnostics(grid, times[:n_block, None], U_b, f_b, p, g)
+        end = n_rows + n_block
         for j, m in enumerate(members):
             rows_of[m][n_rows:end, : rows.shape[-1]] = rows[:, j]
-        n_rows = end
-        block.clear()
-
-    def sample(t: float) -> None:
-        # Keep the live state at a sample; a full block is mapped at once, so
-        # a large state is never held past its step.
-        block.append((t, U, f_curr))
-        if len(block) * members.size * n_coeffs >= _BLOCK_COEFFICIENTS:
-            flush()
+        n_rows, n_block = end, 0
 
     def retire(leaving: np.ndarray, kind: str, t: float) -> bool:
-        # End the runs of the live members in the mask ``leaving`` and drop
-        # them from the live arrays; False when no member is left.
-        nonlocal members, U, f_curr, f_prev
+        # End the runs of the live members in the mask ``leaving`` and move
+        # the others to the front of the work arrays; False when no member
+        # is left.
+        nonlocal members, cur, nxt, scratch, square, block
         flush()
         for j in np.flatnonzero(leaving):
             m = members[j]
             results[m] = _series(rows_of[m][:n_rows], Termination(kind, t), None, max_its[m])
         keep = ~leaving
-        members, U, f_curr = members[keep], U[keep], f_curr[keep]
-        f_prev = None if f_prev is None else f_prev[keep]
-        return members.size > 0
+        members = members[keep]
+        n = members.size
+        if not n:
+            return False
+        X_m, *scratch = _compact(keep, cur[0].swapaxes(0, 1), *scratch)
+        cur, nxt = _planes(X_m.swapaxes(0, 1)), _planes(nxt[0][:, :n])
+        square, block = square[:n], block_for(n)
+        return True
 
     def checked(t: float, is_sample: bool) -> bool:
-        # The checks of the new state at ``t``.  A member with a non-finite
-        # state or source ends there without a row; one whose energy is above
-        # the cutoff at a sample ends with that row as its last.  False when
-        # no member is left.
-        nonlocal f_curr, f_prev
-        f_prev, f_curr = f_curr, source(U)
+        # Evaluate the source of the new state at ``t`` into X and check both.
+        # A member with a non-finite state or source ends there without a
+        # row; one whose energy is above the cutoff at a sample ends with
+        # that row as its last.  False when no member is left.
+        nonlocal n_block
+        X, states, U, f = cur
+        source(states, out=f)
         # One test of the batch: the sum is finite only when every entry is.
         # A sum of finite entries that overflows only sends the test to the
         # members, which all pass it.
-        if not math.isfinite(U.sum() + f_curr.sum()):
-            finite = _finite_members(U) & _finite_members(f_curr)
-            if not finite.all() and not retire(~finite, "diverged", t):
-                return False
+        if not math.isfinite(X.sum()):
+            finite = _finite_members(X.swapaxes(0, 1))
+            if not finite.all():
+                if not retire(~finite, "diverged", t):
+                    return False
+                X, states, U, f = cur
         if is_sample:
-            sample(t)
+            times[n_block] = t
+            if block is not None:
+                np.copyto(block[n_block], X)
+            n_block += 1
+            if block is None or n_block == len(block):
+                flush()
             # The cutoff is the only reader of the energy.  A NaN energy is
             # not below the cutoff either.
-            below = (U * U).reshape(len(U), -1) @ w <= ENERGY_BLOWUP_CUTOFF
+            np.multiply(U, U, out=square)
+            below = square.reshape(len(U), -1) @ w <= ENERGY_BLOWUP_CUTOFF
             if not below.all() and not retire(~below, "diverged", t):
                 return False
         return True
 
-    f_curr = f_prev = None
     if not checked(t0, True):
         return results
 
     # Formed after the first source evaluation: before it, they slowed 3D picard steps.
-    dt, scheme = cfg.dt, cfg.scheme
     step = _propagator(grid, p, dt, 1.0 if scheme == "imex1" else 0.5)
     norm = _h1_l2_norm(grid)
     for n in range(n_steps):
         t_next = t0 + (n + 1) * dt
-        if scheme == "imex1":
-            U = step(U, f_curr)
-        elif scheme == "imex2":
-            if n == 0:
-                # Predictor-corrector startup keeps the global order at two.
-                fhat = 0.5 * (f_curr + source(step(U, f_curr)))
-            else:
-                fhat = 1.5 * f_curr - 0.5 * f_prev
-            U = step(U, fhat)
+        X, _, _, f = cur
+        X_next, states_next, _, f_next = nxt
+        if scheme == "picard":
+            its, converged = _picard_step(X, X_next, step, norm, source, (*scratch, square))
         else:
-            U, its, converged = _picard_step(U, f_curr, step, norm, source)
+            if scheme == "imex2":
+                # The source applied is written over f in X, once 0.5 f is
+                # kept for the next step.
+                half, half_next = scratch
+                np.multiply(f, 0.5, out=half_next)
+                if n == 0:
+                    # Predictor-corrector startup keeps the global order at two.
+                    step(X, out=states_next)
+                    np.add(f, source(states_next, out=f_next), out=f)
+                    f *= 0.5
+                else:
+                    # 1.5 f - 0.5 f_prev.
+                    f *= 1.5
+                    f -= half
+                scratch = [half_next, half]
+            step(X, out=states_next)
+        cur, nxt = nxt, cur
+        if scheme == "picard":
             max_its[members] = np.maximum(max_its[members], its)
             if not converged.all() and not retire(~converged, "picard_failed", t_next):
                 break
@@ -440,8 +522,9 @@ def simulate_batch(
         flush()
         final_t = t0 + n_steps * dt
         for j, m in enumerate(members):
+            psi, v = cur[2][j]
             final = SimState(
-                SpectralField(grid, U[j, 0].copy()), SpectralField(grid, U[j, 1].copy()), final_t
+                SpectralField(grid, psi.copy()), SpectralField(grid, v.copy()), final_t
             )
             results[m] = _series(rows_of[m][:n_rows], Termination("completed"), final, max_its[m])
     return results

@@ -110,6 +110,13 @@ class TestGronwallVerify:
         assert check.times[-1] == 10.0 and len(check.times) == 100_001
         assert check.trace[0] == g.u0 and check.bound[0] == pytest.approx(g.bound_coefficient * g.u0)
 
+    @pytest.mark.parametrize("dt", [0.3, 0.7])
+    def test_step_that_does_not_divide_the_horizon_refused(self, dt):
+        # Rounding T / dt would check up to 0.9 (dt = 0.3) or 0.7 (dt = 0.7).
+        g = GronwallParams(c1=2.0, c2=1.0, kappa=1.0, a=-1.0, u0=0.05)
+        with pytest.raises(ValueError, match="not a whole multiple"):
+            gronwall_verify(g, T=1.0, dt=dt)
+
     def test_inadmissible_refused(self):
         g = GronwallParams(c1=2.0, c2=1.0, kappa=1.0, a=-1.0, u0=0.5)
         assert not g.admissible

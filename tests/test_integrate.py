@@ -104,6 +104,12 @@ class TestSingleSteps:
             assert np.all(after <= before + 1e-14)
 
 
+def stepped(step, U, f):
+    """``step`` applied to states ``U[member, (psi, v), *modes]`` and sources
+    ``f[member, *modes]``, member by member as ``U``."""
+    return step(np.concatenate((U.swapaxes(0, 1), f[None]))).swapaxes(0, 1)
+
+
 class TestPropagators:
     @pytest.mark.parametrize("theta", [0.5, 1.0])
     @given(
@@ -121,7 +127,7 @@ class TestPropagators:
         rng = np.random.default_rng(seed)
         U = rng.standard_normal((3, 2) + grid.modes)
         f = rng.standard_normal((3,) + grid.modes)
-        got = _propagator(grid, MediumParams(c=c, b=b), dt, theta)(U, f)
+        got = stepped(_propagator(grid, MediumParams(c=c, b=b), dt, theta), U, f)
         L = np.zeros(grid.modes + (2, 2))
         L[:, 0, 1], L[:, 1, 0], L[:, 1, 1] = 1.0, c**2 * lam, b * lam
         rhs = np.einsum("mij,njm->nmi", np.eye(2) + (1.0 - theta) * dt * L, U)
@@ -147,14 +153,18 @@ class TestPropagators:
         step = _propagator(grid, MediumParams(c=c, b=b), 10.0**decades, theta)
         one, zero = np.ones((1,) + grid.modes), np.zeros((1,) + grid.modes)
         A, B, Q = (
-            step(np.stack((psi, v), axis=1), f)
+            stepped(step, np.stack((psi, v), axis=1), f)
             for psi, v, f in ((one, zero, zero), (zero, one, zero), (zero, zero, one))
         )
         rng = np.random.default_rng(seed)
         U = rng.standard_normal((members, 2) + grid.modes)
         f = rng.standard_normal((members,) + grid.modes)
         want = A * U[:, :1] + B * U[:, 1:] + Q * f[:, None]
-        assert np.array_equal(step(U, f), want)
+        assert np.array_equal(stepped(step, U, f), want)
+        # Into a given array, as the run loop steps, the bits are the same.
+        out = np.empty((2, members) + grid.modes)
+        step(np.concatenate((U.swapaxes(0, 1), f[None])), out=out)
+        assert np.array_equal(out.swapaxes(0, 1), want)
 
 
 class TestModalAccuracy:
@@ -205,14 +215,22 @@ class TestNonlinearSelfConvergence:
         assert ratios == [pytest.approx(2.0**expected_order, rel=0.1)] * 2
 
 
+def picard_step(state, cfg, p):
+    """One ``_picard_step`` from ``state``: its iteration counts and convergence mask."""
+    grid = state.grid
+    step, norm = _propagator(grid, p, cfg.dt, 0.5), _h1_l2_norm(grid)
+    operator = _source_operator(grid, p)
+    X = np.stack((state.psi.coeffs, state.v.coeffs, np.empty(grid.modes)))[:, None]
+    operator(X[:2], out=X[2])
+    work = np.empty((2, 1, 2) + grid.modes)
+    return _picard_step(X, np.empty_like(X), step, norm, operator, work)
+
+
 class TestPicard:
     def test_linear_problem_converges_in_one_iteration(self, g8):
         state = single_mode_state(g8, 0.5, 0.5)
         cfg = StepConfig(dt=1e-2, scheme="picard")
-        step, norm = _propagator(g8, LINEAR, cfg.dt, 0.5), _h1_l2_norm(g8)
-        operator = _source_operator(g8, LINEAR)
-        U = np.stack((state.psi.coeffs, state.v.coeffs))[None]
-        _U, iterations, converged = _picard_step(U, operator(U), step, norm, operator)
+        iterations, converged = picard_step(state, cfg, LINEAR)
         assert converged.tolist() == [True] and iterations.tolist() == [1]
 
     def test_small_data_iteration_count(self, g8):
@@ -234,10 +252,7 @@ class TestPicard:
         g = Grid(extents=(np.pi,), modes=(64,))
         state = single_mode_state(g, 50.0, 50.0)
         cfg = StepConfig(dt=1e-3, scheme="picard")
-        step, norm = _propagator(g, NONLIN, cfg.dt, 0.5), _h1_l2_norm(g)
-        operator = _source_operator(g, NONLIN)
-        U = np.stack((state.psi.coeffs, state.v.coeffs))[None]
-        _U, _its, converged = _picard_step(U, operator(U), step, norm, operator)
+        _its, converged = picard_step(state, cfg, NONLIN)
         assert converged.tolist() == [False]
 
     def test_simulate_reuses_sampled_source(self, g8, monkeypatch):
@@ -253,9 +268,9 @@ class TestPicard:
             # The run's source operator, recording each stacked state it maps.
             operator = _source_operator(grid, p)
 
-            def source(U):
+            def source(U, out=None):
                 evaluated.append(U.tobytes())
-                return operator(U)
+                return operator(U, out)
 
             return source
 
@@ -390,6 +405,9 @@ def assert_columns_close(batch, solo, rtol):
 
 class TestBatch:
     MIXED = [0.5, 5.0, 20.0, 80.0]
+    # The same members with divergent ones ahead of survivors: the live
+    # arrays are compacted from the front and the middle of the batch.
+    FRONT = [80.0, 0.5, 20.0, 5.0]
 
     @pytest.mark.parametrize("scheme", ["imex1", "imex2", "picard"])
     @given(
@@ -397,6 +415,7 @@ class TestBatch:
         sample_every=st.integers(1, 4),
     )
     @example(amplitudes=MIXED, sample_every=3)
+    @example(amplitudes=FRONT, sample_every=3)
     def test_members_match_solo_runs(self, scheme, amplitudes, sample_every):
         # Amplitudes from decay to blow-up within a few steps: members
         # complete, diverge or fail picard at different steps, and leave the
@@ -420,10 +439,47 @@ class TestBatch:
                 assert got.time == want.time
                 for x, y in ((got.psi.coeffs, want.psi.coeffs), (got.v.coeffs, want.v.coeffs)):
                     assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y))
-        if amplitudes == self.MIXED:
-            # The mixed example does end its members at different steps.
+        if sorted(amplitudes) == self.MIXED:
+            # The mixed examples do end their members at different steps.
             ends = {(s.termination.kind, s.termination.time) for s in batch}
             assert len(ends) >= 3
+
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2", "picard"])
+    @given(
+        modes=st.sampled_from([(8,), (6, 5)]),
+        amplitudes=st.lists(st.floats(0.1, 80.0), min_size=2, max_size=4),
+        width=st.integers(1, 3),
+        sample_every=st.integers(1, 3),
+    )
+    def test_work_arrays_never_reach_results(self, scheme, modes, amplitudes, width, sample_every):
+        # A run of the whole batch, one of fewer members and the first again,
+        # in one process.  No run writes its initial states, no array a run
+        # returns shares memory with another run's, and the repeated run
+        # gives the same bytes.
+        grid = Grid(extents=(np.pi,) * len(modes), modes=modes)
+        mode = (1,) * len(modes)
+        states = [
+            build_initial(*[InitialDataSpec.single_mode(mode, a)] * 2, grid) for a in amplitudes
+        ]
+        inputs = [(s.psi.coeffs.tobytes(), s.v.coeffs.tobytes()) for s in states]
+        cfg = StepConfig(dt=1e-2, scheme=scheme)
+        first, narrow, again = (
+            simulate_batch(batch, 0.2, cfg, NONLIN, sample_every)
+            for batch in (states, states[: min(width, len(states) - 1)], states)
+        )
+        assert [(s.psi.coeffs.tobytes(), s.v.coeffs.tobytes()) for s in states] == inputs
+
+        def arrays(run):
+            finals = [(s.final.psi.coeffs, s.final.v.coeffs) for s in run if s.final is not None]
+            return [s.data for s in run] + [c for pair in finals for c in pair]
+
+        for one, other in itertools.combinations((first, narrow, again), 2):
+            for a, b in itertools.product(arrays(one), arrays(other)):
+                assert not np.may_share_memory(a, b)
+        for x, y in zip(first, again):
+            assert x.termination == y.termination
+            assert x.data.tobytes() == y.data.tobytes()
+            assert [a.tobytes() for a in arrays([x])] == [a.tobytes() for a in arrays([y])]
 
     @pytest.mark.parametrize("scheme", ["imex1", "imex2", "picard"])
     def test_wide_batch_matches_solo_runs(self, scheme):
@@ -609,9 +665,9 @@ class TestBatch:
             operator = _source_operator(grid, p)
             evaluations = [0] * len(faults)
 
-            def source(U):
-                f = operator(U)
-                for row, (psi, v) in enumerate(U):
+            def source(U, out=None):
+                f = operator(U, out)
+                for row, (psi, v) in enumerate(U.swapaxes(0, 1)):
                     j = np.flatnonzero((psi != 0) | (v != 0))[0] // 2
                     evaluations[j] += 1
                     fault, where, k = faults[j]
