@@ -136,8 +136,8 @@ def fit_decay(series: TimeSeries, window: tuple[float, float] | None = None) -> 
 #: 32^2 grid and one on a 32^3 grid.  It bounds the memory of that batch (its
 #: states, sources and their temporaries), which is all that limits a round.
 #: The run loop evaluates the source of the whole batch at once, so this is
-#: also the only bound on the source's temporaries: about seven times the
-#: state, 1.8 MB at the bound.
+#: also the only bound on the source operator's work arrays, held for the
+#: run: six padded fields per member, about 1.6 MB at 255 members of N=64.
 _ROUND_COEFFICIENTS = 2**14
 
 

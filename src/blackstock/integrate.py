@@ -47,19 +47,20 @@ once.  The scheme and the propagator are resolved once per run.
 
 *Work arrays.*  Each run allocates its arrays once, sized for its batch:
 ``X`` and a second such array that a step writes the next states into (the
-two swap: an ``out`` that overlapped an operand would make numpy copy), the
-scheme's scratch, the energy's squares and a block of samples; the source
-operator keeps its own.  The source writes ``f`` into ``X``, and imex2
-writes its extrapolated source over it once it has kept ``0.5 f`` for the
-next step, so the ``einsum`` reads the source it applies.  When members
-end, the survivors move to the front and later steps use leading views, so
-they cost only the survivors.  A step costs a fixed number of array
-operations whatever the batch size, and allocates nothing: 13 for an
-``imex2`` step, 8 of them in the source.  The source is evaluated and
-checked once at every new state, for every scheme; a ``picard`` step starts
-its fixed-point iteration from it, and a member that has converged is
-frozen.  ``SimState`` objects are built only for the final states of the
-members that complete, from copies.
+two swap: an ``out`` that overlapped an operand would make numpy copy),
+imex2's two arrays of ``0.5 f``, the energy's squares and a block of
+samples; the source operator keeps its own.  The source writes ``f`` into
+``X``, and imex2 writes its extrapolated source over it once it has kept
+``0.5 f`` for the next step, so the ``einsum`` reads the source it applies.
+When members end, the survivors move to the front in place and later steps
+use leading views, so they cost only the survivors.  An imex step costs a
+fixed number of array operations whatever the batch size, and allocates
+nothing: 13 for an ``imex2`` step, 8 of them in the source.  The source is
+evaluated and checked once at every new state, for every scheme.  A
+``picard`` step iterates from it on arrays of each iteration's own and does
+not write ``X``; a member converges only on an update of finite norm, and is
+then frozen.  ``SimState`` objects are built only for the final states of
+the members that complete, from copies.
 
 *Per-member termination.*  Each member ends on its own, with its own
 ``Termination``: a non-finite state, a non-finite source or an energy above
@@ -219,16 +220,10 @@ def _propagator(grid: Grid, p: MediumParams, dt: float, theta: float):
 
 def _h1_l2_norm(grid: Grid):
     # Picard's contraction test: the discrete H1 x L2 norm of each member of
-    # U[member, (psi, v), *modes], whose squares go into ``square``, an
-    # array of that shape (U itself when it is not needed again).
+    # U[member, (psi, v), *modes].
     lam = grid.laplacian_eigenvalues.ravel()
     w = grid.coeff_weight * np.concatenate((1.0 - lam, np.ones_like(lam)))
-
-    def norm(U: np.ndarray, square: np.ndarray) -> np.ndarray:
-        np.multiply(U, U, out=square)
-        return np.sqrt(square.reshape(len(U), -1) @ w)
-
-    return norm
+    return lambda U: np.sqrt((U * U).reshape(len(U), -1) @ w)
 
 
 def _finite_members(a: np.ndarray) -> np.ndarray:
@@ -243,70 +238,55 @@ def _planes(X: np.ndarray) -> tuple[np.ndarray, ...]:
     return X, X[:2], X[:2].swapaxes(0, 1), X[2]
 
 
-def _compact(keep: np.ndarray, *arrays: np.ndarray) -> list[np.ndarray]:
-    # Move the members in the mask ``keep`` to the front of each array, in
-    # order, and return the leading views that hold them.
-    n = np.count_nonzero(keep)
-    for a in arrays:
-        a[:n] = a[keep]
-    return [a[:n] for a in arrays]
-
-
 # Overflow and invalid values in a failing iterate are expected: the finiteness
-# test acts on what they leave.
+# tests act on what they leave.
 @np.errstate(over="ignore", invalid="ignore")
 def _picard_step(
-    X: np.ndarray, out: np.ndarray, step, norm, source, work: Sequence[np.ndarray]
+    X: np.ndarray, out: np.ndarray, step, norm, source
 ) -> tuple[np.ndarray, np.ndarray]:
     """One picard step of every member of ``X[(psi, v, f), member, *modes]``.
 
-    ``X`` holds the step-start states and their sources; ``step`` is the
-    run's trapezoid propagator (:func:`_propagator`), ``norm`` its
-    contraction norm (:func:`_h1_l2_norm`) and ``source`` its source operator
-    (:func:`blackstock.dynamics._source_operator`).  The new states go into
-    ``out[:2]``, and ``out[2]`` keeps the step-start sources.  ``work`` is two
-    arrays ``[member, (psi, v), *modes]`` for the iterates; they and ``X``
-    are overwritten.  Returns each member's iteration count and a mask of
-    the members that converged.  The others failed: an iterate was not
-    finite (counted at that iteration) or the budget ran out; their states
-    in ``out`` are not meaningful.  A converged member is frozen and takes
-    no further iterations.
+    ``X`` holds the step-start states and their sources and is not written;
+    ``step`` is the run's trapezoid propagator (:func:`_propagator`), ``norm``
+    its contraction norm (:func:`_h1_l2_norm`) and ``source`` its source
+    operator (:func:`blackstock.dynamics._source_operator`).  Each iteration
+    makes its own arrays.  Writes the new states of the members that converge
+    into ``out[:2]`` and returns each member's iteration count and a mask of
+    those members.  A member converges when the norm of its update is finite
+    and within ``PICARD_TOL`` of its iterate's, and is then frozen.  The
+    others failed: an iterate was not finite (counted at that iteration) or
+    the budget ran out.
     """
-    U, U_new = work
-    f_0 = out[2]
-    np.copyto(f_0, X[2])
-    # Initial iterate: trapezoid step with the source frozen at the step start.
-    step(X, out=U.swapaxes(0, 1))
-    its = np.full(len(U), PICARD_MAX_ITER)
-    converged = np.zeros(len(U), dtype=bool)
-    # The members still iterating lead each array; ``idx`` maps them to X's.
-    idx = np.arange(len(U))
-    X_m = X.swapaxes(0, 1)
+    n = X.shape[1]
+    its = np.full(n, PICARD_MAX_ITER)
+    converged = np.zeros(n, dtype=bool)
+    # The members still iterating, member by member: their indices in X,
+    # their iterates (the first is the trapezoid step with the source frozen
+    # at the step start) and their step-start data.
+    live = (np.arange(n), step(X).swapaxes(0, 1), X.swapaxes(0, 1))
     for it in range(1, PICARD_MAX_ITER + 1):
+        idx, U, X_0 = live
         # A sum is finite only when every entry is.
         if not math.isfinite(U.sum()):
             finite = _finite_members(U)
             its[idx[~finite]] = it
             if not finite.any():
                 break
-            idx, X_m, f_0, U, U_new = _compact(finite, idx, X_m, f_0, U, U_new)
-        X = X_m.swapaxes(0, 1)
-        g = X[2]
-        np.add(f_0, source(U.swapaxes(0, 1), out=g), out=g)
-        g *= 0.5
-        step(X, out=U_new.swapaxes(0, 1))
-        # U is not needed again: it takes the difference and the squares.
-        update = norm(np.subtract(U_new, U, out=U), U)
-        scale = norm(U_new, U)
-        done = update <= PICARD_TOL * np.maximum(scale, 1e-300)
-        U, U_new = U_new, U
+            live = tuple(a[finite] for a in live)
+            idx, U, X_0 = live
+        g = 0.5 * (X_0[:, 2] + source(U.swapaxes(0, 1)))
+        U_n = step(np.concatenate((X_0.swapaxes(0, 1)[:2], g[None]))).swapaxes(0, 1)
+        update = norm(U_n - U)
+        # An update whose norm overflows has not contracted, however large U_n.
+        done = (update <= PICARD_TOL * np.maximum(norm(U_n), 1e-300)) & np.isfinite(update)
+        live = (idx, U_n, X_0)
         if done.any():
-            out[:2, idx[done]] = U[done].swapaxes(0, 1)
+            out[:2, idx[done]] = U_n[done].swapaxes(0, 1)
             its[idx[done]] = it
             converged[idx[done]] = True
             if done.all():
                 break
-            idx, X_m, f_0, U, U_new = _compact(~done, idx, X_m, f_0, U, U_new)
+            live = tuple(a[~done] for a in live)
     return its, converged
 
 
@@ -373,11 +353,13 @@ def simulate_batch(
     g = gammas or GammaWeights()
     n_members = len(initials)
     n_coeffs = math.prod(grid.modes)
+    dt, scheme = cfg.dt, cfg.scheme
     source = _source_operator(grid, p)
+    step = _propagator(grid, p, dt, 1.0 if scheme == "imex1" else 0.5)
+    norm = _h1_l2_norm(grid)
     results: list[TimeSeries | None] = [None] * n_members
     max_its = np.zeros(n_members, dtype=int)
     w = energy_weights(grid, p)
-    dt, scheme = cfg.dt, cfg.scheme
 
     # The run's work arrays, sized for the whole batch.  The live members
     # lead their member axes, and ``members`` maps them to positions in
@@ -388,14 +370,10 @@ def simulate_batch(
     cur, nxt = (_planes(X) for X in np.empty((2, 3, n_members) + grid.modes))
     for j, state in enumerate(initials):
         cur[2][j] = state.psi.coeffs, state.v.coeffs
-    # ``square`` takes U U for the energy, and is one of picard's iterates
-    # too (see _picard_step); imex2 keeps 0.5 f of the previous step.
+    # ``square`` takes U U for the energy cutoff; imex2 keeps 0.5 f of the
+    # previous step in ``scratch``.
     square = np.empty((n_members, 2) + grid.modes)
-    scratch = {
-        "imex1": [],
-        "imex2": list(np.empty((2, n_members) + grid.modes)),
-        "picard": [np.empty_like(square)],
-    }[scheme]
+    scratch = list(np.empty((2, n_members) + grid.modes)) if scheme == "imex2" else []
     n_rows_max = 1 + -(-n_steps // sample_every)
     rows_of = [np.empty((n_rows_max, len(SERIES_COLUMNS))) for _ in initials]
     n_rows = 0
@@ -443,9 +421,10 @@ def simulate_batch(
         n = members.size
         if not n:
             return False
-        X_m, *scratch = _compact(keep, cur[0].swapaxes(0, 1), *scratch)
-        cur, nxt = _planes(X_m.swapaxes(0, 1)), _planes(nxt[0][:, :n])
-        square, block = square[:n], block_for(n)
+        for a in (cur[0].swapaxes(0, 1), *scratch):
+            a[:n] = a[keep]
+        cur, nxt = _planes(cur[0][:, :n]), _planes(nxt[0][:, :n])
+        scratch, square, block = [a[:n] for a in scratch], square[:n], block_for(n)
         return True
 
     def checked(t: float, is_sample: bool) -> bool:
@@ -483,15 +462,12 @@ def simulate_batch(
     if not checked(t0, True):
         return results
 
-    # Formed after the first source evaluation: before it, they slowed 3D picard steps.
-    step = _propagator(grid, p, dt, 1.0 if scheme == "imex1" else 0.5)
-    norm = _h1_l2_norm(grid)
     for n in range(n_steps):
         t_next = t0 + (n + 1) * dt
         X, _, _, f = cur
         X_next, states_next, _, f_next = nxt
         if scheme == "picard":
-            its, converged = _picard_step(X, X_next, step, norm, source, (*scratch, square))
+            its, converged = _picard_step(X, X_next, step, norm, source)
         else:
             if scheme == "imex2":
                 # The source applied is written over f in X, once 0.5 f is

@@ -326,6 +326,10 @@ class TestSimulateCommand:
                                                "amplitude": 0.01}}}, "initial.psi0.mode"),
             ("simulate", {"grid": {"modes": [10**29]}}, "grid.modes"),
             ("weighted-study", {"study": {"resolutions": [10**29]}}, "study.resolutions"),
+            # A JSON integer beyond the float range in a real field.
+            ("simulate", {"medium": {"c": 10**400, "b": 1.0}}, "medium.c"),
+            # A sweep without its parameters.
+            ("sweep", {}, "sweep.parameters"),
         ],
     )
     def test_values_that_cannot_be_honoured_exit_1_before_any_run(
@@ -528,6 +532,17 @@ class TestFitCommand:
             "a": [None, [None, 1.5]], "b": {"c": None}
         }
 
+    def test_window_with_fewer_than_3_samples_exits_3(self, tmp_path, capsys):
+        # Samples at 0, 0.5 and 1: the window holds one of them.
+        cfg = short_config(
+            integrator={"T": 1.0, "dt": 0.01, "sample_every": 50},
+            fit={"series_csv": str(tmp_path / "run" / "series.csv"), "window": [0.1, 0.9]},
+        )
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", str(path), "--output", str(tmp_path / "run")]) == 0
+        assert main(["fit", "--config", str(path), "--output", str(tmp_path / "fit")]) == 3
+        assert "fewer than 3 samples" in capsys.readouterr().err
+
     def test_fit_without_series_is_config_error(self, tmp_path):
         path = write_config(tmp_path, short_config())
         assert main(["fit", "--config", str(path), "--output", str(tmp_path / "out")]) == 1
@@ -697,6 +712,15 @@ class TestWeightedStudyCommand:
         out = tmp_path / "study"
         assert main(["weighted-study", "--config", str(path), "--output", str(out)]) == 0
         assert json.loads((out / "study.json").read_text())["resolutions"] == [64, 128, 256]
+
+    def test_diverged_run_exits_3(self, tmp_path, capsys):
+        # The study's runs start from its own amplitude, here far too large.
+        cfg = short_config(study={"resolutions": [16, 32], "T": 0.2, "amplitude": 1000.0})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "study"
+        assert main(["weighted-study", "--config", str(path), "--output", str(out)]) == 3
+        assert "diverged at resolution N=16 (t=0.024)" in capsys.readouterr().err
+        assert not (out / "study.json").exists()
 
     def test_study_report(self, tmp_path):
         cfg = short_config(

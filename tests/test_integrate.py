@@ -222,8 +222,7 @@ def picard_step(state, cfg, p):
     operator = _source_operator(grid, p)
     X = np.stack((state.psi.coeffs, state.v.coeffs, np.empty(grid.modes)))[:, None]
     operator(X[:2], out=X[2])
-    work = np.empty((2, 1, 2) + grid.modes)
-    return _picard_step(X, np.empty_like(X), step, norm, operator, work)
+    return _picard_step(X, np.empty_like(X), step, norm, operator)
 
 
 class TestPicard:
@@ -254,6 +253,16 @@ class TestPicard:
         cfg = StepConfig(dt=1e-3, scheme="picard")
         _its, converged = picard_step(state, cfg, NONLIN)
         assert converged.tolist() == [False]
+
+    def test_overflowing_update_fails(self):
+        # Near blow-up the iterates grow until the norm of an update
+        # overflows: inf <= inf is no contraction, and the iteration fails at
+        # its first step, on the iterate that is no longer finite.
+        grid = Grid(extents=(1.0,), modes=(64,))
+        cfg = StepConfig(dt=1e-2, scheme="picard")
+        series = simulate(single_mode_state(grid, 10.0, 10.0), 0.1, cfg, NONLIN)
+        assert series.termination == integrate.Termination("picard_failed", 0.01)
+        assert series.max_picard_iterations == 20
 
     def test_simulate_reuses_sampled_source(self, g8, monkeypatch):
         # A step that starts at a sampled state takes f_old from the run loop:
@@ -498,8 +507,9 @@ class TestBatch:
             assert member.termination == solo.termination
             assert member.max_picard_iterations == solo.max_picard_iterations
             assert_columns_close(member.data, solo.data, 1e-10)
+        # Under picard the members that blow up fail their iteration first.
         ends = {s.termination.kind for s in batch}
-        assert ends == ({"completed", "diverged", "picard_failed"} if scheme == "picard"
+        assert ends == ({"completed", "picard_failed"} if scheme == "picard"
                         else {"completed", "diverged"})
 
     @pytest.mark.parametrize("scheme", ["imex1", "imex2", "picard"])
@@ -596,16 +606,56 @@ class TestBatch:
         assert batch[0].termination == alone.termination
         assert_columns_close(batch[0].data, alone.data, 1e-13)
 
+    def test_picard_member_fails_while_another_iterates(self):
+        # The iterate of 10.0 is not finite at iteration 20, while 3.16 still
+        # iterates: 10.0 leaves the iteration and 3.16 goes on as it does
+        # alone.
+        grid = Grid(extents=(1.0,), modes=(64,))
+        cfg = StepConfig(dt=1e-2, scheme="picard")
+        states = [single_mode_state(grid, a, a) for a in (3.16, 10.0)]
+        calm, failing = simulate_batch(states, 0.1, cfg, NONLIN)
+        assert failing.termination == integrate.Termination("picard_failed", 0.01)
+        solo = simulate(states[0], 0.1, cfg, NONLIN)
+        assert calm.termination.completed and solo.termination.completed
+        assert calm.max_picard_iterations == solo.max_picard_iterations
+        assert_columns_close(calm.data, solo.data, 1e-13)
+        for x, y in ((calm.final.psi.coeffs, solo.final.psi.coeffs),
+                     (calm.final.v.coeffs, solo.final.v.coeffs)):
+            assert np.max(np.abs(x - y)) <= 1e-13 * np.max(np.abs(y))
+
     def test_picard_checks_the_source_at_unsampled_states(self):
         # The source is evaluated and checked at every new state, sampled or
-        # not: a member whose source overflows between samples ends diverged
-        # at that step, as it does when every step is sampled (80.0 at 0.01).
+        # not: a member whose source is not finite between samples ends
+        # diverged at that step, as it does when every step is sampled.  Under
+        # the linear medium every member converges in one iteration, so each
+        # step evaluates the source twice, in the iteration and at the new
+        # state; the fifth evaluation is the check of the state at 0.02, and
+        # it gives the member of mode 2 a NaN.
         grid = Grid(extents=(np.pi,), modes=(16,))
         cfg = StepConfig(dt=1e-2, scheme="picard")
-        states = [single_mode_state(grid, a, a) for a in self.MIXED]
-        every, third = (simulate_batch(states, 0.5, cfg, NONLIN, n) for n in (1, 3))
-        assert [s.termination for s in third] == [s.termination for s in every]
-        assert third[3].termination == integrate.Termination("diverged", 0.01)
+        states = [
+            build_initial(*[InitialDataSpec.single_mode((mode,), 0.5)] * 2, grid) for mode in (1, 2)
+        ]
+
+        def faulty_operator(grid, p):
+            operator = _source_operator(grid, p)
+            calls = itertools.count(1)
+
+            def source(U, out=None):
+                f = operator(U, out)
+                if next(calls) == 5:
+                    f[U[0, :, 1] != 0, 1] = np.nan
+                return f
+
+            return source
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrate, "_source_operator", faulty_operator)
+            every, third = (simulate_batch(states, 0.5, cfg, LINEAR, n) for n in (1, 3))
+        for run, times in ((every, [0.0, 0.01]), (third, [0.0])):
+            assert run[0].termination.completed
+            assert run[1].termination == integrate.Termination("diverged", 0.02)
+            assert run[1].column("t").tolist() == times
 
     #: A fault's entries: a NaN, an infinity, or two finite entries near 1e308
     #: whose sum overflows.  1.5 times the latter is still finite, so imex2's
