@@ -6,9 +6,13 @@ Usage: ``blackstock <subcommand> --config <path> [--output <dir>]``, plus
 The configuration file sets every value of a run but ``--output`` and ``--jobs``.
 The whole configuration is parsed and checked by :mod:`blackstock.config`
 before a subcommand runs; the subcommands read only parsed values, and the
-output directory is made with the first file written to it.  ``fit.json``,
-``study.json`` and ``threshold.json`` are ``dataclasses.asdict`` of the experiment's result
-(``threshold.json`` with each run and contradiction as an
+output directory is made with the first file written to it.  The files a
+subcommand writes (``SUBCOMMANDS``) are removed from it, and from each sweep
+variant's, before the subcommand runs: a run that fails leaves none of an
+earlier run's.  An ``--output`` that is not a directory, a ``study.exponent``
+of at most 1.5 and a ``study.amplitude`` of 0 are configuration errors.
+``fit.json``, ``study.json`` and ``threshold.json`` are ``dataclasses.asdict``
+of the experiment's result (``threshold.json`` with each run and contradiction as an
 ``amplitude``/``classification`` object), and the summary's ``termination``
 is that of the run.  ``fit`` reads the ``summary.json`` beside the series
 CSV, when there is one, for the run's termination: a run that did not
@@ -37,7 +41,7 @@ from .experiments import (
     threshold_bisection,
     weighted_regularity_study,
 )
-from .fields import InitialDataSpec, build_initial
+from .fields import build_initial
 from .inequalities import (
     CALIBRATION_SAFETY,
     agmon_ratio,
@@ -62,15 +66,6 @@ EXIT_CONFIG = 1
 EXIT_DIVERGED = 2
 EXIT_PRECONDITION = 3
 
-SUBCOMMANDS = (
-    "simulate",
-    "fit",
-    "threshold",
-    "weighted-study",
-    "verify-inequalities",
-    "sweep",
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -88,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_simulate(cfg: RunConfig, out: Path) -> int:
+def _run_simulate(cfg: RunConfig, csv_path: Path, ckpt_path: Path, summary_path: Path, **_) -> int:
     state = build_initial(cfg.psi0, cfg.psi1, cfg.grid)
     series = simulate(
         state,
@@ -98,10 +93,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         sample_every=cfg.sample_every,
         gammas=cfg.gammas,
     )
-    # A checkpoint beside a series is always that run's final state: a run
-    # that does not complete leaves none, not an earlier run's.
-    (out / "state.ckpt").unlink(missing_ok=True)
-    write_series_csv(out / "series.csv", series)
+    write_series_csv(csv_path, series)
 
     def last(name: str) -> float | None:
         # None for a run that ended at its start time, without a row.
@@ -119,13 +111,13 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
         "seed": cfg.seed,
     }
     if series.final is not None:
-        save_checkpoint(out / "state.ckpt", series.final)
+        save_checkpoint(ckpt_path, series.final)
         summary["checkpoint_time"] = series.final.time
-    write_json(out / "summary.json", summary)
+    write_json(summary_path, summary)
     return EXIT_OK if series.termination.completed else EXIT_DIVERGED
 
 
-def _run_fit(cfg: RunConfig, config_path: Path, out: Path) -> int:
+def _run_fit(cfg: RunConfig, report: Path, *, config_path: Path, **_) -> int:
     csv_name = cfg.fit["series_csv"]
     if not csv_name:
         raise ConfigError("fit requires fit.series_csv in the configuration")
@@ -148,49 +140,37 @@ def _run_fit(cfg: RunConfig, config_path: Path, out: Path) -> int:
     else:
         series = TimeSeries((), np.empty((0, 0)), termination=termination)
     fit = fit_decay(series, cfg.fit["window"])
-    write_json(out / "fit.json", dataclasses.asdict(fit))
+    write_json(report, dataclasses.asdict(fit))
     return EXIT_OK
 
 
-def _run_threshold(cfg: RunConfig, out: Path) -> int:
-    section = cfg.threshold
+def _run_threshold(cfg: RunConfig, report: Path, **_) -> int:
     # A decay fit needs no sample more often than every tenth step, and the
     # search makes many runs: sampling is raised to at least every tenth
     # step, and the report records the value used.
-    report = threshold_bisection(
+    result = threshold_bisection(
         cfg.medium,
         (cfg.psi0, cfg.psi1),
-        section["lo"],
-        section["hi"],
-        section["iters"],
         grid=cfg.grid,
         T=cfg.T,
         cfg=cfg.step,
         sample_every=max(cfg.sample_every, 10),
-        window=section["window"],
+        **cfg.threshold,
     )
-    payload = dataclasses.asdict(report)
+    payload = dataclasses.asdict(result)
     for key in ("runs", "contradictions"):
         payload[key] = [{"amplitude": a, "classification": c} for a, c in payload[key]]
-    write_json(out / "threshold.json", payload)
+    write_json(report, payload)
     return EXIT_OK
 
 
-def _run_weighted_study(cfg: RunConfig, out: Path) -> int:
-    section = cfg.study
-    study = weighted_regularity_study(
-        cfg.medium,
-        section["resolutions"],
-        section["T"],
-        section["dt"],
-        extent=cfg.grid.extents[0],
-        spec1=InitialDataSpec.power_law(section["exponent"], section["amplitude"]),
-    )
-    write_json(out / "study.json", dataclasses.asdict(study))
+def _run_weighted_study(cfg: RunConfig, report: Path, **_) -> int:
+    study = weighted_regularity_study(cfg.medium, extent=cfg.grid.extents[0], **cfg.study)
+    write_json(report, dataclasses.asdict(study))
     return EXIT_OK
 
 
-def _run_verify_inequalities(cfg: RunConfig, out: Path) -> int:
+def _run_verify_inequalities(cfg: RunConfig, report: Path, **_) -> int:
     count = cfg.inequalities["samples"]
     draws = cfg.inequalities["gronwall_draws"]
     seed = cfg.seed
@@ -212,52 +192,61 @@ def _run_verify_inequalities(cfg: RunConfig, out: Path) -> int:
         "samples": count,
         "seed": seed,
     }
-    write_json(out / "inequalities.json", payload)
+    write_json(report, payload)
     return EXIT_OK if (scale_ok and all_ok) else EXIT_PRECONDITION
 
 
-def _sweep_worker(job: tuple[str, RunConfig, str]) -> tuple[str, int]:
-    label, cfg, out_dir = job
-    return label, _run_simulate(cfg, Path(out_dir) / label)
-
-
-def _run_sweep(cfg: RunConfig, out: Path, jobs: int | None) -> int:
-    if jobs is not None and jobs < 1:
-        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
+def _run_sweep(cfg: RunConfig, report: Path, *, jobs: int | None, **_) -> int:
     if not cfg.sweep:
         raise ConfigError("sweep requires sweep.parameters in the configuration")
     jobs = jobs or os.cpu_count() or 1
-    work = [(label, variant, str(out)) for label, variant in cfg.sweep]
+    # Each variant runs as simulate into the subdirectory of its label.
+    work = [("simulate", variant, report.parent / label) for label, variant in cfg.sweep]
     if jobs == 1:
-        results = [_sweep_worker(w) for w in work]
+        codes = [_execute(*w) for w in work]
     else:
         with Pool(processes=jobs) as pool:
-            results = pool.map(_sweep_worker, work)
-    write_json(
-        out / "sweep.json",
-        {"runs": [{"label": label, "exit_code": code} for label, code in results]},
-    )
-    return max((code for _label, code in results), default=EXIT_OK)
+            codes = pool.starmap(_execute, work)
+    runs = [{"label": label, "exit_code": code} for (label, _), code in zip(cfg.sweep, codes)]
+    write_json(report, {"runs": runs})
+    return max(codes, default=EXIT_OK)
+
+
+#: Subcommand -> (runner, the files it writes in the output directory).  A
+#: runner takes the configuration, the paths of those files in this order,
+#: and ``config_path`` and ``jobs`` by keyword, and returns the exit code.
+SUBCOMMANDS = {
+    "simulate": (_run_simulate, ("series.csv", "state.ckpt", "summary.json")),
+    "fit": (_run_fit, ("fit.json",)),
+    "threshold": (_run_threshold, ("threshold.json",)),
+    "weighted-study": (_run_weighted_study, ("study.json",)),
+    "verify-inequalities": (_run_verify_inequalities, ("inequalities.json",)),
+    "sweep": (_run_sweep, ("sweep.json",)),
+}
+
+
+def _execute(subcommand: str, cfg: RunConfig, out: Path, **given) -> int:
+    # The subcommand's run into ``out``, once its files there are removed.
+    runner, files = SUBCOMMANDS[subcommand]
+    for path in (out, *out.parents):
+        if path.exists() and not path.is_dir():
+            raise ConfigError(f"--output must name a directory, but {path} is not one")
+    paths = [out / name for name in files]
+    for path in paths:
+        path.unlink(missing_ok=True)
+    return runner(cfg, *paths, **given)
 
 
 def run(subcommand: str, config_path: str | Path, output: str | None = None, jobs: int | None = None) -> int:
     """Dispatch one subcommand; returns the process exit code."""
+    if subcommand not in SUBCOMMANDS:
+        raise ConfigError(f"unknown subcommand {subcommand!r}")
     config_path = Path(config_path)
     cfg = load_config(config_path)
+    if jobs is not None and jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     out = Path(output or "blackstock_out")
-    if subcommand == "simulate":
-        return _run_simulate(cfg, out)
-    if subcommand == "fit":
-        return _run_fit(cfg, config_path, out)
-    if subcommand == "threshold":
-        return _run_threshold(cfg, out)
-    if subcommand == "weighted-study":
-        return _run_weighted_study(cfg, out)
-    if subcommand == "verify-inequalities":
-        return _run_verify_inequalities(cfg, out)
-    if subcommand == "sweep":
-        return _run_sweep(cfg, out, jobs)
-    raise ConfigError(f"unknown subcommand {subcommand!r}")
+    return _execute(subcommand, cfg, out, config_path=config_path, jobs=jobs)
 
 
 def main(argv=None) -> int:

@@ -63,7 +63,9 @@ class RunConfig:
     """Validated configuration with all component objects constructed.
 
     ``fit``, ``threshold``, ``study`` and ``inequalities`` map each key of
-    their section to its parsed value, the default where the file omits it.
+    their section to its parsed value, the default where the file omits it,
+    as keyword arguments of the experiment for ``threshold`` and ``study``
+    (whose ``amplitude`` and ``exponent`` make its power-law ``spec1``).
     """
 
     grid: Grid
@@ -322,6 +324,10 @@ def parse_config(raw: dict) -> RunConfig:
         _build("study.resolutions", _formed, grid=study_grid)
     study_step = _build("study.dt", StepConfig, dt=study["dt"])
     _build("study.T", study_step.steps_to, T=study["T"])
+    # The study divides by the suprema of its psi_1, which a zero amplitude zeroes.
+    _check(study["amplitude"] != 0, "study.amplitude must be non-zero, got 0")
+    study["spec1"] = _build("study.exponent", InitialDataSpec.power_law,
+                           exponent=study.pop("exponent"), amplitude=study.pop("amplitude"))
     # Mode indices must exist on the grid; realize once to surface errors now.
     try:
         psi0.realize(grid)

@@ -327,7 +327,8 @@ def weighted_regularity_study(
     through the stiff startup layer that this study watches.  Every step is
     sampled: the suprema are taken over all of them.
 
-    ``resolutions`` must be strictly increasing (``ValueError`` otherwise).
+    ``resolutions`` must be strictly increasing, and the suprema at the
+    first must not vanish (``ValueError`` otherwise).
     The study passes when the unweighted supremum grows by at least
     ``UNWEIGHTED_GROWTH_MIN`` from the coarsest to the finest resolution
     while the weighted supremum changes by at most ``WEIGHTED_CHANGE_MAX``.
@@ -354,6 +355,8 @@ def weighted_regularity_study(
         unweighted[0] = norm(state.v, "H2lap")
         sup_u.append(float(np.max(unweighted)))
         sup_w.append(float(np.max(w_lap)))
+    if sup_u[0] == 0 or sup_w[0] == 0:
+        raise ValueError(f"the suprema vanish at the first resolution N={resolutions[0]}")
     growth = sup_u[-1] / sup_u[0]
     change = abs(sup_w[-1] - sup_w[0]) / sup_w[0]
     passed = growth >= UNWEIGHTED_GROWTH_MIN and change <= WEIGHTED_CHANGE_MAX

@@ -640,6 +640,62 @@ class TestUsage:
             assert ("--jobs" in capsys.readouterr().out) == (argv[0] == "sweep"), argv
 
 
+#: A short threshold search: mode-1 data of amplitude 1 on the unit box.
+_SEARCH = dict(
+    grid={"extents": [1.0], "modes": [8]},
+    integrator={"T": 8.0, "dt": 2e-3},
+    threshold={"lo": 0.01, "hi": 100.0, "iters": 1, "window": [2.0, 6.0]},
+    initial={
+        "psi0": {"kind": "single_mode", "mode": [1], "amplitude": 1.0},
+        "psi1": {"kind": "single_mode", "mode": [1], "amplitude": 1.0},
+    },
+)
+#: Per subcommand: a configuration whose run succeeds, one whose run fails
+#: with exit code 3, and the report the first one writes.
+RERUNS = {
+    "threshold": (
+        short_config(**_SEARCH),
+        # A linear medium decays at every amplitude: hi does not diverge.
+        short_config(medium={"c": 1.0, "b": 1.0, "k": 0.0, "sigma": 0.0}, **_SEARCH),
+        "threshold.json",
+    ),
+    "fit": (
+        short_config(fit={"series_csv": "series.csv", "window": [1.0, 7.0]}),
+        short_config(fit={"series_csv": "series.csv", "window": [10.0, 20.0]}),
+        "fit.json",
+    ),
+    "weighted-study": (
+        short_config(study={"resolutions": [16, 32], "T": 0.2}),
+        short_config(study={"resolutions": [16, 32], "T": 0.2, "amplitude": 1000.0}),
+        "study.json",
+    ),
+}
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("subcommand", sorted(RERUNS))
+    def test_failed_rerun_leaves_no_earlier_report(self, tmp_path, subcommand):
+        # A report in the output directory is always that of the latest run.
+        # The series is fit's input, sampled at t = 0..8.
+        (tmp_path / "series.csv").write_text("t,E\n" + "".join(f"{t},{2.0**-t}\n" for t in range(9)))
+        *configs, report = RERUNS[subcommand]
+        out = tmp_path / "out"
+        for cfg, code in zip(configs, (0, 3)):
+            path = write_config(tmp_path, cfg)
+            assert main([subcommand, "--config", str(path), "--output", str(out)]) == code
+            assert (out / report).exists() == (code == 0)
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_output_that_is_no_directory_exits_1(self, tmp_path, capsys, below):
+        path = write_config(tmp_path, short_config())
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        output = taken / "out" if below else taken
+        assert main(["simulate", "--config", str(path), "--output", str(output)]) == 1
+        assert f"--output must name a directory, but {taken} is not one" in capsys.readouterr().err
+        assert taken.read_text() == "kept"
+
+
 class TestVerifyInequalitiesCommand:
     def test_report_written(self, tmp_path):
         cfg = short_config(
@@ -721,6 +777,16 @@ class TestWeightedStudyCommand:
         assert main(["weighted-study", "--config", str(path), "--output", str(out)]) == 3
         assert "diverged at resolution N=16 (t=0.024)" in capsys.readouterr().err
         assert not (out / "study.json").exists()
+
+    @pytest.mark.parametrize("key,value", [("exponent", 1.0), ("amplitude", 0)])
+    def test_study_data_no_run_can_honour_exits_1(self, tmp_path, capsys, key, value):
+        # A power law that is not H1 (as under initial.psi1), or a zero one,
+        # which leaves the study nothing to compare.
+        path = write_config(tmp_path, short_config(study={key: value}))
+        out = tmp_path / "study"
+        assert main(["weighted-study", "--config", str(path), "--output", str(out)]) == 1
+        assert f"study.{key}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_study_report(self, tmp_path):
         cfg = short_config(

@@ -306,6 +306,12 @@ class TestWeightedRegularityStudy:
         with pytest.raises(ValueError, match="strictly increasing"):
             weighted_regularity_study(NONLIN, resolutions, T=2.0, dt=2e-3)
 
+    def test_zero_data_has_no_verdict(self):
+        with pytest.raises(ValueError, match="suprema vanish at the first resolution N=16"):
+            weighted_regularity_study(
+                NONLIN, (16, 32), T=0.1, dt=1e-2, spec1=InitialDataSpec.power_law(2.0, 0.0)
+            )
+
     def test_conclusions_stable_under_dt_halving(self):
         runs = [
             weighted_regularity_study(
