@@ -9,8 +9,11 @@ before a subcommand runs; the subcommands read only parsed values, and the
 output directory is made with the first file written to it.  The files a
 subcommand writes (``SUBCOMMANDS``) are removed from it, and from each sweep
 variant's, before the subcommand runs: a run that fails leaves none of an
-earlier run's.  An ``--output`` that is not a directory, a ``study.exponent``
-of at most 1.5 and a ``study.amplitude`` of 0 are configuration errors.
+earlier run's.  A sweep also removes a variant's files from each variant of
+the sweep it replaces that it does not run, and then the variant's
+directory if that is empty.  An ``--output`` that is not a directory, a
+``study.exponent`` of at most 1.5 and a ``study.amplitude`` of 0 are
+configuration errors.
 ``fit.json``, ``study.json`` and ``threshold.json`` are ``dataclasses.asdict``
 of the experiment's result (``threshold.json`` with each run and contradiction as an
 ``amplitude``/``classification`` object), and the summary's ``termination``
@@ -196,9 +199,18 @@ def _run_verify_inequalities(cfg: RunConfig, report: Path, **_) -> int:
     return EXIT_OK if (scale_ok and all_ok) else EXIT_PRECONDITION
 
 
-def _run_sweep(cfg: RunConfig, report: Path, *, jobs: int | None, **_) -> int:
+def _run_sweep(cfg: RunConfig, report: Path, *, jobs: int | None, replaced: frozenset, **_) -> int:
     if not cfg.sweep:
         raise ConfigError("sweep requires sweep.parameters in the configuration")
+    # The variants of the sweep being replaced that this one does not run
+    # lose the files a variant writes, and then their directory if empty.
+    for label in replaced - {label for label, _ in cfg.sweep}:
+        stale = report.parent / label
+        if stale.is_dir() and not stale.is_symlink():
+            for name in SUBCOMMANDS["simulate"][1]:
+                (stale / name).unlink(missing_ok=True)
+            if not any(stale.iterdir()):
+                stale.rmdir()
     jobs = jobs or os.cpu_count() or 1
     # Each variant runs as simulate into the subdirectory of its label.
     work = [("simulate", variant, report.parent / label) for label, variant in cfg.sweep]
@@ -225,6 +237,20 @@ SUBCOMMANDS = {
 }
 
 
+def _sweep_labels(report: Path) -> frozenset[str]:
+    # The variant labels in a sweep report, read before the report is
+    # removed; none from a missing or malformed report.  Only a label that
+    # names a subdirectory of the report's own counts.
+    try:
+        labels = frozenset(run["label"] for run in json.loads(report.read_text())["runs"])
+    except (OSError, ValueError, LookupError, TypeError):
+        return frozenset()
+    return frozenset(
+        label for label in labels
+        if isinstance(label, str) and label not in ("", "..") and Path(label).name == label
+    )
+
+
 def _execute(subcommand: str, cfg: RunConfig, out: Path, **given) -> int:
     # The subcommand's run into ``out``, once its files there are removed.
     runner, files = SUBCOMMANDS[subcommand]
@@ -232,6 +258,8 @@ def _execute(subcommand: str, cfg: RunConfig, out: Path, **given) -> int:
         if path.exists() and not path.is_dir():
             raise ConfigError(f"--output must name a directory, but {path} is not one")
     paths = [out / name for name in files]
+    if subcommand == "sweep":
+        given["replaced"] = _sweep_labels(paths[0])
     for path in paths:
         path.unlink(missing_ok=True)
     return runner(cfg, *paths, **given)

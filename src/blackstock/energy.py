@@ -35,11 +35,13 @@ Lyapunov weights, to every value of ``DIAGNOSTIC_COLUMNS`` except ``t`` and
 the three time-weighted ones, which are formed from single table entries.  A
 row of the table with an overflowed entry is mapped column by column instead,
 so that only the values that read the entry become infinite (a product would
-turn ``0 * inf`` into NaN in every value).  Leading axes of the state carry
-through: members of a batch, and samples at several times, with ``t`` a
-column of times that broadcasts over them.  The rows of each time are those
-of a call for that time alone.  ``energy_weights`` (a run's per-step energy)
-and ``running_integrals`` read the table here too, so no other module does.
+turn ``0 * inf`` into NaN in every value).  The states and their sources
+come field-major, ``X[(psi, v, f), ..., *modes]``, and the axes between the
+first and the modes carry through: members of a batch, and samples at
+several times, with ``t`` a column of times that broadcasts over them.  The
+rows of each time are those of a call for that time alone.
+``energy_weights`` (a run's per-step energy) and ``running_integrals`` read
+the table here too, so no other module does.
 """
 
 from __future__ import annotations
@@ -142,22 +144,21 @@ def energy_weights(grid: Grid, p: MediumParams) -> np.ndarray:
 
 
 def instantaneous_diagnostics(
-    grid: Grid, t: float | np.ndarray, U: np.ndarray, f: np.ndarray, p: MediumParams, g: GammaWeights
+    grid: Grid, t: float | np.ndarray, X: np.ndarray, p: MediumParams, g: GammaWeights
 ) -> np.ndarray:
     """The diagnostics at time ``t``, in the order of ``DIAGNOSTIC_COLUMNS``.
 
-    ``U`` holds states ``(..., (psi, v), *grid.modes)`` and ``f`` their
-    sources ``(..., *grid.modes)``; the acceleration is
-    ``psi_tt = lambda (c^2 psi + b v) + f``.  Leading axes are evaluated
-    together: the result has shape ``(..., len(DIAGNOSTIC_COLUMNS))``.  ``t``
-    is one time or an array of times that broadcasts over the leading axes,
-    such as a column ``(samples, 1)`` for states ``(samples, members, 2,
-    *grid.modes)``.  The rows of each time equal those of a call for that
+    ``X`` holds states and their sources field-major, ``X[(psi, v, f), ...,
+    *grid.modes]``; the acceleration is ``psi_tt = lambda (c^2 psi + b v) +
+    f``.  The axes between the first and the modes are evaluated together:
+    the result has shape ``(..., len(DIAGNOSTIC_COLUMNS))``.  ``t`` is one
+    time or an array of times that broadcasts over those axes, such as a
+    column ``(samples, 1)`` for ``X[(psi, v, f), samples, members,
+    *grid.modes]``.  The rows of each time equal those of a call for that
     time alone, bit for bit.
     """
-    lead, n = f.shape[: f.ndim - grid.dim], math.prod(grid.modes)
-    psi, v = np.moveaxis(U.reshape(lead + (2, n)), -2, 0)
-    f = f.reshape(lead + (n,))
+    lead, n = X.shape[1 : X.ndim - grid.dim], math.prod(grid.modes)
+    psi, v, f = X.reshape((3,) + lead + (n,))
     accel = grid.laplacian_eigenvalues.reshape(n) * (p.c**2 * psi + p.b * v) + f
     products = np.empty(lead + (5, n))
     for k, (x, y) in enumerate(((psi, psi), (psi, v), (v, v), (accel, accel), (f, v))):

@@ -105,9 +105,9 @@ class InitialDataSpec:
             raise ValueError(f"unknown initial-data kind {self.kind!r}")
         if any(not np.isfinite(a) for a in self.amplitudes):
             raise ValueError("amplitudes must be finite")
-        if self.kind == "power_law" and self.exponent <= MIN_POWER_LAW_EXPONENT:
+        if self.kind == "power_law" and not MIN_POWER_LAW_EXPONENT < self.exponent < np.inf:
             raise ValueError(
-                f"power_law exponent must exceed {MIN_POWER_LAW_EXPONENT} "
+                f"power_law exponent must be finite and exceed {MIN_POWER_LAW_EXPONENT} "
                 "for an H1-class field"
             )
 

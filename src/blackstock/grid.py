@@ -97,7 +97,10 @@ class Grid:
 
     def __init__(self, extents, modes):
         extents = tuple(float(L) for L in np.atleast_1d(extents))
-        modes = tuple(int(N) for N in np.atleast_1d(modes))
+        given = np.atleast_1d(modes).tolist()
+        if not all(isinstance(N, int) or float(N).is_integer() for N in given):
+            raise ValueError("modes must be whole numbers")
+        modes = tuple(int(N) for N in given)
         if len(extents) != len(modes):
             raise ValueError("extents and modes must have the same length")
         if not 1 <= len(extents) <= 3:

@@ -130,6 +130,8 @@ class GronwallParams:
     u0: float
 
     def __post_init__(self):
+        if not np.isfinite((self.c1, self.c2, self.kappa, self.a, self.u0)).all():
+            raise ValueError("Gronwall parameters must be finite")
         if self.c1 <= 1:
             raise ValueError("c1 must exceed 1")
         if self.c2 < 0:

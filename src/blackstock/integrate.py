@@ -36,7 +36,8 @@ It integrates a batch of initial states that share a grid, a start time and
 the step configuration, and returns one ``TimeSeries`` per member.
 
 *State layout.*  The live states and their sources are one array
-``X[(psi, v, f), member, *modes]``, so a finiteness test of both, a sample
+``X[(psi, v, f), member, *modes]``, the layout of the run loop, the picard
+iteration and the diagnostics alike, so a finiteness test of both, a sample
 and the removal of ended members each cost one array operation, and the
 energy ``(U U) . w`` (:func:`blackstock.energy.energy_weights`) two.  The
 run's one propagator is the tensor ``(A, B, Q)``, applied to all of ``X`` by
@@ -47,20 +48,21 @@ once.  The scheme and the propagator are resolved once per run.
 
 *Work arrays.*  Each run allocates its arrays once, sized for its batch:
 ``X`` and a second such array that a step writes the next states into (the
-two swap: an ``out`` that overlapped an operand would make numpy copy),
-imex2's two arrays of ``0.5 f``, the energy's squares and a block of
-samples; the source operator keeps its own.  The source writes ``f`` into
-``X``, and imex2 writes its extrapolated source over it once it has kept
-``0.5 f`` for the next step, so the ``einsum`` reads the source it applies.
-When members end, the survivors move to the front in place and later steps
-use leading views, so they cost only the survivors.  An imex step costs a
-fixed number of array operations whatever the batch size, and allocates
-nothing: 13 for an ``imex2`` step, 8 of them in the source.  The source is
-evaluated and checked once at every new state, for every scheme.  A
-``picard`` step iterates from it on arrays of each iteration's own and does
-not write ``X``; a member converges only on an update of finite norm, and is
-then frozen.  ``SimState`` objects are built only for the final states of
-the members that complete, from copies.
+two swap: an ``out`` that overlapped an operand would make numpy copy), the
+energy's squares and a block of samples; the source operator keeps its own.
+imex2's ``X`` has a fourth plane, ``h = 0.5 f`` of the previous step, which
+holds no value at the start time.  The source writes ``f`` into ``X``, and
+imex2 writes its extrapolated source over it once it has kept ``0.5 f`` in
+the next array's ``h``, so the ``einsum`` reads the source it applies.
+When members end, the survivors (``h`` included) move to the front in place
+and later steps use leading views, so they cost only the survivors.  An imex
+step costs a fixed number of array operations whatever the batch size, and
+allocates nothing: on a 1D grid, 13 for an ``imex2`` step, 8 of them in the
+source.  The source is evaluated and checked once at every new state, for
+every scheme.  A ``picard`` step iterates from it on arrays of each
+iteration's own and does not write ``X``; a member converges only on an
+update of finite norm, and is then frozen.  ``SimState`` objects are built
+only for the final states of the members that complete, from copies.
 
 *Per-member termination.*  Each member ends on its own, with its own
 ``Termination``: a non-finite state, a non-finite source or an energy above
@@ -73,7 +75,7 @@ not finite are the members looked at one by one; a sum of finite entries
 that overflows sends the test there too, and every member passes.  The
 energy is formed only at samples, where the cutoff reads it.
 
-*Blocks of samples.*  A sample copies ``X`` and its time into a block
+*Blocks of samples.*  A sample copies ``X[:3]`` and its time into a block
 preallocated for about ``_BLOCK_COEFFICIENTS`` state coefficients.  One
 :func:`blackstock.energy.instantaneous_diagnostics` call, with the sample
 times as a column, maps the block's states and sources to rows when it is
@@ -136,8 +138,8 @@ class StepConfig:
     scheme: str = "imex2"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {_SCHEMES}")
 
@@ -220,22 +222,28 @@ def _propagator(grid: Grid, p: MediumParams, dt: float, theta: float):
 
 def _h1_l2_norm(grid: Grid):
     # Picard's contraction test: the discrete H1 x L2 norm of each member of
-    # U[member, (psi, v), *modes].
+    # U[(psi, v), member, *modes], its squares formed member by member.
     lam = grid.laplacian_eigenvalues.ravel()
     w = grid.coeff_weight * np.concatenate((1.0 - lam, np.ones_like(lam)))
-    return lambda U: np.sqrt((U * U).reshape(len(U), -1) @ w)
+
+    def norm(U: np.ndarray) -> np.ndarray:
+        Um = U.swapaxes(0, 1)
+        return np.sqrt(np.multiply(Um, Um, order="C").reshape(len(Um), -1) @ w)
+
+    return norm
 
 
 def _finite_members(a: np.ndarray) -> np.ndarray:
-    # Per member (leading axis): every entry is finite.
-    return np.isfinite(a.reshape(len(a), -1)).all(axis=1)
+    # Per member (second axis): every entry is finite.
+    return np.isfinite(a).all(axis=(0, *range(2, a.ndim)))
 
 
 def _planes(X: np.ndarray) -> tuple[np.ndarray, ...]:
-    # X[(psi, v, f), member, *modes] with views of it: the states (as the
-    # propagator writes them and the source reads them), the states member
-    # by member (as the energy reads them) and the sources.
-    return X, X[:2], X[:2].swapaxes(0, 1), X[2]
+    # X[(psi, v, f[, h]), member, *modes] with views of it: the states and
+    # sources (as the propagator and the checks read them), the states (as
+    # the propagator writes them and the source reads them), the states
+    # member by member (as the energy reads them), the sources and imex2's h.
+    return X, X[:3], X[:2], X[:2].swapaxes(0, 1), X[2], X[-1]
 
 
 # Overflow and invalid values in a failing iterate are expected: the finiteness
@@ -260,33 +268,30 @@ def _picard_step(
     n = X.shape[1]
     its = np.full(n, PICARD_MAX_ITER)
     converged = np.zeros(n, dtype=bool)
-    # The members still iterating, member by member: their indices in X,
-    # their iterates (the first is the trapezoid step with the source frozen
-    # at the step start) and their step-start data.
-    live = (np.arange(n), step(X).swapaxes(0, 1), X.swapaxes(0, 1))
+    # The members still iterating: their indices in X, their iterates (the
+    # first is the trapezoid step with the source frozen at the step start)
+    # and their step-start data.
+    idx, U, X_0 = np.arange(n), step(X), X
     for it in range(1, PICARD_MAX_ITER + 1):
-        idx, U, X_0 = live
         # A sum is finite only when every entry is.
         if not math.isfinite(U.sum()):
             finite = _finite_members(U)
             its[idx[~finite]] = it
             if not finite.any():
                 break
-            live = tuple(a[finite] for a in live)
-            idx, U, X_0 = live
-        g = 0.5 * (X_0[:, 2] + source(U.swapaxes(0, 1)))
-        U_n = step(np.concatenate((X_0.swapaxes(0, 1)[:2], g[None]))).swapaxes(0, 1)
-        update = norm(U_n - U)
-        # An update whose norm overflows has not contracted, however large U_n.
-        done = (update <= PICARD_TOL * np.maximum(norm(U_n), 1e-300)) & np.isfinite(update)
-        live = (idx, U_n, X_0)
+            idx, U, X_0 = idx[finite], U[:, finite], X_0[:, finite]
+        g = 0.5 * (X_0[2] + source(U))
+        U_prev, U = U, step(np.concatenate((X_0[:2], g[None])))
+        update = norm(U - U_prev)
+        # An update whose norm overflows has not contracted, however large U.
+        done = (update <= PICARD_TOL * np.maximum(norm(U), 1e-300)) & np.isfinite(update)
         if done.any():
-            out[:2, idx[done]] = U_n[done].swapaxes(0, 1)
+            out[:2, idx[done]] = U[:, done]
             its[idx[done]] = it
             converged[idx[done]] = True
             if done.all():
                 break
-            live = tuple(a[~done] for a in live)
+            idx, U, X_0 = idx[~done], U[:, ~done], X_0[:, ~done]
     return its, converged
 
 
@@ -363,21 +368,20 @@ def simulate_batch(
 
     # The run's work arrays, sized for the whole batch.  The live members
     # lead their member axes, and ``members`` maps them to positions in
-    # ``initials``.  The states and their sources live in X[(psi, v, f),
+    # ``initials``.  The states and their sources live in X[(psi, v, f[, h]),
     # member, *modes] (see _planes); a step writes the next states into
-    # another such array, and the two swap.
+    # another such array, and the two swap.  ``square`` takes U U for the
+    # energy cutoff.
     members = np.arange(n_members)
-    cur, nxt = (_planes(X) for X in np.empty((2, 3, n_members) + grid.modes))
+    planes = 4 if scheme == "imex2" else 3
+    cur, nxt = (_planes(X) for X in np.empty((2, planes, n_members) + grid.modes))
     for j, state in enumerate(initials):
-        cur[2][j] = state.psi.coeffs, state.v.coeffs
-    # ``square`` takes U U for the energy cutoff; imex2 keeps 0.5 f of the
-    # previous step in ``scratch``.
+        cur[3][j] = state.psi.coeffs, state.v.coeffs
     square = np.empty((n_members, 2) + grid.modes)
-    scratch = list(np.empty((2, n_members) + grid.modes)) if scheme == "imex2" else []
     n_rows_max = 1 + -(-n_steps // sample_every)
     rows_of = [np.empty((n_rows_max, len(SERIES_COLUMNS))) for _ in initials]
     n_rows = 0
-    # The samples not yet mapped to rows: copies of X in a block that holds
+    # The samples not yet mapped to rows: copies of X[:3] in a block that holds
     # samples of about _BLOCK_COEFFICIENTS state coefficients, and their
     # times.  Such a block of more than one sample is less than twice that.
     block_memory = np.empty(3 * 2 * _BLOCK_COEFFICIENTS)
@@ -390,7 +394,7 @@ def simulate_batch(
         samples = -(-_BLOCK_COEFFICIENTS // (n * n_coeffs))
         if samples == 1:
             return None
-        return block_memory[: samples * 3 * n * n_coeffs].reshape((samples, 3, n) + grid.modes)
+        return block_memory[: 3 * samples * n * n_coeffs].reshape((3, samples, n) + grid.modes)
 
     block = block_for(n_members)
 
@@ -399,9 +403,8 @@ def simulate_batch(
         nonlocal n_rows, n_block
         if not n_block:
             return
-        X_b = cur[0][None] if block is None else block[:n_block]
-        U_b, f_b = X_b[:, :2].swapaxes(1, 2), X_b[:, 2]
-        rows = instantaneous_diagnostics(grid, times[:n_block, None], U_b, f_b, p, g)
+        X_b = cur[1][:, None] if block is None else block[:, :n_block]
+        rows = instantaneous_diagnostics(grid, times[:n_block, None], X_b, p, g)
         end = n_rows + n_block
         for j, m in enumerate(members):
             rows_of[m][n_rows:end, : rows.shape[-1]] = rows[:, j]
@@ -411,7 +414,7 @@ def simulate_batch(
         # End the runs of the live members in the mask ``leaving`` and move
         # the others to the front of the work arrays; False when no member
         # is left.
-        nonlocal members, cur, nxt, scratch, square, block
+        nonlocal members, cur, nxt, square, block
         flush()
         for j in np.flatnonzero(leaving):
             m = members[j]
@@ -421,35 +424,35 @@ def simulate_batch(
         n = members.size
         if not n:
             return False
-        for a in (cur[0].swapaxes(0, 1), *scratch):
-            a[:n] = a[keep]
+        cur[0][:, :n] = cur[0][:, keep]
         cur, nxt = _planes(cur[0][:, :n]), _planes(nxt[0][:, :n])
-        scratch, square, block = [a[:n] for a in scratch], square[:n], block_for(n)
+        square, block = square[:n], block_for(n)
         return True
 
     def checked(t: float, is_sample: bool) -> bool:
         # Evaluate the source of the new state at ``t`` into X and check both.
         # A member with a non-finite state or source ends there without a
         # row; one whose energy is above the cutoff at a sample ends with
-        # that row as its last.  False when no member is left.
+        # that row as its last.  False when no member is left.  Nothing here
+        # reads imex2's fourth plane, which holds no value at the start time.
         nonlocal n_block
-        X, states, U, f = cur
+        _, fields, states, U, f, _ = cur
         source(states, out=f)
         # One test of the batch: the sum is finite only when every entry is.
         # A sum of finite entries that overflows only sends the test to the
         # members, which all pass it.
-        if not math.isfinite(X.sum()):
-            finite = _finite_members(X.swapaxes(0, 1))
+        if not math.isfinite(fields.sum()):
+            finite = _finite_members(fields)
             if not finite.all():
                 if not retire(~finite, "diverged", t):
                     return False
-                X, states, U, f = cur
+                _, fields, _, U, _, _ = cur
         if is_sample:
             times[n_block] = t
             if block is not None:
-                np.copyto(block[n_block], X)
+                np.copyto(block[:, n_block], fields)
             n_block += 1
-            if block is None or n_block == len(block):
+            if block is None or n_block == block.shape[1]:
                 flush()
             # The cutoff is the only reader of the energy.  A NaN energy is
             # not below the cutoff either.
@@ -464,27 +467,25 @@ def simulate_batch(
 
     for n in range(n_steps):
         t_next = t0 + (n + 1) * dt
-        X, _, _, f = cur
-        X_next, states_next, _, f_next = nxt
+        _, fields, _, _, f, h = cur
+        X_next, _, states_next, _, f_next, h_next = nxt
         if scheme == "picard":
-            its, converged = _picard_step(X, X_next, step, norm, source)
+            its, converged = _picard_step(fields, X_next, step, norm, source)
         else:
             if scheme == "imex2":
                 # The source applied is written over f in X, once 0.5 f is
-                # kept for the next step.
-                half, half_next = scratch
-                np.multiply(f, 0.5, out=half_next)
+                # kept in the next step's h.
+                np.multiply(f, 0.5, out=h_next)
                 if n == 0:
                     # Predictor-corrector startup keeps the global order at two.
-                    step(X, out=states_next)
+                    step(fields, out=states_next)
                     np.add(f, source(states_next, out=f_next), out=f)
                     f *= 0.5
                 else:
                     # 1.5 f - 0.5 f_prev.
                     f *= 1.5
-                    f -= half
-                scratch = [half_next, half]
-            step(X, out=states_next)
+                    f -= h
+            step(fields, out=states_next)
         cur, nxt = nxt, cur
         if scheme == "picard":
             max_its[members] = np.maximum(max_its[members], its)
@@ -498,7 +499,7 @@ def simulate_batch(
         flush()
         final_t = t0 + n_steps * dt
         for j, m in enumerate(members):
-            psi, v = cur[2][j]
+            psi, v = cur[3][j]
             final = SimState(
                 SpectralField(grid, psi.copy()), SpectralField(grid, v.copy()), final_t
             )

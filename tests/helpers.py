@@ -227,8 +227,8 @@ def diagnostics(state, p, g=GammaWeights(), source=None):
     formed from it as a run forms it.
     """
     f = np.zeros(state.grid.modes) if source is None else source.coeffs
-    U = np.stack((state.psi.coeffs, state.v.coeffs))
-    row = instantaneous_diagnostics(state.grid, state.time, U, f, p, g)
+    X = np.stack((state.psi.coeffs, state.v.coeffs, f))
+    row = instantaneous_diagnostics(state.grid, state.time, X, p, g)
     return dict(zip(DIAGNOSTIC_COLUMNS, row.tolist()))
 
 
@@ -270,8 +270,9 @@ def equivalence_scan(p, g, probes):
     if not probes:
         raise ValueError("probe state list is empty")
     grid = probes[0].grid
-    U = np.array([(s.psi.coeffs, s.v.coeffs) for s in probes])
-    rows = instantaneous_diagnostics(grid, 0.0, U, np.zeros((len(probes),) + grid.modes), p, g)
+    X = np.zeros((3, len(probes)) + grid.modes)
+    X[0], X[1] = [s.psi.coeffs for s in probes], [s.v.coeffs for s in probes]
+    rows = instantaneous_diagnostics(grid, 0.0, X, p, g)
     E, L = (rows[:, DIAGNOSTIC_COLUMNS.index(name)] for name in ("E", "L"))
     if np.any(E <= 0):
         raise ValueError("probe states must be nonzero")

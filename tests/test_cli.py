@@ -840,6 +840,49 @@ class TestSweepCommand:
             assert json.loads((out / label / "summary.json").read_text())["termination"]["kind"] == "diverged"
             assert not (out / label / "state.ckpt").exists()
 
+    def sweep_twice(self, tmp_path, first, second, between=lambda out: None):
+        # A sweep over medium.k with the values ``first``, then one with
+        # ``second`` into the same output directory.
+        out = tmp_path / "sweep"
+        for values in (first, second):
+            path = write_config(tmp_path, short_config(sweep={"parameters": {"medium.k": values}}))
+            assert main(["sweep", "--config", str(path), "--output", str(out), "--jobs", "1"]) == 0
+            between(out)
+        return out
+
+    def test_rerun_removes_the_variants_it_does_not_run(self, tmp_path):
+        # The variants of the replaced sweep.json that the new sweep does not
+        # run go: the directories beside its report are those it lists.
+        out = self.sweep_twice(tmp_path, [0.5, 1.0], [0.0, 1.0])
+        labels = [run["label"] for run in json.loads((out / "sweep.json").read_text())["runs"]]
+        assert labels == ["k=0.0", "k=1.0"]
+        assert sorted(p.name for p in out.iterdir()) == ["k=0.0", "k=1.0", "sweep.json"]
+
+    def test_rerun_keeps_other_files_in_a_variant_it_does_not_run(self, tmp_path):
+        # Only the files a variant writes are removed: a user's own file, and
+        # so its directory, survive.
+        def annotate(out):
+            if (out / "k=0.5").is_dir():
+                (out / "k=0.5" / "notes.txt").write_text("mine")
+
+        out = self.sweep_twice(tmp_path, [0.5, 1.0], [0.0, 1.0], annotate)
+        assert [p.name for p in (out / "k=0.5").iterdir()] == ["notes.txt"]
+        assert (out / "k=0.5" / "notes.txt").read_text() == "mine"
+
+    def test_rerun_reads_only_labels_that_name_a_subdirectory(self, tmp_path):
+        # A replaced sweep.json that names a path outside its directory, or
+        # none, removes nothing there.
+        out = tmp_path / "sweep"
+        outside = tmp_path / "k=0.5"
+        outside.mkdir()
+        (outside / "series.csv").write_text("t\n")
+        path = write_config(tmp_path, short_config(sweep={"parameters": {"medium.k": [1.0]}}))
+        for runs in ([{"label": "../k=0.5"}, {"label": ".."}, {"label": ""}], "k=0.5", None):
+            out.mkdir(exist_ok=True)
+            (out / "sweep.json").write_text(json.dumps({"runs": runs}))
+            assert main(["sweep", "--config", str(path), "--output", str(out), "--jobs", "1"]) == 0
+            assert (outside / "series.csv").exists()
+
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_jobs_below_one_exits_1(self, tmp_path, capsys, jobs):
         path = write_config(tmp_path, short_config(sweep={"parameters": {"medium.k": [0.0]}}))

@@ -141,7 +141,7 @@ class TestDiagnosticsTable:
         p = MediumParams(c=c, b=b)
         g = GammaWeights(*gammas)
         accel = SpectralField(grid, grid.laplacian_eigenvalues * (c * c * U[0] + b * U[1]) + f.coeffs)
-        row = instantaneous_diagnostics(grid, t, U, f.coeffs, p, g)
+        row = instantaneous_diagnostics(grid, t, np.concatenate((U, f.coeffs[None])), p, g)
         got = dict(zip(DIAGNOSTIC_COLUMNS, row.tolist()))
 
         def quad(x, y):
@@ -185,20 +185,19 @@ class TestDiagnosticsTable:
         overflow=st.booleans(),
     )
     def test_time_column_matches_per_time_calls(self, grid, seed, n_times, n_members, overflow):
-        # States (times, members, 2, *modes) with a column of times give the
-        # bits of one call per time; with an overflowed acceleration in one
-        # row, from its source, the other rows keep theirs.
+        # States and sources (3, times, members, *modes) with a column of
+        # times give the bits of one call per time; with an overflowed
+        # acceleration in one row, from its source, the other rows keep theirs.
         rng = np.random.default_rng(seed)
-        U = rng.standard_normal((n_times, n_members, 2) + grid.modes)
-        f = rng.standard_normal((n_times, n_members) + grid.modes)
+        X = rng.standard_normal((3, n_times, n_members) + grid.modes)
         if overflow:
-            f[rng.integers(n_times), rng.integers(n_members)] = 1e200
+            X[2, rng.integers(n_times), rng.integers(n_members)] = 1e200
         t = rng.uniform(0.0, 10.0, n_times)
         g = GammaWeights()
         with np.errstate(over="ignore"):
-            rows = instantaneous_diagnostics(grid, t[:, None], U, f, NONLIN, g)
+            rows = instantaneous_diagnostics(grid, t[:, None], X, NONLIN, g)
             for i in range(n_times):
-                one = instantaneous_diagnostics(grid, t[i], U[i], f[i], NONLIN, g)
+                one = instantaneous_diagnostics(grid, t[i], X[:, i], NONLIN, g)
                 assert np.array_equal(rows[i], one, equal_nan=True)
 
     def test_overflowed_acceleration_reaches_only_its_columns(self, g64):
@@ -208,14 +207,15 @@ class TestDiagnosticsTable:
         # of the same state without a source, and a finite member of the same
         # batch keeps its finite row.
         rng = np.random.default_rng(5)
-        U = rng.standard_normal((2, 2) + g64.modes)
-        f = np.stack([np.full(g64.modes, 1e200), rng.standard_normal(g64.modes)])
+        X = rng.standard_normal((3, 2) + g64.modes)
+        X[2, 0] = 1e200
         g = GammaWeights()
         with np.errstate(over="ignore"):
-            rows = instantaneous_diagnostics(g64, 2.0, U, f, NONLIN, g)
-        plain = instantaneous_diagnostics(g64, 2.0, U, np.zeros_like(f), NONLIN, g)
-        solo = instantaneous_diagnostics(g64, 2.0, U[1], f[1], NONLIN, g)
-        f_dot_v = g64.coeff_weight * np.sum(f[0] * U[0, 1])
+            rows = instantaneous_diagnostics(g64, 2.0, X, NONLIN, g)
+        unforced = np.concatenate((X[:2], np.zeros((1, 2) + g64.modes)))
+        plain = instantaneous_diagnostics(g64, 2.0, unforced, NONLIN, g)
+        solo = instantaneous_diagnostics(g64, 2.0, X[:, 1], NONLIN, g)
+        f_dot_v = g64.coeff_weight * np.sum(X[2, 0] * X[1, 0])
         reads_accel = ("w_ptt", "d_integrand", "wgp_integrand")
         for k, name in enumerate(DIAGNOSTIC_COLUMNS):
             if name in reads_accel:
@@ -238,10 +238,10 @@ class TestRunLoopReaders:
     def test_energy_weights_give_the_energy_column(self, grid, seed, n_members, c, b):
         # The run loop's per-step energy (U U) . w is the E of the rows.
         rng = np.random.default_rng(seed)
-        U = rng.standard_normal((n_members, 2) + grid.modes)
-        f = rng.standard_normal((n_members,) + grid.modes)
+        X = rng.standard_normal((3, n_members) + grid.modes)
         p = MediumParams(c=c, b=b)
-        rows = instantaneous_diagnostics(grid, 1.0, U, f, p, GammaWeights())
+        rows = instantaneous_diagnostics(grid, 1.0, X, p, GammaWeights())
+        U = X[:2].swapaxes(0, 1)
         E = (U * U).reshape(n_members, -1) @ energy_weights(grid, p)
         np.testing.assert_allclose(E, rows[:, DIAGNOSTIC_COLUMNS.index("E")], rtol=1e-13, atol=0)
 

@@ -194,9 +194,10 @@ class TestInitialData:
         with pytest.raises(IndexError):
             InitialDataSpec.single_mode((65,), 1.0).realize(g64)
 
-    def test_power_law_exponent_validated(self):
+    @pytest.mark.parametrize("exponent", [1.5, np.nan, np.inf])
+    def test_power_law_exponent_validated(self, exponent):
         with pytest.raises(ValueError, match="exponent"):
-            InitialDataSpec.power_law(1.5, 1.0)
+            InitialDataSpec.power_law(exponent, 1.0)
 
     def test_amplitude_must_be_finite(self):
         with pytest.raises(ValueError, match="finite"):

@@ -36,6 +36,15 @@ class TestGridConstruction:
         with pytest.raises(ValueError, match="minimum 4 modes"):
             Grid(extents=(1.0,), modes=(3,))
 
+    @pytest.mark.parametrize("modes", [(4.5,), (8, 6.25), (np.nan,), (np.inf,)])
+    def test_modes_must_be_whole_numbers(self, modes):
+        # A fractional mode count is not truncated to a smaller grid.
+        with pytest.raises(ValueError, match="whole numbers"):
+            Grid(extents=(1.0,) * len(modes), modes=modes)
+
+    def test_whole_float_modes_accepted(self):
+        assert Grid(extents=(1.0, 1.0), modes=(8.0, np.int64(6))).modes == (8, 6)
+
     def test_positive_extents(self):
         with pytest.raises(ValueError):
             Grid(extents=(0.0,), modes=(8,))

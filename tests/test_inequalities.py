@@ -85,6 +85,13 @@ class TestGronwallParams:
         with pytest.raises(ValueError):
             GronwallParams(c1=2.0, c2=1.0, kappa=1.0, a=1.0, u0=0.1)
 
+    @pytest.mark.parametrize("field", ["c1", "c2", "kappa", "a", "u0"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameters_rejected(self, field, value):
+        worked = dict(c1=2.0, c2=1.0, kappa=1.0, a=-1.0, u0=0.05)
+        with pytest.raises(ValueError, match="finite"):
+            GronwallParams(**{**worked, field: value})
+
     def test_worked_case_smallness_and_coefficient(self):
         g = GronwallParams(c1=2.0, c2=1.0, kappa=1.0, a=-1.0, u0=0.05)
         # a + (1 + 1/kappa) c2 2^k c1^k u0^k = -1 + 2 * 1 * 2 * 2 * 0.05

@@ -54,6 +54,11 @@ class TestStepConfig:
         with pytest.raises(ValueError, match="unknown scheme"):
             StepConfig(dt=0.1, scheme="rk4")
 
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_non_finite_dt_rejected(self, dt):
+        with pytest.raises(ValueError, match="positive and finite"):
+            StepConfig(dt=dt)
+
 
 def one_step(state, cfg, p):
     """The state one step of ``cfg`` after ``state``, through the run loop."""
@@ -454,6 +459,43 @@ class TestBatch:
             assert len(ends) >= 3
 
     @pytest.mark.parametrize("scheme", ["imex1", "imex2", "picard"])
+    @pytest.mark.parametrize("modes", [(16,), (8, 8)])
+    def test_uninitialised_work_memory_is_never_read(self, scheme, modes):
+        # Every array numpy.empty makes is NaN-filled: the work arrays (imex2's
+        # h plane among them, which holds no value at the start time), the
+        # blocks of samples, the rows and the source's own.  The series, the
+        # terminations and the final states are those of a normal run, byte
+        # for byte, with members that retire along the way and blocks of
+        # two samples.
+        grid = Grid(extents=(np.pi,) * len(modes), modes=modes)
+        mode = (1,) * len(modes)
+        states = [build_initial(*[InitialDataSpec.single_mode(mode, a)] * 2, grid)
+                  for a in (0.3, 30.0, 2.0, 8.0)]
+        cfg = StepConfig(dt=1e-2, scheme=scheme)
+        empty = np.empty
+
+        def nan_empty(*args, **kwargs):
+            a = empty(*args, **kwargs)
+            if a.dtype.kind == "f":
+                a.fill(np.nan)
+            return a
+
+        def outcome():
+            batch = simulate_batch(states, 0.3, cfg, NONLIN, 2)
+            finals = [s.final for s in batch if s.final is not None]
+            return ([(s.data.tobytes(), s.termination, s.max_picard_iterations) for s in batch],
+                    [(f.psi.coeffs.tobytes(), f.v.coeffs.tobytes(), f.time) for f in finals])
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(integrate, "_BLOCK_COEFFICIENTS", 2 * len(states) * np.prod(modes))
+            normal = outcome()
+            patch.setattr(np, "empty", nan_empty)
+            filled = outcome()
+        assert filled == normal
+        ends = {term.kind for _, term, _ in normal[0]}
+        assert len(ends) == 2 and len(normal[1]) < len(states)
+
+    @pytest.mark.parametrize("scheme", ["imex1", "imex2", "picard"])
     @given(
         modes=st.sampled_from([(8,), (6, 5)]),
         amplitudes=st.lists(st.floats(0.1, 80.0), min_size=2, max_size=4),
@@ -548,10 +590,11 @@ class TestBatch:
         states = [single_mode_state(grid, a, a) for a in amplitudes]
         references = []
 
-        def spy(grid, times, U, *rest):
+        def spy(grid, times, X, *rest):
             # The solo run's block of samples: each time with its state.
-            references[-1].update(zip(np.ravel(times).tolist(), U[:, 0].copy()))
-            return instantaneous_diagnostics(grid, times, U, *rest)
+            states = X[:2, :, 0].swapaxes(0, 1).copy()
+            references[-1].update(zip(np.ravel(times).tolist(), states))
+            return instantaneous_diagnostics(grid, times, X, *rest)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(integrate, "_BLOCK_COEFFICIENTS", block_samples * len(states) * 16)
@@ -578,7 +621,8 @@ class TestBatch:
                 U = sampled[time]
                 with np.errstate(over="ignore", invalid="ignore"):  # the states near blow-up
                     f = _source_operator(grid, NONLIN)(U)
-                    want.append(instantaneous_diagnostics(grid, time, U, f, NONLIN, g))
+                    X = np.concatenate((U, f[None]))
+                    want.append(instantaneous_diagnostics(grid, time, X, NONLIN, g))
             want = np.reshape(want, (len(t), len(DIAGNOSTIC_COLUMNS)))
             assert_columns_close(member.data[:, : len(DIAGNOSTIC_COLUMNS)], want, 1e-13)
 
