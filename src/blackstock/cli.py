@@ -23,7 +23,8 @@ complete is fitted as ``diverges`` without reading its rows.
 
 Exit codes: 0 success, 1 configuration and usage errors, 2 divergence of a
 simulate run, 3 precondition failures (unbracketed thresholds, bad fit
-windows or inputs, inadmissible parameters, failed inequality checks).
+windows or inputs, inadmissible parameters, failed inequality checks, a
+series of samples too large to allocate).
 """
 
 from __future__ import annotations

@@ -11,8 +11,10 @@ with ``v = psi_t`` and the quadratic source
     f = -2 k c^2 v Delta psi - 2 sigma grad psi . grad v.
 
 :func:`assemble_f` forms ``f`` of one state; the run loop keeps the operator
-behind it, which maps stacked states ``(psi, alpha)`` to the source with a
-coefficient field ``alpha`` in place of ``v`` (``alpha = v`` gives ``f``).
+behind it, which maps a batch's states ``U[(psi, alpha), member, *modes]``,
+with a coefficient field ``alpha`` in place of ``v`` (``alpha = v`` gives
+``f``), to their sources.  It has one member axis, and finds where the
+grid's passes leave its padded values once per member count.
 The linear part ``c^2 Delta psi + b Delta v`` is diagonal in the sine basis,
 and :mod:`blackstock.integrate` solves it mode by mode.
 
@@ -66,15 +68,14 @@ class MediumParams:
 
 
 def _source_operator(grid: Grid, p: MediumParams):
-    """The source operator: states ``U[(psi, alpha), ..., *modes]`` to ``f[..., *modes]``.
+    """The source operator: states ``U[(psi, alpha), member, *modes]`` to ``f[member, *modes]``.
 
     It forms the coefficients of ``-2 k c^2 alpha Delta psi - 2 sigma grad
     psi . grad alpha``, projected exactly, in the gradient-free form of the
-    module docstring; the axes between the first and the modes are members
-    evaluated together.  The returned function ``source(U, out=None)``
-    writes ``f`` into ``out`` (a new array when it is None) and returns it.
-    The Laplacian scalings are formed once, so a run that keeps the function
-    forms them once.
+    module docstring, for every member at once.  The returned function
+    ``source(U, out=None)`` writes ``f`` into ``out`` (a new array when it is
+    None) and returns it.  The Laplacian scalings are formed once, so a run
+    that keeps the function forms them once.
 
     Its work arrays belong to the function and are sized for the largest
     batch it has been called on: one for the padded values of the four
@@ -91,6 +92,12 @@ def _source_operator(grid: Grid, p: MediumParams):
     every entry's bits as they are, so ``f`` does not depend on the order in
     which the fields are stacked.
 
+    Per member count it forms once the views of them that a call uses, and
+    finds by one evaluation and one projection on them where the grid's
+    passes leave their results, which depends on the shapes alone (see
+    :func:`blackstock.grid.padded_field_values`).  A call is then the same
+    eight array operations in every dimension.
+
     A batched run matches each member's solo run to rounding.  numpy sends a
     one-row matrix product to gemv, and OpenBLAS rounds the entries of small
     row counts differently from the same row in a larger product, so no dense
@@ -101,15 +108,10 @@ def _source_operator(grid: Grid, p: MediumParams):
     columns at most 1200 when the inner size is at least 32), which a solo
     run's products stay under and a batch of 3 members at N=64 exceeds.
     """
-    dim, modes = grid.dim, grid.modes
-
-    def new_out(U: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        return np.empty(U.shape[1:]) if out is None else out
-
     if p.k == 0.0 and p.sigma == 0.0:
 
         def zero(U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            out = new_out(U, out)
+            out = np.empty(U.shape[1:]) if out is None else out
             out.fill(0.0)
             return out
 
@@ -121,73 +123,59 @@ def _source_operator(grid: Grid, p: MediumParams):
     # alpha and alpha, each Laplacian with its coefficient.
     s0, s1 = -(2.0 * p.k * p.c**2 - p.sigma), p.sigma
     one = np.ones_like(lam)
-    factor = np.stack((np.stack((one, s0 * lam)), np.stack((s1 * lam, one))))
+    factor = np.stack((np.stack((one, s0 * lam)), np.stack((s1 * lam, one))))[:, :, None]
     sigma_lam = s1 * lam
     padded_size = math.prod(grid.padded_shape)
     work = [np.empty(0), np.empty(0)]
-    # Per shape of U's member axes, the views of the work arrays a call uses.
-    layouts: dict[tuple[int, ...], tuple] = {}
+    # Per member count, the views of the work arrays a call uses.
+    layouts: dict[int, tuple] = {}
 
-    def fields_of(values: np.ndarray, m: int) -> tuple[np.ndarray, ...]:
-        # psi, Delta psi, (Delta alpha, alpha) and alpha of stacked padded values.
-        psi = values[:m]
-        return psi, values[m : 2 * m], values[2 * m :].reshape((2,) + psi.shape), values[3 * m :]
-
-    def layout(lead: tuple[int, ...]) -> tuple:
-        m = math.prod(lead)
+    def layout(m: int) -> tuple:
         if 2 * m * padded_size > work[1].size:
-            work[:] = np.empty(4 * m * padded_size), np.empty(2 * m * padded_size)
+            work[:] = np.zeros(4 * m * padded_size), np.zeros(2 * m * padded_size)
             layouts.clear()
-        # The arrays as rows of padded fields, so that the product of a 1D
-        # evaluation has their shape and is written as it is (a pass writes
-        # the leading part of an array of another shape).
+        # As rows of padded fields, the shape of a 1D evaluation's product,
+        # which it then writes as it is.
         values = work[0].reshape(-1, padded_size)[: 4 * m]
         products = work[1].reshape(-1, padded_size)[: 2 * m]
         # The evaluation's passes write the two by turns and end in
-        # ``values``; the stacked fields sit in the one its first pass does
-        # not write.
-        evaluation = (values, products) if dim % 2 else (products, values)
-        stacked = evaluation[1].reshape(-1)[: 4 * m * math.prod(modes)].reshape((4 * m,) + modes)
+        # ``values``; the fields sit in the one its first pass leaves alone.
+        passes = (values, products) if grid.dim % 2 else (products, values)
+        stacked = passes[1].reshape(-1)[: 4 * m * math.prod(grid.modes)]
+        evaluation = (stacked.reshape((4 * m,) + grid.modes), passes)
         pair = products.reshape((2, m) + grid.padded_shape)
-        # The projection's first pass writes ``values``, shaped as its
-        # product on a 1D grid.
-        projected = values.reshape(-1)
-        if dim == 1:
-            projected = projected[: 2 * m * modes[0]].reshape(2 * m, modes[0])
-        layouts[lead] = (
-            (m,) + modes,
-            (factor.reshape((2, 2) + (1,) * len(lead) + modes),
-             stacked.reshape((2, 2) + lead + modes)),
-            (stacked, evaluation),
-            (pair, pair[0], pair.reshape((2 * m,) + grid.padded_shape), (projected, products)),
-            # A 1D evaluation returns ``values`` and a 1D projection returns
-            # ``projected`` (see padded_field_values): their parts, formed once.
-            (values, fields_of(values, m), projected, (projected[:m], projected[m:])),
+        projection = (pair.reshape((2 * m,) + grid.padded_shape), (values, products))
+        # The work arrays hold what the last call left: after a diverged
+        # batch, inf, which the passes multiply by zeros.
+        with np.errstate(all="ignore"):
+            padded = padded_field_values(grid, *evaluation)
+            projected = project_padded_to_sine(grid, *projection)
+        psi = padded[:m]
+        layouts[m] = (
+            stacked.reshape((2, 2, m) + grid.modes),
+            evaluation,
+            (psi, padded[m : 2 * m], padded[2 * m :].reshape((2,) + psi.shape), padded[3 * m :]),
+            (pair, pair[0]),
+            projection,
+            (projected[:m], projected[m:]),
         )
-        return layouts[lead]
+        return layouts[m]
 
     def source(U: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        lead = U.shape[1 : U.ndim - dim]
-        rows, (scale, fields), evaluation, projection, (values_1d, parts, projected_1d, halves) = (
-            layouts.get(lead) or layout(lead)
-        )
-        np.multiply(scale, U[:, None], out=fields)
-        values = padded_field_values(grid, *evaluation)
-        psi, lap_psi, lap_alpha_alpha, alpha = (
-            parts if values is values_1d else fields_of(values, rows[0])
-        )
+        fields, evaluation, (psi, lap_psi, lap_alpha_alpha, alpha), (pair, mixed), projection, (
+            first, second
+        ) = layouts.get(U.shape[1]) or layout(U.shape[1])
+        np.multiply(factor, U[:, None], out=fields)
+        padded_field_values(grid, *evaluation)
         # The two products (psi Delta alpha + alpha Delta psi, psi alpha) in
         # three calls: psi times (Delta alpha, alpha), then alpha Delta psi
         # formed in place and added.
-        pair, first, pair_rows, work_pair = projection
         np.multiply(psi, lap_alpha_alpha, out=pair)
-        first += np.multiply(alpha, lap_psi, out=lap_psi)
-        proj = project_padded_to_sine(grid, pair_rows, work_pair)
-        first, second = halves if proj is projected_1d else (proj[: rows[0]], proj[rows[0] :])
-        out = new_out(U, out)
-        f = out if out.shape == rows else out.reshape(rows)
-        np.multiply(sigma_lam, second, out=f)
-        np.subtract(first, f, out=f)
+        mixed += np.multiply(alpha, lap_psi, out=lap_psi)
+        project_padded_to_sine(grid, *projection)
+        out = np.empty(U.shape[1:]) if out is None else out
+        np.multiply(sigma_lam, second, out=out)
+        np.subtract(first, out, out=out)
         return out
 
     return source
@@ -195,5 +183,5 @@ def _source_operator(grid: Grid, p: MediumParams):
 
 def assemble_f(state: SimState, p: MediumParams) -> SpectralField:
     """Quadratic source ``f = -2 k c^2 psi_t Delta psi - 2 sigma grad psi . grad psi_t``."""
-    U = np.stack((state.psi.coeffs, state.v.coeffs))
-    return SpectralField(state.grid, _source_operator(state.grid, p)(U))
+    U = np.stack((state.psi.coeffs, state.v.coeffs))[:, None]
+    return SpectralField(state.grid, _source_operator(state.grid, p)(U)[0])

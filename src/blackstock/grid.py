@@ -246,9 +246,11 @@ def padded_field_values(grid: Grid, coeffs: np.ndarray, out=None) -> np.ndarray:
     per-axis passes write by turns: pass ``i`` of ``d`` writes its matrix
     product into ``out[i % 2]`` when that has the product's shape, else into
     its leading part, which must hold it.  The values returned are then a
-    view of ``out[(d - 1) % 2]``; on a 1D grid, 2-D ``coeffs`` and an
-    ``out[0]`` of the result's shape return ``out[0]`` itself.  ``coeffs``
-    may sit in ``out[1]`` but not in ``out[0]``.
+    view of ``out[(d - 1) % 2]`` whose place in it depends on the shapes
+    alone: calls with the same shapes and the same pair return the same
+    view.  On a 1D grid, 2-D ``coeffs`` and an ``out[0]`` of the result's
+    shape return ``out[0]`` itself.  ``coeffs`` may sit in ``out[1]`` but
+    not in ``out[0]``.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape[coeffs.ndim - grid.dim:] != grid.modes:

@@ -84,8 +84,10 @@ full, before any member retires, and at the end of the run; it forms
 
 *Rows.*  Each member's rows live in an array of their own, sized for the
 whole run.  Pages that are never written, the rest of a member that ends
-early, are never made resident.  :func:`blackstock.energy.running_integrals`
-fills in ``D_cum`` and ``w_grad_ptt`` when the member ends.
+early, are never made resident.  A series too large to allocate is a
+``ValueError`` that names its sample count, before the first step.
+:func:`blackstock.energy.running_integrals` fills in ``D_cum`` and
+``w_grad_ptt`` when the member ends.
 """
 
 from __future__ import annotations
@@ -147,7 +149,10 @@ class StepConfig:
         """Number of steps that reach ``T``; ``T`` must be a positive whole multiple of ``dt``."""
         if not (T > 0 and np.isfinite(T)):
             raise ValueError("final time must be positive and finite")
-        n = round(T / self.dt)
+        ratio = T / self.dt
+        if not math.isfinite(ratio):
+            raise ValueError(f"final time T={T!r} is more steps of dt={self.dt!r} than can be counted")
+        n = round(ratio)
         if n < 1 or abs(n * self.dt - T) > 1e-9 * T:
             raise ValueError(f"final time T={T!r} is not a whole multiple of dt={self.dt!r}")
         return n
@@ -379,7 +384,11 @@ def simulate_batch(
         cur[3][j] = state.psi.coeffs, state.v.coeffs
     square = np.empty((n_members, 2) + grid.modes)
     n_rows_max = 1 + -(-n_steps // sample_every)
-    rows_of = [np.empty((n_rows_max, len(SERIES_COLUMNS))) for _ in initials]
+    try:
+        rows_of = [np.empty((n_rows_max, len(SERIES_COLUMNS))) for _ in initials]
+    except (ValueError, MemoryError) as exc:
+        raise ValueError(f"a series of {n_rows_max:.4g} samples cannot be allocated; "
+                         "sample less often (integrator.sample_every)") from exc
     n_rows = 0
     # The samples not yet mapped to rows: copies of X[:3] in a block that holds
     # samples of about _BLOCK_COEFFICIENTS state coefficients, and their

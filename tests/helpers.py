@@ -240,8 +240,8 @@ def acceleration(state, p, alpha=None):
     """
     grid = state.grid
     psi, v = state.psi.coeffs, state.v.coeffs
-    U = np.stack((psi, v if alpha is None else alpha.coeffs))
-    source = _source_operator(grid, p)(U)
+    U = np.stack((psi, v if alpha is None else alpha.coeffs))[:, None]
+    source = _source_operator(grid, p)(U)[0]
     return SpectralField(grid, grid.laplacian_eigenvalues * (p.c**2 * psi + p.b * v) + source)
 
 

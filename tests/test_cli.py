@@ -330,6 +330,9 @@ class TestSimulateCommand:
             ("simulate", {"medium": {"c": 10**400, "b": 1.0}}, "medium.c"),
             # A sweep without its parameters.
             ("sweep", {}, "sweep.parameters"),
+            # More steps than a float counts: T / dt overflows.
+            ("simulate", {"integrator": {"T": 1e300, "dt": 1e-300}}, "integrator"),
+            ("weighted-study", {"study": {"T": 1e300, "dt": 1e-300}}, "study.T"),
         ],
     )
     def test_values_that_cannot_be_honoured_exit_1_before_any_run(
@@ -367,6 +370,30 @@ class TestSimulateCommand:
         out = tmp_path / "o"
         assert main([subcommand, "--config", str(path), "--output", str(out)]) == 1
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("refused", [False, True], ids=["beyond_any_array", "memory_error"])
+    def test_series_that_cannot_be_allocated_exits_3(self, tmp_path, capsys, monkeypatch, refused):
+        # A series of 1e23 samples is beyond any array; one of 1e12 samples
+        # is refused here by a MemoryError, never tried, since whether it is
+        # allocated depends on the system's overcommit.  Either is one error
+        # that names the sample count and sample_every: exit 3, with no
+        # traceback and no output directory.
+        T, dt = (1e6, 1e-6) if refused else (1e20, 1e-3)
+        empty = np.empty
+
+        def refusing(shape, *args, **kwargs):
+            if isinstance(shape, tuple) and shape[0] > 10**12:
+                raise MemoryError("Unable to allocate 94.6 TiB for an array")
+            return empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", refusing)
+        path = write_config(tmp_path, short_config(integrator={"T": T, "dt": dt}))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(path), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "samples cannot be allocated" in err and "integrator.sample_every" in err
+        assert "Traceback" not in err
         assert not out.exists()
 
     def test_determinism_bit_identical(self, tmp_path):

@@ -1,5 +1,7 @@
 """Quadratic source, and the acceleration and frozen-coefficient operator built on it."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,6 +15,7 @@ from blackstock import (
     assemble_f,
     padded_field_values,
 )
+from blackstock.dynamics import _source_operator
 
 from .helpers import (
     acceleration,
@@ -155,6 +158,37 @@ class TestAssembleF:
         f = assemble_f(SimState(psi=SpectralField(grid, psi), v=SpectralField(grid, v)), p).coeffs
         oracle = quadratic_source_oracle(grid.extents, psi, v, c, k, sigma)
         assert np.max(np.abs(f - oracle)) <= 1e-12 * max(np.max(np.abs(oracle)), 1e-300)
+
+    @given(
+        grid=random_grids(),
+        counts=st.lists(st.integers(1, 4), min_size=1, max_size=5),
+        outs=st.lists(st.booleans(), min_size=8, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.floats(-2.0, 2.0),
+        sigma=st.floats(-2.0, 2.0),
+    )
+    def test_reused_operator_matches_a_fresh_one(self, grid, counts, outs, seed, k, sigma):
+        # One operator on a sequence of member counts that shrinks, repeats
+        # and grows past its work arrays (which it reallocates, clearing its
+        # views): each call gives a fresh operator's bytes.  The products of
+        # the first, widest batch overflow, so the views of the next counts
+        # are formed on work arrays that hold inf, and no warning may escape
+        # them.
+        p = MediumParams(c=1.0, b=1.0, k=k, sigma=sigma)
+        operator = _source_operator(grid, p)
+        rng = np.random.default_rng(seed)
+        top = max(counts) + 1
+        sizes = [top, *counts, top + 1, counts[0]]
+        for i, (m, use_out) in enumerate(zip(sizes, outs)):
+            U = rng.standard_normal((2, m) + grid.modes)
+            out = np.empty((m,) + grid.modes) if use_out else None
+            with warnings.catch_warnings(), np.errstate(all="ignore" if i == 0 else "warn"):
+                warnings.simplefilter("error")
+                if i == 0:
+                    U[:, 0] *= 1e200
+                f = operator(U, out)
+                assert f is out or out is None
+                assert f.tobytes() == _source_operator(grid, p)(U).tobytes()
 
     def test_2d_source(self):
         g = Grid(extents=(np.pi, np.pi), modes=(8, 8))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.lib.array_utils import byte_bounds
 
 from blackstock import Grid, SpectralField, padded_field_values, project_padded_to_sine
 
@@ -173,6 +174,17 @@ class TestTransforms:
         assert np.shares_memory(got, work[(grid.dim - 1) % 2])
         projected = project_padded_to_sine(grid, values)
         assert project_padded_to_sine(grid, values, work).tobytes() == projected.tobytes()
+        # Where the results lie depends on the shapes alone: calls with the
+        # same shapes and the same pair return views inside
+        # out[(d - 1) % 2], with the same address, shape and strides.
+        last = byte_bounds(work[(grid.dim - 1) % 2])
+        for transform, x in ((padded_field_values, coeffs), (project_padded_to_sine, values)):
+            first, second = (transform(grid, x, work) for _ in range(2))
+            low, high = byte_bounds(first)
+            assert last[0] <= low and high <= last[1]
+            assert (low, first.shape, first.strides) == (
+                byte_bounds(second)[0], second.shape, second.strides
+            )
         if grid.dim == 1:
             rows = coeffs.reshape(-1, grid.modes[0])
             shaped = (np.empty(values.reshape(len(rows), -1).shape), np.empty(0))

@@ -15,6 +15,8 @@ from blackstock import (
     SpectralField,
     StepConfig,
     build_initial,
+    gronwall_verify,
+    random_admissible_gronwall,
     simulate,
     simulate_batch,
 )
@@ -58,6 +60,21 @@ class TestStepConfig:
     def test_non_finite_dt_rejected(self, dt):
         with pytest.raises(ValueError, match="positive and finite"):
             StepConfig(dt=dt)
+
+    @pytest.mark.parametrize(
+        "count",
+        [
+            lambda: StepConfig(dt=1e-300).steps_to(1e300),
+            lambda: simulate(single_mode_state(Grid((np.pi,), (8,)), 0.1, 0.1), 1e300,
+                             StepConfig(dt=1e-300), LINEAR),
+            lambda: gronwall_verify(random_admissible_gronwall(1)[0], T=1e300, dt=1e-300),
+        ],
+        ids=["steps_to", "simulate", "gronwall_verify"],
+    )
+    def test_step_count_beyond_any_number_rejected(self, count):
+        # T / dt overflows to inf: a ValueError, not round()'s OverflowError.
+        with pytest.raises(ValueError, match="than can be counted"):
+            count()
 
 
 def one_step(state, cfg, p):
@@ -620,7 +637,7 @@ class TestBatch:
             for time in t:
                 U = sampled[time]
                 with np.errstate(over="ignore", invalid="ignore"):  # the states near blow-up
-                    f = _source_operator(grid, NONLIN)(U)
+                    f = _source_operator(grid, NONLIN)(U[:, None])[0]
                     X = np.concatenate((U, f[None]))
                     want.append(instantaneous_diagnostics(grid, time, X, NONLIN, g))
             want = np.reshape(want, (len(t), len(DIAGNOSTIC_COLUMNS)))
